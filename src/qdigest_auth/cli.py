@@ -12,9 +12,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .bench import format_bench_table, run_bench
-from .commitment import Commitment, commit_digest, subtree_commitments
 from .digest import build_from_frequencies, coarsen, merge, quantile_query, validate
-from .kvcqa import aqq, dump_proof, load_proof, qqv, qqv_accelerated
+from .kvcqa import (
+    aqq,
+    dump_proof,
+    kvc_auth_from_text,
+    kvc_auth_to_text,
+    load_proof,
+    publish_kvc_auth,
+    qqv,
+    qqv_accelerated,
+)
 from .scenario import parse_levels, parse_scenario, run_scenario
 from .serialize import dump_digest, load_digest, load_frequencies
 from .wda import dump_authinfo, load_authinfo, wda_authinfo, wda_verify
@@ -68,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("digest_file")
     p.add_argument("--q", type=_fraction, required=True)
 
-    p = sub.add_parser("auth", help="emit WDA and KVC authentication info for a digest")
+    p = sub.add_parser("auth", help="emit WDA and KVC authentication info (subtree 2 precommitted)")
     p.add_argument("digest_file")
     p.add_argument("--wda-out", required=True)
     p.add_argument("--kvc-out", required=True)
-    p.add_argument("--subtrees", type=_int_list, default=[], help="subtree roots to precommit")
 
     p = sub.add_parser("prove", help="produce an authenticated quantile query proof")
     p.add_argument("digest_file")
@@ -130,49 +137,12 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _kvc_auth_text(digest, subtrees) -> str:
-    lines = [
-        f"kvcauth v1 sigma={digest.sigma} k={digest.k} "
-        f"leafwidth={digest.leaf_width} n={digest.n}",
-        f"commitment={commit_digest(digest).encode()}",
-    ]
-    for root, c in sorted(subtree_commitments(digest, subtrees).items()):
-        lines.append(f"subtree={root}:{c.encode()}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_kvc_auth(text: str):
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[0].startswith("kvcauth v1 "):
-        raise ValueError("malformed KVC auth file")
-    fields = {}
-    for part in lines[0][len("kvcauth v1 "):].split(" "):
-        key, eq, value = part.partition("=")
-        if not eq or not value.isdigit():
-            raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
-        fields[key] = int(value)
-    if set(fields) != {"sigma", "k", "leafwidth", "n"}:
-        raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
-    if not lines[1].startswith("commitment="):
-        raise ValueError("KVC auth file must carry the whole-digest commitment")
-    commitment = Commitment.parse(lines[1][len("commitment="):])
-    subtrees = {}
-    for line in lines[2:]:
-        if not line.startswith("subtree="):
-            raise ValueError(f"malformed KVC auth line: {line!r}")
-        root_text, sep, ctext = line[len("subtree="):].partition(":")
-        if not sep or not root_text.isdigit():
-            raise ValueError(f"malformed KVC auth line: {line!r}")
-        subtrees[int(root_text)] = Commitment.parse(ctext)
-    return fields, commitment, subtrees
-
-
 def cmd_auth(args) -> int:
     digest = load_digest(args.digest_file)
     dump_authinfo(wda_authinfo(digest), args.wda_out)
-    subtrees = args.subtrees or ([2] if digest.sigma > 1 else [])
+    commitment, subtrees = publish_kvc_auth(digest)
     with open(args.kvc_out, "w", encoding="ascii") as fh:
-        fh.write(_kvc_auth_text(digest, subtrees))
+        fh.write(kvc_auth_to_text(digest, commitment, subtrees))
     print(f"wda={args.wda_out} kvc={args.kvc_out} subtrees={','.join(map(str, subtrees)) or '-'}")
     return EXIT_OK
 
@@ -190,7 +160,7 @@ def cmd_verify(args) -> int:
         raise ValueError("pass exactly one of --proof (KVC) or --digest (WDA)")
     if args.proof is not None:
         with open(args.auth, "r", encoding="ascii") as fh:
-            fields, commitment, subtrees = _parse_kvc_auth(fh.read())
+            fields, commitment, subtrees = kvc_auth_from_text(fh.read())
         proof = load_proof(args.proof)
         if args.accelerated:
             stats = qqv_accelerated(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .digest import QDigest
-from .tree import check_node, post_order_nodes
+from .tree import post_order_nodes
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -31,6 +31,13 @@ _KEY_BYTES = 8
 _VALUE_BYTES = 16
 _ENCODED_BYTES = 32
 _PREFIX = "kvc1:"
+
+# Exclusive upper bounds of an insertion's fixed-width key and value: node
+# indices stay below 2**64, so a domain holds at most 2**63 values, and
+# counts stay below 2**128.
+KEY_LIMIT = 1 << (8 * _KEY_BYTES)
+VALUE_LIMIT = 1 << (8 * _VALUE_BYTES)
+MAX_SIGMA = KEY_LIMIT // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +87,9 @@ def initialize() -> Commitment:
 
 
 def _contribution(key: int, value: int) -> int:
-    if not isinstance(key, int) or key < 0 or key >= 1 << (8 * _KEY_BYTES):
+    if not isinstance(key, int) or key < 0 or key >= KEY_LIMIT:
         raise ValueError(f"key {key!r} does not fit the fixed-width encoding")
-    if not isinstance(value, int) or value < 0 or value >= 1 << (8 * _VALUE_BYTES):
+    if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
     material = _DOMAIN_TAG + key.to_bytes(_KEY_BYTES, "big") + value.to_bytes(_VALUE_BYTES, "big")
     return int.from_bytes(hashlib.sha256(material).digest(), "big") % GROUP_PRIME
@@ -103,10 +110,8 @@ def inverse(c: Commitment) -> Commitment:
 
 
 def commit_records(records) -> Commitment:
-    c = initialize()
-    for key, value in records:
-        c = insert(c, key, value)
-    return c
+    """Fold of (key, value) insertions: the group sum of their contributions."""
+    return Commitment(sum(_contribution(key, value) for key, value in records) % GROUP_PRIME)
 
 
 def member(c: Commitment, proof: Commitment, key: int, value: int) -> bool:
@@ -130,11 +135,7 @@ def commit_digest(q: QDigest) -> Commitment:
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
-    check_node(root, q.sigma)
-    c = initialize()
-    for node in post_order_nodes(q.sigma, root):
-        c = insert(c, node, q.count(node))
-    return c
+    return commit_records((node, q.count(node)) for node in post_order_nodes(q.sigma, root))
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:
@@ -148,8 +149,4 @@ def zero_subtree_commitment(sigma: int, root: int) -> Commitment:
     Depends only on the tree shape, not on any digest, so it is public
     setup data; results are memoized.
     """
-    check_node(root, sigma)
-    c = initialize()
-    for node in post_order_nodes(sigma, root):
-        c = insert(c, node, 0)
-    return c
+    return commit_records((node, 0) for node in post_order_nodes(sigma, root))

@@ -18,6 +18,7 @@ always restore property 2.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .tree import (
@@ -230,23 +231,23 @@ def compress_one_pass(q: QDigest) -> QDigest:
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
+def _compress_until_stable(q: QDigest) -> tuple[dict[int, int], int]:
+    """Sweep until a pass performs no merge; returns the counts and the pass count."""
+    counts = dict(q._counts)
+    passes = 1
+    while _one_pass(counts, q.threshold, q.sigma):
+        passes += 1
+    return counts, passes
+
+
 def iterative_compress(q: QDigest) -> QDigest:
     """Repeat the single-sweep compression until a pass performs no merge."""
-    counts = dict(q._counts)
-    thr = q.threshold
-    while _one_pass(counts, thr, q.sigma):
-        pass
-    return QDigest(q.sigma, q.k, counts, q.leaf_width)
+    return QDigest(q.sigma, q.k, _compress_until_stable(q)[0], q.leaf_width)
 
 
 def compress_iterations(q: QDigest) -> int:
     """Number of sweeps `iterative_compress` runs, final no-op pass included."""
-    counts = dict(q._counts)
-    thr = q.threshold
-    passes = 1
-    while _one_pass(counts, thr, q.sigma):
-        passes += 1
-    return passes
+    return _compress_until_stable(q)[1]
 
 
 def recursive_compress(q: QDigest) -> QDigest:
@@ -363,18 +364,32 @@ def quantile_query(q: QDigest, fraction) -> int:
     maximum of its value range.  Comparisons are exact rational
     arithmetic, so prover and verifier can never disagree on a boundary.
     """
+    frac = query_fraction(q, fraction)
+    stop = counted_prefix(q.post_order_buckets(), frac * q.n)[-1][0]
+    return range_top(stop, q.sigma, q.leaf_width)
+
+
+def query_fraction(q: QDigest, fraction) -> Fraction:
+    """The quantile fraction as an exact rational; refuses one outside [0, 1] or an empty digest."""
     frac = Fraction(fraction)
     if not 0 <= frac <= 1:
         raise ValueError(f"quantile fraction must be in [0, 1], got {fraction!r}")
     if q.n == 0:
         raise ValueError("cannot query an empty digest")
-    target = frac * q.n
-    acc = 0
-    for i, c in q.post_order_buckets():
-        acc += c
+    return frac
+
+
+def counted_prefix(buckets: list[tuple[int, int]], target) -> list[tuple[int, int]]:
+    """Shortest prefix of (index, count) pairs whose counts reach target; all of them if none does."""
+    for stop, acc in enumerate(accumulate(cnt for _, cnt in buckets)):
         if acc >= target:
-            return node_range(i, q.sigma)[1] * q.leaf_width
-    raise AssertionError("unreachable: accumulated count reaches n")
+            return buckets[: stop + 1]
+    return buckets
+
+
+def range_top(i: int, sigma: int, leaf_width: int) -> int:
+    """Largest original value under node i; the answer when i is the stop bucket."""
+    return node_range(i, sigma)[1] * leaf_width
 
 
 def rank_query(q: QDigest, x: int) -> int:
@@ -390,7 +405,7 @@ def _rank_below(q: QDigest, x: int) -> int:
     return sum(
         c
         for i, c in q._counts.items()
-        if node_range(i, q.sigma)[1] * q.leaf_width < x
+        if range_top(i, q.sigma, q.leaf_width) < x
     )
 
 

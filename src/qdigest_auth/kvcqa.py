@@ -17,24 +17,29 @@ one in the trusted commitment, and verification fails.
 
 All q*n comparisons use exact rational arithmetic so prover and verifier
 can never disagree on a boundary.
+
+The text formats of proofs and of the source's KVC auth files live here
+too, with `publish_kvc_auth`, the source side of the scheme.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 
 from .commitment import (
+    MAX_SIGMA,
+    VALUE_LIMIT,
     Commitment,
     combine,
-    initialize,
-    insert,
+    commit_digest,
+    commit_records,
     inverse,
+    subtree_commitments,
     zero_subtree_commitment,
 )
-from .digest import QDigest
+from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .tree import (
-    check_node,
     is_in_subtree,
-    node_range,
     post_order_nodes,
     post_order_rank,
     subtree_rank_interval,
@@ -68,26 +73,8 @@ class VerificationStats:
 
 def aqq(q: QDigest, fraction) -> QuantileProof:
     """Authenticated quantile query (honest responder)."""
-    frac = Fraction(fraction)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"quantile fraction must be in [0, 1], got {fraction!r}")
-    if q.n == 0:
-        raise ValueError("cannot query an empty digest")
-    target = frac * q.n
-    ordered = q.post_order_buckets()
-    acc = 0
-    stop_pos = None
-    for pos, (_, cnt) in enumerate(ordered):
-        acc += cnt
-        if acc >= target:
-            stop_pos = pos
-            break
-    assert stop_pos is not None  # acc reaches n >= target at the last bucket
-    counted = tuple(ordered[: stop_pos + 1])
-    stop = counted[-1][0]
-    remainder = _fold_after(q, post_order_rank(stop, q.sigma))
-    answer = node_range(stop, q.sigma)[1] * q.leaf_width
-    return QuantileProof(q=frac, n=q.n, answer=answer, counted=counted, remainder=remainder)
+    frac = query_fraction(q, fraction)
+    return _respond(q, frac, counted_prefix(q.post_order_buckets(), frac * q.n))
 
 
 def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
@@ -98,51 +85,24 @@ def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
     accumulation so a later bucket answers the query.  `omit` must be a
     subset of the buckets strictly before the honest stop bucket.
     """
-    frac = Fraction(fraction)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"quantile fraction must be in [0, 1], got {fraction!r}")
-    if q.n == 0:
-        raise ValueError("cannot query an empty digest")
+    frac = query_fraction(q, fraction)
     omit = frozenset(omit)
     target = frac * q.n
     ordered = q.post_order_buckets()
-
-    acc = 0
-    honest_stop_pos = None
-    for pos, (_, cnt) in enumerate(ordered):
-        acc += cnt
-        if acc >= target:
-            honest_stop_pos = pos
-            break
-    before_honest = {i for i, _ in ordered[:honest_stop_pos]}
-    if not omit <= before_honest:
+    if not omit <= {i for i, _ in counted_prefix(ordered, target)[:-1]}:
         raise ValueError("omission set must contain only buckets before the honest stop bucket")
-
-    acc = 0
-    counted = []
-    for node, cnt in ordered:
-        if node in omit:
-            continue
-        counted.append((node, cnt))
-        acc += cnt
-        if acc >= target:
-            break
     # if the omitted mass made q*n unreachable, the last bucket is claimed anyway
+    kept = [(node, cnt) for node, cnt in ordered if node not in omit]
+    return _respond(q, frac, counted_prefix(kept, target), hidden=omit)
+
+
+def _respond(q: QDigest, frac: Fraction, counted, hidden=frozenset()) -> QuantileProof:
+    """The proof with this counted prefix; nodes after its stop and `hidden` go to the remainder."""
     stop = counted[-1][0]
-    remainder = _fold_after(q, post_order_rank(stop, q.sigma))
-    for node in sorted(omit):
-        remainder = insert(remainder, node, q.count(node))
-    answer = node_range(stop, q.sigma)[1] * q.leaf_width
+    after = islice(post_order_nodes(q.sigma), post_order_rank(stop, q.sigma), None)
+    remainder = commit_records((node, q.count(node)) for node in chain(after, hidden))
+    answer = range_top(stop, q.sigma, q.leaf_width)
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
-
-
-def _fold_after(q: QDigest, stop_rank: int) -> Commitment:
-    """Commit every tree node with post-order rank beyond stop_rank."""
-    c = initialize()
-    for pos, node in enumerate(post_order_nodes(q.sigma), start=1):
-        if pos > stop_rank:
-            c = insert(c, node, q.count(node))
-    return c
 
 
 def _shape_error(proof: QuantileProof, n: int, sigma: int, leaf_width: int):
@@ -157,16 +117,50 @@ def _shape_error(proof: QuantileProof, n: int, sigma: int, leaf_width: int):
     for node, cnt in proof.counted:
         if not isinstance(node, int) or not 1 <= node <= 2 * sigma - 1:
             return f"unknown node index {node!r}"
-        if not isinstance(cnt, int) or cnt < 1:
-            return f"non-positive count for node {node}"
+        if not isinstance(cnt, int) or not 1 <= cnt < VALUE_LIMIT:
+            return f"count for node {node} outside [1, 2**128)"
         rank = post_order_rank(node, sigma)
         if rank <= last_rank:
             return "counted prefix is not strictly increasing in post-order"
         last_rank = rank
     stop = proof.counted[-1][0]
-    if proof.answer != node_range(stop, sigma)[1] * leaf_width:
+    if proof.answer != range_top(stop, sigma, leaf_width):
         return "answer does not match the stop bucket's range"
     return None
+
+
+def _precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> VerificationStats | None:
+    """The checks before any commitment work: shape, then the bracket of q*n.
+
+    Returns the reject, or None when the commitment fold must decide.
+    """
+    if _shape_error(proof, n, sigma, leaf_width) is not None:
+        return VerificationStats(False, REASON_MALFORMED, 0)
+    target = proof.q * n
+    total = sum(cnt for _, cnt in proof.counted)
+    if total < target:
+        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
+    if len(proof.counted) > 1 and total - proof.counted[-1][1] >= target:
+        return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
+    return None
+
+
+def _fold_nodes(fold: Commitment, counted: dict[int, int], nodes) -> tuple[Commitment, int]:
+    """Add one insertion per node, its counted value or 0, to fold; also returns how many."""
+    tally = count()  # zip draws from it once per node the fold consumes
+    records = ((node, counted.get(node, 0)) for node, _ in zip(nodes, tally))
+    return combine(fold, commit_records(records)), next(tally)
+
+
+def _verdict(matches: bool, ops: int) -> VerificationStats:
+    return VerificationStats(matches, REASON_OK if matches else REASON_COMMITMENT_MISMATCH, ops)
+
+
+def _fold_to_stop(proof: QuantileProof, c: Commitment, sigma: int) -> VerificationStats:
+    stop_rank = post_order_rank(proof.counted[-1][0], sigma)
+    nodes = islice(post_order_nodes(sigma), stop_rank)
+    fold, ops = _fold_nodes(proof.remainder, dict(proof.counted), nodes)
+    return _verdict(fold == c, ops)
 
 
 def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
@@ -179,28 +173,10 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
     folding one insertion per tree node up to the stop bucket into the
     remainder reproduces the trusted commitment exactly.
     """
-    error = _shape_error(proof, n, sigma, leaf_width)
-    if error is not None:
-        return VerificationStats(False, REASON_MALFORMED, 0)
-    target = proof.q * n
-    total = sum(cnt for _, cnt in proof.counted)
-    if total < target:
-        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
-    if len(proof.counted) > 1 and total - proof.counted[-1][1] >= target:
-        return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
-
-    counted_map = dict(proof.counted)
-    stop = proof.counted[-1][0]
-    fold = proof.remainder
-    ops = 0
-    for node in post_order_nodes(sigma):
-        fold = insert(fold, node, counted_map.get(node, 0))
-        ops += 1
-        if node == stop:
-            break
-    if fold != c:
-        return VerificationStats(False, REASON_COMMITMENT_MISMATCH, ops)
-    return VerificationStats(True, REASON_OK, ops)
+    rejected = _precheck(proof, n, sigma, leaf_width)
+    if rejected is not None:
+        return rejected
+    return _fold_to_stop(proof, c, sigma)
 
 
 def qqv_accelerated(
@@ -222,62 +198,35 @@ def qqv_accelerated(
     tampered or omitted count inside the subtree is still rejected and
     the accept/reject decision always matches the plain verifier.
     """
-    error = _shape_error(proof, n, sigma, leaf_width)
-    if error is not None:
-        return VerificationStats(False, REASON_MALFORMED, 0)
-    for root in precomputed:
-        check_node(root, sigma)
+    rejected = _precheck(proof, n, sigma, leaf_width)
+    if rejected is not None:
+        return rejected
 
-    stop = proof.counted[-1][0]
-    stop_rank = post_order_rank(stop, sigma)
-    counted_map = dict(proof.counted)
-
+    stop_rank = post_order_rank(proof.counted[-1][0], sigma)
     best = None
-    for root in precomputed:
+    for root in precomputed:  # post_order_rank refuses a root outside the tree
         if post_order_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
-        inside = sum(1 for node in counted_map if is_in_subtree(node, root, sigma))
-        if size <= 2 * inside:
+        inside = [(node, cnt) for node, cnt in proof.counted if is_in_subtree(node, root, sigma)]
+        if size <= 2 * len(inside):
             continue  # no net saving over inserting the nodes directly
         if best is None or size > best[1]:
             best = (root, size, inside)
     if best is None:
-        return qqv(proof, c, n, sigma, leaf_width)
+        return _fold_to_stop(proof, c, sigma)
 
-    target = proof.q * n
-    total = sum(cnt for _, cnt in proof.counted)
-    if total < target:
-        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
-    if len(proof.counted) > 1 and total - proof.counted[-1][1] >= target:
-        return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
-
-    root = best[0]
+    root, _, inside = best
     skip_lo, skip_hi = subtree_rank_interval(root, sigma)
-    fold = combine(proof.remainder, precomputed[root])
-    ops = 0
-    for pos, node in enumerate(post_order_nodes(sigma), start=1):
-        if pos > stop_rank:
-            break
-        if skip_lo <= pos <= skip_hi:
-            continue
-        fold = insert(fold, node, counted_map.get(node, 0))
-        ops += 1
+    nodes = post_order_nodes(sigma)
+    outside = chain(islice(nodes, skip_lo - 1), islice(nodes, skip_hi - skip_lo + 1, stop_rank - skip_lo + 1))
+    fold, ops = _fold_nodes(combine(proof.remainder, precomputed[root]), dict(proof.counted), outside)
 
     # Cross-check the counted claims covered by the skipped subtree.
     expected = combine(precomputed[root], inverse(zero_subtree_commitment(sigma, root)))
-    claimed = initialize()
-    for node, cnt in proof.counted:
-        if is_in_subtree(node, root, sigma):
-            claimed = insert(claimed, node, cnt)
-            claimed = combine(claimed, inverse(insert(initialize(), node, 0)))
-            ops += 2
-    if claimed != expected:
-        return VerificationStats(False, REASON_COMMITMENT_MISMATCH, ops)
-
-    if fold != c:
-        return VerificationStats(False, REASON_COMMITMENT_MISMATCH, ops)
-    return VerificationStats(True, REASON_OK, ops)
+    claimed = combine(commit_records(inside), inverse(commit_records((node, 0) for node, _ in inside)))
+    ops += 2 * len(inside)
+    return _verdict(claimed == expected and fold == c, ops)
 
 
 def proof_to_text(proof: QuantileProof) -> str:
@@ -320,6 +269,49 @@ def proof_from_text(text: str) -> QuantileProof:
         counted=tuple(counted),
         remainder=Commitment.parse(lines[-1][len("remainder="):]),
     )
+
+
+def publish_kvc_auth(q: QDigest) -> tuple[Commitment, dict[int, Commitment]]:
+    """The source's KVC auth info: the whole-digest commitment and subtree 2 precommitted."""
+    return commit_digest(q), subtree_commitments(q, [2] if q.sigma > 1 else [])
+
+
+def kvc_auth_to_text(q: QDigest, commitment: Commitment, subtrees: dict[int, Commitment]) -> str:
+    lines = [
+        f"kvcauth v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width} n={q.n}",
+        f"commitment={commitment.encode()}",
+    ]
+    lines.extend(f"subtree={root}:{c.encode()}" for root, c in sorted(subtrees.items()))
+    return "\n".join(lines) + "\n"
+
+
+def kvc_auth_from_text(text: str) -> tuple[dict[str, int], Commitment, dict[int, Commitment]]:
+    """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees."""
+    lines = text.splitlines()
+    if len(lines) < 2 or not lines[0].startswith("kvcauth v1 "):
+        raise ValueError("malformed KVC auth file")
+    fields = {}
+    for part in lines[0][len("kvcauth v1 "):].split(" "):
+        key, eq, value = part.partition("=")
+        if not eq or not value.isdigit():
+            raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
+        fields[key] = int(value)
+    if set(fields) != {"sigma", "k", "leafwidth", "n"}:
+        raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
+    if fields["sigma"] > MAX_SIGMA:
+        raise ValueError(f"sigma {fields['sigma']} exceeds the node-key limit 2**63")
+    if not lines[1].startswith("commitment="):
+        raise ValueError("KVC auth file must carry the whole-digest commitment")
+    commitment = Commitment.parse(lines[1][len("commitment="):])
+    subtrees = {}
+    for line in lines[2:]:
+        if not line.startswith("subtree="):
+            raise ValueError(f"malformed KVC auth line: {line!r}")
+        root_text, sep, ctext = line[len("subtree="):].partition(":")
+        if not sep or not root_text.isdigit():
+            raise ValueError(f"malformed KVC auth line: {line!r}")
+        subtrees[int(root_text)] = Commitment.parse(ctext)
+    return fields, commitment, subtrees
 
 
 def dump_proof(proof: QuantileProof, path) -> None:

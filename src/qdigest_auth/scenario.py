@@ -15,7 +15,7 @@ parameters and optionally coarser leaves.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .commitment import Commitment, commit_digest, subtree_commitment
+from .commitment import Commitment, commit_digest
 from .digest import (
     QDigest,
     build_from_frequencies,
@@ -24,7 +24,7 @@ from .digest import (
     quantile_query,
     validate,
 )
-from .kvcqa import aqq, malicious_aqq_omit_left, proof_to_text, qqv, qqv_accelerated
+from .kvcqa import aqq, malicious_aqq_omit_left, proof_to_text, publish_kvc_auth, qqv, qqv_accelerated
 from .serialize import digest_to_bytes
 from .tree import level
 from .wda import WdaAuthInfo, wda_authinfo, wda_verify
@@ -113,10 +113,9 @@ def run_session(script: PartyScript, freqs, k: int, sigma: int) -> list[QueryRec
 def run_session_on_digest(script: PartyScript, source_digest: QDigest) -> list[QueryRecord]:
     """Session over a prebuilt source digest (also used for cumulative runs)."""
     auth = wda_authinfo(source_digest)
-    trusted_c = commit_digest(source_digest)
+    trusted_c, precomputed = publish_kvc_auth(source_digest)
     trusted_n = source_digest.n
     sigma = source_digest.sigma
-    precomputed = {2: subtree_commitment(source_digest, 2)} if sigma > 1 else {}
 
     if script.behavior.kind == "tamper_count":
         responder_digest = _tampered_copy(source_digest, script.behavior.node, script.behavior.delta)

@@ -7,6 +7,7 @@ order, "\n" line endings, no trailing whitespace.  The parser is strict
 and rejects anything the writer would not produce.
 """
 
+from .commitment import MAX_SIGMA, VALUE_LIMIT
 from .digest import QDigest
 
 _HEADER_PREFIX = "qdigest v1 "
@@ -38,6 +39,8 @@ def digest_from_bytes(data: bytes) -> QDigest:
     if set(fields) != {"sigma", "k", "leafwidth"}:
         raise ValueError(f"malformed digest header: {header!r}")
     sigma = _parse_positive_int(fields["sigma"], "sigma")
+    if sigma > MAX_SIGMA:
+        raise ValueError(f"sigma {sigma} exceeds the node-key limit 2**63")
     k = _parse_positive_int(fields["k"], "k")
     leaf_width = _parse_positive_int(fields["leafwidth"], "leafwidth")
 
@@ -49,6 +52,8 @@ def digest_from_bytes(data: bytes) -> QDigest:
             raise ValueError(f"malformed digest line: {line!r}")
         idx = _parse_positive_int(idx_text, "node index")
         cnt = _parse_positive_int(cnt_text, "count")
+        if cnt >= VALUE_LIMIT:
+            raise ValueError(f"count {cnt} for node {idx} does not fit the 2**128 limit")
         if idx <= last:
             raise ValueError(f"node indices must be strictly ascending, got {idx} after {last}")
         counts[idx] = cnt

@@ -170,3 +170,52 @@ def test_random_round_trips(tmp_path, capsys):
         assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 0
         assert main(["verify", "--digest", str(digest),
                      "--auth", str(tmp_path / f"w{i}.wda")]) == 0
+
+
+README_KVC_FILE = (
+    "kvcauth v1 sigma=8 k=4 leafwidth=1 n=38\n"
+    "commitment=kvc1:91f71a3a740c8287827959b719e94391fd6bfac5430de2aad3503ee65f4749c4\n"
+    "subtree=2:kvc1:4b20195f097b5c12ded747c90548a03e2f7356e340ae40026b2e7a837c66d310\n"
+)
+
+
+def test_auth_writes_the_readme_kvc_file(tmp_path, s1_file, capsys):
+    digest, kvc_f = tmp_path / "q1.qd", tmp_path / "q1.kvc"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    capsys.readouterr()
+    assert main(["auth", str(digest), "--wda-out", str(tmp_path / "q1.wda"), "--kvc-out", str(kvc_f)]) == 0
+    assert kvc_f.read_bytes() == README_KVC_FILE.encode("ascii")
+    assert capsys.readouterr().out.rstrip().endswith(" subtrees=2")
+
+
+@pytest.mark.parametrize(
+    "kvc_text",
+    [
+        README_KVC_FILE.replace("leafwidth=1", "leafwidth=x"),
+        README_KVC_FILE.replace("commitment=", "commitments="),
+        README_KVC_FILE.replace("subtree=2:", "subtree=two:"),
+    ],
+    ids=["malformed-header", "missing-commitment", "bad-subtree-line"],
+)
+def test_verify_refuses_a_malformed_kvc_auth_file(tmp_path, s1_file, kvc_text, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["prove", str(digest), "--q", "1/2", "--output", str(proof)])
+    kvc_f.write_text(kvc_text)
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--accelerated"]])
+def test_verify_rejects_an_oversized_stop_count(tmp_path, s1_file, extra, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])
+    main(["prove", str(digest), "--q", "1", "--output", str(proof)])
+    lines = proof.read_text().splitlines()
+    node = lines[-2].partition(":")[0]
+    lines[-2] = f"{node}:{2**200}"
+    proof.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)] + extra) == 1
+    assert "reason=malformed" in capsys.readouterr().out

@@ -8,6 +8,9 @@ from qdigest_auth.digest import quantile_query
 from qdigest_auth.kvcqa import (
     QuantileProof,
     aqq,
+    kvc_auth_from_text,
+    kvc_auth_to_text,
+    publish_kvc_auth,
     load_proof,
     malicious_aqq_omit_left,
     proof_from_text,
@@ -308,3 +311,87 @@ class TestProofFiles:
     def test_malformed_files_rejected(self, text):
         with pytest.raises(ValueError):
             proof_from_text(text)
+
+
+def _with_counts(proof, counts):
+    counted = tuple((node, counts.get(node, cnt)) for node, cnt in proof.counted)
+    return QuantileProof(proof.q, proof.n, proof.answer, counted, proof.remainder)
+
+
+# (accepted, reason, insert_ops) of qqv and qqv_accelerated on the worked
+# example with subtree 2 precommitted.  The altered counts at q=1 keep the
+# prefix sum at n, so only the commitments can reject them: inside the
+# skipped subtree through the homomorphic cross-check, outside it through
+# the fold.
+GOLDEN_VERDICTS = [
+    ("honest-0", lambda q: aqq(q, 0), (True, "ok", 4), (True, "ok", 4)),
+    ("honest-1/2", lambda q: aqq(q, Fraction(1, 2)), (True, "ok", 5), (True, "ok", 5)),
+    ("honest-1", lambda q: aqq(q, 1), (True, "ok", 15), (True, "ok", 12)),
+    ("omit-left-1/2", lambda q: malicious_aqq_omit_left(q, Fraction(1, 2), {10}),
+     (False, "commitment-mismatch", 10), (False, "commitment-mismatch", 5)),
+    ("omit-left-3/4", lambda q: malicious_aqq_omit_left(q, Fraction(3, 4), {10, 11}),
+     (False, "count-too-low", 0), (False, "count-too-low", 0)),
+    ("altered-1/2", lambda q: _with_counts(aqq(q, Fraction(1, 2)), {11: 7}),
+     (False, "commitment-mismatch", 5), (False, "commitment-mismatch", 5)),
+    ("altered-inside-subtree", lambda q: _with_counts(aqq(q, 1), {10: 5, 11: 5}),
+     (False, "commitment-mismatch", 15), (False, "commitment-mismatch", 12)),
+    ("altered-outside-subtree", lambda q: _with_counts(aqq(q, 1), {6: 3, 7: 1}),
+     (False, "commitment-mismatch", 15), (False, "commitment-mismatch", 12)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, plain, accelerated", [case[1:] for case in GOLDEN_VERDICTS], ids=[case[0] for case in GOLDEN_VERDICTS]
+)
+def test_golden_verdicts_on_the_worked_example(e2, make, plain, accelerated):
+    q, c, n = e2
+    proof = make(q)
+    pre = {2: subtree_commitment(q, 2)}
+    as_triple = lambda s: (s.accepted, s.reason, s.insert_ops)  # noqa: E731
+    assert as_triple(qqv(proof, c, n, 8)) == plain
+    assert as_triple(qqv_accelerated(proof, c, pre, n, 8)) == accelerated
+
+
+def test_golden_verdicts_with_a_tampered_precommitment(e2):
+    q, c, n = e2
+    pre = {2: insert(subtree_commitment(q, 2), 8, 1)}
+    stats = qqv_accelerated(aqq(q, 1), c, pre, n, 8)
+    assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "commitment-mismatch", 12)
+    # a stop inside the tampered subtree never reads its precommitment
+    stats = qqv_accelerated(aqq(q, Fraction(1, 2)), c, pre, n, 8)
+    assert (stats.accepted, stats.reason, stats.insert_ops) == (True, "ok", 5)
+
+
+@pytest.mark.parametrize("frac", [Fraction(1, 2), Fraction(1)])
+def test_oversized_stop_count_is_malformed(e2, frac):
+    q, c, n = e2
+    proof = aqq(q, frac)
+    bad = _with_counts(proof, {proof.counted[-1][0]: 2**200})
+    pre = {2: subtree_commitment(q, 2)}
+    for stats in (qqv(bad, c, n, 8), qqv_accelerated(bad, c, pre, n, 8)):
+        assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+
+
+class TestKvcAuthFiles:
+    def test_round_trip_precommits_subtree_2(self, e2):
+        q, c, n = e2
+        commitment, subtrees = publish_kvc_auth(q)
+        assert commitment == c and subtrees == {2: subtree_commitment(q, 2)}
+        fields, parsed_c, parsed_subtrees = kvc_auth_from_text(kvc_auth_to_text(q, commitment, subtrees))
+        assert fields == {"sigma": 8, "k": 5, "leafwidth": 1, "n": n}
+        assert parsed_c == c and parsed_subtrees == subtrees
+
+    def test_single_node_domain_precommits_nothing(self):
+        from qdigest_auth.digest import QDigest
+
+        assert publish_kvc_auth(QDigest(1, 2, {1: 7}))[1] == {}
+
+    @pytest.mark.parametrize("sigma, ok", [(2**63, True), (2**63 + 1, False), (2**64, False)])
+    def test_sigma_limit(self, e2, sigma, ok):
+        q, c, _ = e2
+        text = kvc_auth_to_text(q, c, {}).replace("sigma=8", f"sigma={sigma}")
+        if ok:
+            assert kvc_auth_from_text(text)[0]["sigma"] == sigma
+        else:
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                kvc_auth_from_text(text)

@@ -54,6 +54,8 @@ def test_file_round_trip(tmp_path, s1):
         b"qdigest v2 sigma=8 k=4 leafwidth=1\n",  # unknown version
         b"qdigest v1 sigma=7 k=4 leafwidth=1\n",  # sigma not a power of two
         b"qdigest v1 sigma=8 k=4 leafwidth=1\n16:1\n",  # index out of range
+        b"qdigest v1 sigma=8 k=4 leafwidth=1\n1:%d\n" % 2**128,  # count beyond the encoding
+        b"qdigest v1 sigma=%d k=4 leafwidth=1\n" % 2**64,  # node keys beyond the encoding
     ],
 )
 def test_strict_parsing_rejects_non_canonical_input(data):
@@ -76,3 +78,9 @@ def test_frequency_file_round_trip(tmp_path):
     path = tmp_path / "freqs.tsv"
     path.write_text("5\t2\n1\t9\n")
     assert load_frequencies(path) == {5: 2, 1: 9}
+
+
+def test_largest_encodable_sigma_and_count_load():
+    data = b"qdigest v1 sigma=%d k=4 leafwidth=1\n1:%d\n" % (2**63, 2**128 - 1)
+    q = digest_from_bytes(data)
+    assert q.sigma == 2**63 and q.n == 2**128 - 1
