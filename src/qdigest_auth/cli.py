@@ -141,7 +141,7 @@ def cmd_auth(args) -> int:
     digest = load_digest(args.digest_file)
     dump_authinfo(wda_authinfo(digest), args.wda_out)
     commitment, subtrees = publish_kvc_auth(digest)
-    with open(args.kvc_out, "w", encoding="ascii") as fh:
+    with open(args.kvc_out, "w", encoding="ascii", newline="") as fh:
         fh.write(kvc_auth_to_text(digest, commitment, subtrees))
     print(f"wda={args.wda_out} kvc={args.kvc_out} subtrees={','.join(map(str, subtrees)) or '-'}")
     return EXIT_OK
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     if (args.proof is None) == (args.digest is None):
         raise ValueError("pass exactly one of --proof (KVC) or --digest (WDA)")
     if args.proof is not None:
-        with open(args.auth, "r", encoding="ascii") as fh:
+        with open(args.auth, "r", encoding="ascii", newline="") as fh:
             fields, commitment, subtrees = kvc_auth_from_text(fh.read())
         proof = load_proof(args.proof)
         if args.accelerated:

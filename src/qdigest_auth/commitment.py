@@ -58,16 +58,11 @@ class Commitment:
 
     @classmethod
     def parse(cls, text: str) -> "Commitment":
-        if not text.startswith(_PREFIX):
-            raise ValueError(f"commitment string must start with {_PREFIX!r}")
-        hexpart = text[len(_PREFIX):]
-        if len(hexpart) != 2 * _ENCODED_BYTES:
-            raise ValueError("commitment string has wrong length")
-        try:
-            raw = bytes.fromhex(hexpart)
-        except ValueError:
-            raise ValueError("commitment string is not valid hexadecimal") from None
-        return cls(int.from_bytes(raw, "big"))
+        from .serialize import require_canonical  # serialize imports this module's limits
+
+        c = cls(int(text.removeprefix(_PREFIX), 16))
+        require_canonical(text, c.encode(), "commitment")
+        return c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Commitment):

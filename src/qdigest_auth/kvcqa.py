@@ -38,6 +38,7 @@ from .commitment import (
     zero_subtree_commitment,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
+from .serialize import header_fields, index_count, require_canonical
 from .tree import (
     is_in_subtree,
     post_order_nodes,
@@ -240,35 +241,22 @@ def proof_to_text(proof: QuantileProof) -> str:
 
 
 def proof_from_text(text: str) -> QuantileProof:
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[0].startswith("aqqproof v1 "):
-        raise ValueError("malformed proof file")
-    fields = {}
-    for part in lines[0][len("aqqproof v1 "):].split(" "):
-        key, eq, value = part.partition("=")
-        if not eq or key in fields:
-            raise ValueError(f"malformed proof header: {lines[0]!r}")
-        fields[key] = value
-    if set(fields) != {"q", "n", "answer"}:
-        raise ValueError(f"malformed proof header: {lines[0]!r}")
-    num, slash, den = fields["q"].partition("/")
-    if not slash or not num.isdigit() or not den.isdigit() or int(den) == 0:
-        raise ValueError(f"malformed quantile fraction: {fields['q']!r}")
-    if not lines[-1].startswith("remainder="):
+    header, *body = text.splitlines() or [""]
+    q, n, answer = header_fields(header, "aqqproof v1", ("q", "n", "answer"))
+    num, _, den = q.partition("/")
+    if int(den) == 0:
+        raise ValueError(f"quantile fraction has a zero denominator: {q!r}")
+    if not body:
         raise ValueError("proof file must end with the remainder commitment")
-    counted = []
-    for line in lines[1:-1]:
-        idx_text, sep, cnt_text = line.partition(":")
-        if not sep or not idx_text.isdigit() or not cnt_text.isdigit():
-            raise ValueError(f"malformed counted bucket line: {line!r}")
-        counted.append((int(idx_text), int(cnt_text)))
-    return QuantileProof(
+    proof = QuantileProof(
         q=Fraction(int(num), int(den)),
-        n=int(fields["n"]),
-        answer=int(fields["answer"]),
-        counted=tuple(counted),
-        remainder=Commitment.parse(lines[-1][len("remainder="):]),
+        n=int(n),
+        answer=int(answer),
+        counted=tuple(index_count(line) for line in body[:-1]),
+        remainder=Commitment.parse(body[-1].removeprefix("remainder=")),
     )
+    require_canonical(text, proof_to_text(proof), "proof file")
+    return proof
 
 
 def publish_kvc_auth(q: QDigest) -> tuple[Commitment, dict[int, Commitment]]:
@@ -276,9 +264,16 @@ def publish_kvc_auth(q: QDigest) -> tuple[Commitment, dict[int, Commitment]]:
     return commit_digest(q), subtree_commitments(q, [2] if q.sigma > 1 else [])
 
 
+_KVC_HEADER = ("sigma", "k", "leafwidth", "n")
+
+
 def kvc_auth_to_text(q: QDigest, commitment: Commitment, subtrees: dict[int, Commitment]) -> str:
+    return _kvc_auth_text(dict(zip(_KVC_HEADER, (q.sigma, q.k, q.leaf_width, q.n))), commitment, subtrees)
+
+
+def _kvc_auth_text(fields: dict[str, int], commitment: Commitment, subtrees: dict[int, Commitment]) -> str:
     lines = [
-        f"kvcauth v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width} n={q.n}",
+        "kvcauth v1 " + " ".join(f"{key}={fields[key]}" for key in _KVC_HEADER),
         f"commitment={commitment.encode()}",
     ]
     lines.extend(f"subtree={root}:{c.encode()}" for root, c in sorted(subtrees.items()))
@@ -287,38 +282,26 @@ def kvc_auth_to_text(q: QDigest, commitment: Commitment, subtrees: dict[int, Com
 
 def kvc_auth_from_text(text: str) -> tuple[dict[str, int], Commitment, dict[int, Commitment]]:
     """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees."""
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[0].startswith("kvcauth v1 "):
-        raise ValueError("malformed KVC auth file")
-    fields = {}
-    for part in lines[0][len("kvcauth v1 "):].split(" "):
-        key, eq, value = part.partition("=")
-        if not eq or not value.isdigit():
-            raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
-        fields[key] = int(value)
-    if set(fields) != {"sigma", "k", "leafwidth", "n"}:
-        raise ValueError(f"malformed KVC auth header: {lines[0]!r}")
+    header, *body = text.splitlines() or [""]
+    fields = dict(zip(_KVC_HEADER, map(int, header_fields(header, "kvcauth v1", _KVC_HEADER))))
     if fields["sigma"] > MAX_SIGMA:
         raise ValueError(f"sigma {fields['sigma']} exceeds the node-key limit 2**63")
-    if not lines[1].startswith("commitment="):
+    if not body:
         raise ValueError("KVC auth file must carry the whole-digest commitment")
-    commitment = Commitment.parse(lines[1][len("commitment="):])
+    commitment = Commitment.parse(body[0].removeprefix("commitment="))
     subtrees = {}
-    for line in lines[2:]:
-        if not line.startswith("subtree="):
-            raise ValueError(f"malformed KVC auth line: {line!r}")
-        root_text, sep, ctext = line[len("subtree="):].partition(":")
-        if not sep or not root_text.isdigit():
-            raise ValueError(f"malformed KVC auth line: {line!r}")
-        subtrees[int(root_text)] = Commitment.parse(ctext)
+    for line in body[1:]:
+        root, _, ctext = line.removeprefix("subtree=").partition(":")
+        subtrees[int(root)] = Commitment.parse(ctext)
+    require_canonical(text, _kvc_auth_text(fields, commitment, subtrees), "KVC auth file")
     return fields, commitment, subtrees
 
 
 def dump_proof(proof: QuantileProof, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(proof_to_text(proof))
 
 
 def load_proof(path) -> QuantileProof:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:
         return proof_from_text(fh.read())

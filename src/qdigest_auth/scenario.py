@@ -15,7 +15,6 @@ parameters and optionally coarser leaves.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .commitment import Commitment, commit_digest
 from .digest import (
     QDigest,
     build_from_frequencies,
@@ -27,7 +26,7 @@ from .digest import (
 from .kvcqa import aqq, malicious_aqq_omit_left, proof_to_text, publish_kvc_auth, qqv, qqv_accelerated
 from .serialize import digest_to_bytes
 from .tree import level
-from .wda import WdaAuthInfo, wda_authinfo, wda_verify
+from .wda import wda_authinfo, wda_verify
 
 SCHEMES = ("wda", "kvc_qa", "kvc_qa_accelerated")
 BEHAVIORS = ("honest", "omit_left", "tamper_count")
@@ -204,11 +203,10 @@ def mean_bucket_depth(q: QDigest) -> float:
 
 @dataclass(frozen=True)
 class PrivacyProfile:
-    """One digest and auth-info pair per privilege level, most privileged first."""
+    """One digest per privilege level, most privileged first."""
 
     levels: tuple[tuple[str, int], ...]
     digests: dict[str, QDigest] = field(hash=False)
-    authinfo: dict[str, tuple[WdaAuthInfo, Commitment]] = field(hash=False)
 
 
 def build_privacy_profile(freqs, sigma: int, levels, coarse_levels=None) -> PrivacyProfile:
@@ -233,14 +231,12 @@ def build_privacy_profile(freqs, sigma: int, levels, coarse_levels=None) -> Priv
         if any(a > b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("coarse levels must be nondecreasing with decreasing privilege")
     digests = {}
-    authinfo = {}
     for (name, k), cut in zip(levels, cuts):
         q = coarsen(freqs, k, sigma, cut)
         report = validate(q)
         assert report.ok, f"level {name} produced an invalid digest"
         digests[name] = q
-        authinfo[name] = (wda_authinfo(q), commit_digest(q))
-    return PrivacyProfile(levels=levels, digests=digests, authinfo=authinfo)
+    return PrivacyProfile(levels=levels, digests=digests)
 
 
 # ---------------------------------------------------------------------------

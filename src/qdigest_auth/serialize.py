@@ -1,16 +1,47 @@
-"""Canonical text formats for digests and frequency files.
+"""Canonical text formats, and the one rule every wire-format parser keeps.
+
+A parser reads its fields leniently, builds the value, and then refuses
+the input unless the writer's output for that value is identical
+(`require_canonical`).  So each parser accepts exactly the texts its
+writer produces: digest, proof, KVC auth, WDA auth and commitment text
+alike.  Only value limits that a spelling cannot express, such as the
+fixed-width encoding bounds, are checked on their own.
 
 The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
 line, then one `index:count` pair per line in strictly ascending index
-order, "\n" line endings, no trailing whitespace.  The parser is strict
-and rejects anything the writer would not produce.
+order, "\n" line endings, no trailing whitespace.
 """
 
 from .commitment import MAX_SIGMA, VALUE_LIMIT
 from .digest import QDigest
 
-_HEADER_PREFIX = "qdigest v1 "
+
+def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:
+    """The values of the `key=value` words after `magic`, in `keys` order, spelled as given."""
+    fields = dict(word.partition("=")[::2] for word in line.removeprefix(magic + " ").split(" "))
+    if not line.startswith(magic + " ") or set(fields) != set(keys):
+        raise ValueError(f"expected a {magic!r} header with {', '.join(keys)}, got {line!r}")
+    return [fields[key] for key in keys]
+
+
+def index_count(line: str) -> tuple[int, int]:
+    """An `index:count` line as its two integers."""
+    index, _, count = line.partition(":")
+    try:
+        return int(index), int(count)
+    except ValueError:
+        raise ValueError(f"expected an index:count line, got {line!r}") from None
+
+
+def require_canonical(text: str | bytes, written: str | bytes, what: str) -> None:
+    """Refuse `text` (str or bytes) unless it is exactly `written`, the writer's output for its value."""
+    if text == written:
+        return
+    got, want = text.splitlines(keepends=True), written.splitlines(keepends=True)
+    line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    found = repr(got[line]) if line < len(got) else "the end of the text"
+    raise ValueError(f"{what} is not in canonical form at line {line + 1}: found {found}")
 
 
 def digest_to_bytes(q: QDigest) -> bytes:
@@ -20,54 +51,17 @@ def digest_to_bytes(q: QDigest) -> bytes:
 
 
 def digest_from_bytes(data: bytes) -> QDigest:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"digest file is not ascii text: {exc}") from None
-    if not text.endswith("\n"):
-        raise ValueError("digest file must end with a newline")
-    lines = text[:-1].split("\n")
-    header = lines[0]
-    if not header.startswith(_HEADER_PREFIX):
-        raise ValueError(f"unrecognized digest header: {header!r}")
-    fields = {}
-    for part in header[len(_HEADER_PREFIX):].split(" "):
-        key, eq, value = part.partition("=")
-        if not eq or key in fields:
-            raise ValueError(f"malformed digest header: {header!r}")
-        fields[key] = value
-    if set(fields) != {"sigma", "k", "leafwidth"}:
-        raise ValueError(f"malformed digest header: {header!r}")
-    sigma = _parse_positive_int(fields["sigma"], "sigma")
+    # latin-1 decodes any byte, so every input reaches the canonical check
+    header, _, body = data.decode("latin-1").partition("\n")
+    sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
     if sigma > MAX_SIGMA:
         raise ValueError(f"sigma {sigma} exceeds the node-key limit 2**63")
-    k = _parse_positive_int(fields["k"], "k")
-    leaf_width = _parse_positive_int(fields["leafwidth"], "leafwidth")
-
-    counts: dict[int, int] = {}
-    last = 0
-    for line in lines[1:]:
-        idx_text, sep, cnt_text = line.partition(":")
-        if not sep:
-            raise ValueError(f"malformed digest line: {line!r}")
-        idx = _parse_positive_int(idx_text, "node index")
-        cnt = _parse_positive_int(cnt_text, "count")
-        if cnt >= VALUE_LIMIT:
-            raise ValueError(f"count {cnt} for node {idx} does not fit the 2**128 limit")
-        if idx <= last:
-            raise ValueError(f"node indices must be strictly ascending, got {idx} after {last}")
-        counts[idx] = cnt
-        last = idx
+    counts = dict(index_count(line) for line in body.splitlines())
+    if any(cnt >= VALUE_LIMIT for cnt in counts.values()):
+        raise ValueError("a count does not fit the 2**128 limit")
     q = QDigest(sigma, k, counts, leaf_width)
-    if digest_to_bytes(q) != data:
-        raise ValueError("digest file is not in canonical form")
+    require_canonical(data, digest_to_bytes(q), "digest file")
     return q
-
-
-def _parse_positive_int(text: str, what: str) -> int:
-    if not text.isdigit() or (len(text) > 1 and text[0] == "0"):
-        raise ValueError(f"invalid {what}: {text!r}")
-    return int(text)
 
 
 def dump_digest(q: QDigest, path) -> None:

@@ -12,7 +12,7 @@ import hmac
 from dataclasses import dataclass
 
 from .digest import QDigest, ValidityReport, validate
-from .serialize import digest_to_bytes
+from .serialize import digest_to_bytes, header_fields, require_canonical
 
 # Any 256-bit hashlib algorithm name; deployments may swap it, but both
 # sides must agree since the hash preimage is the canonical digest file.
@@ -34,25 +34,14 @@ class WdaAuthInfo:
 
     @classmethod
     def parse(cls, text: str) -> "WdaAuthInfo":
-        parts = text.strip().split(" ")
-        if len(parts) != 3 or not parts[0].startswith("wda1:"):
-            raise ValueError(f"malformed WDA auth info: {text!r}")
-        hexpart = parts[0][len("wda1:"):]
-        if len(hexpart) != 64:
-            raise ValueError("WDA hash must be 64 hex characters")
-        try:
-            digest_hash = bytes.fromhex(hexpart)
-        except ValueError:
-            raise ValueError("WDA hash is not valid hexadecimal") from None
-        fields = {}
-        for part in parts[1:]:
-            key, eq, value = part.partition("=")
-            if not eq or not value.isdigit():
-                raise ValueError(f"malformed WDA auth info: {text!r}")
-            fields[key] = int(value)
-        if set(fields) != {"sigma", "k"}:
-            raise ValueError(f"malformed WDA auth info: {text!r}")
-        return cls(digest_hash=digest_hash, sigma=fields["sigma"], k=fields["k"])
+        tag = text.partition(" ")[0]
+        sigma, k = map(int, header_fields(text, tag, ("sigma", "k")))
+        digest_hash = bytes.fromhex(tag.removeprefix("wda1:"))
+        if len(digest_hash) != 32:
+            raise ValueError("WDA hash must be 32 bytes")
+        auth = cls(digest_hash=digest_hash, sigma=sigma, k=k)
+        require_canonical(text, auth.encode(), "WDA auth info")
+        return auth
 
 
 @dataclass(frozen=True)
@@ -80,10 +69,13 @@ def wda_verify(received: QDigest, auth: WdaAuthInfo) -> WdaVerdict:
 
 
 def dump_authinfo(auth: WdaAuthInfo, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(auth.encode() + "\n")
 
 
 def load_authinfo(path) -> WdaAuthInfo:
-    with open(path, "r", encoding="ascii") as fh:
-        return WdaAuthInfo.parse(fh.read())
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError("WDA auth file must end with a newline")
+    return WdaAuthInfo.parse(text[:-1])

@@ -194,8 +194,20 @@ def test_auth_writes_the_readme_kvc_file(tmp_path, s1_file, capsys):
         README_KVC_FILE.replace("leafwidth=1", "leafwidth=x"),
         README_KVC_FILE.replace("commitment=", "commitments="),
         README_KVC_FILE.replace("subtree=2:", "subtree=two:"),
+        README_KVC_FILE.replace("sigma=8", "sigma=8 sigma=16"),
+        README_KVC_FILE + README_KVC_FILE.splitlines(keepends=True)[-1],
+        README_KVC_FILE.replace("sigma=8", "sigma=08"),
+        README_KVC_FILE.replace("\n", "\r\n"),
     ],
-    ids=["malformed-header", "missing-commitment", "bad-subtree-line"],
+    ids=[
+        "malformed-header",
+        "missing-commitment",
+        "bad-subtree-line",
+        "repeated-header-key",
+        "repeated-subtree-line",
+        "leading-zero-sigma",
+        "crlf-line-endings",
+    ],
 )
 def test_verify_refuses_a_malformed_kvc_auth_file(tmp_path, s1_file, kvc_text, capsys):
     digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"

@@ -306,6 +306,10 @@ class TestProofFiles:
             "aqqproof v1 q=1/2 n=15 answer=4\n",  # no remainder line
             "aqqproof v1 q=1/2 n=15 answer=4\nx:y\nremainder=kvc1:" + "0" * 64 + "\n",
             "aqqproof v1 q=0.5 n=15 answer=4\nremainder=kvc1:" + "0" * 64 + "\n",
+            "aqqproof v1 q=1/2 n=1_5 answer=4\n10:4\nremainder=kvc1:" + "0" * 64 + "\n",
+            "aqqproof v1 q=1/2 n=15 answer=4\n04:3\nremainder=kvc1:" + "0" * 64 + "\n",
+            "aqqproof v1 q=2/4 n=15 answer=4\n10:4\nremainder=kvc1:" + "0" * 64 + "\n",
+            "aqqproof v1 q=1/2 n=15 answer=4\n10:4\nremainder=kvc1:" + "A" * 64 + "\n",
         ],
     )
     def test_malformed_files_rejected(self, text):

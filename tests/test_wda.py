@@ -83,7 +83,15 @@ def test_authinfo_text_round_trip(tmp_path, example2_digest):
 
 @pytest.mark.parametrize(
     "text",
-    ["wda1:abcd sigma=8 k=5", "wda1:" + "0" * 64, "wda1:" + "0" * 64 + " sigma=8", "x"],
+    [
+        "wda1:abcd sigma=8 k=5",
+        "wda1:" + "0" * 64,
+        "wda1:" + "0" * 64 + " sigma=8",
+        "x",
+        "wda1:" + "A" * 64 + " sigma=8 k=5",
+        "wda1:" + "0" * 64 + " sigma=08 k=5",
+        " wda1:" + "0" * 64 + " sigma=8 k=5",
+    ],
 )
 def test_authinfo_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

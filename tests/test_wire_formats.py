@@ -1,0 +1,116 @@
+"""Properties of the five wire formats: each parser accepts exactly what its writer writes.
+
+For digests, proofs, KVC auth files, WDA auth info and commitments:
+parsing a writer's output gives the value back, and after any
+single-character edit of that output the parser either raises
+`ValueError` or returns a value whose written form is the edited text.
+No other exception escapes a parser.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qdigest_auth.commitment import GROUP_PRIME, MAX_SIGMA, VALUE_LIMIT, Commitment
+from qdigest_auth.digest import QDigest
+from qdigest_auth.kvcqa import (
+    QuantileProof,
+    kvc_auth_from_text,
+    kvc_auth_to_text,
+    proof_from_text,
+    proof_to_text,
+)
+from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
+from qdigest_auth.wda import WdaAuthInfo
+
+commitments = st.integers(0, GROUP_PRIME - 1).map(Commitment)
+
+
+@st.composite
+def digests(draw):
+    sigma = 2 ** draw(st.integers(0, 63))
+    counts = draw(st.dictionaries(st.integers(1, 2 * sigma - 1), st.integers(1, VALUE_LIMIT - 1), max_size=6))
+    return QDigest(sigma, draw(st.integers(1, 2**70)), counts, 2 ** draw(st.integers(0, 70)))
+
+
+proofs = st.builds(
+    QuantileProof,
+    q=st.fractions(),
+    n=st.integers(),
+    answer=st.integers(),
+    counted=st.lists(st.tuples(st.integers(), st.integers()), max_size=6).map(tuple),
+    remainder=commitments,
+)
+
+kvc_auths = st.tuples(
+    st.fixed_dictionaries(
+        {"sigma": st.integers(max_value=MAX_SIGMA), "k": st.integers(), "leafwidth": st.integers(), "n": st.integers()}
+    ),
+    commitments,
+    st.dictionaries(st.integers(), commitments, max_size=3),
+)
+
+
+def write_kvc_auth(auth):
+    fields, commitment, subtrees = auth
+    header = SimpleNamespace(sigma=fields["sigma"], k=fields["k"], leaf_width=fields["leafwidth"], n=fields["n"])
+    return kvc_auth_to_text(header, commitment, subtrees)
+
+
+wda_auths = st.builds(WdaAuthInfo, digest_hash=st.binary(min_size=32, max_size=32), sigma=st.integers(), k=st.integers())
+
+# name: (values, writer, parser)
+FORMATS = {
+    "digest": (digests(), digest_to_bytes, digest_from_bytes),
+    "proof": (proofs, proof_to_text, proof_from_text),
+    "kvc-auth": (kvc_auths, write_kvc_auth, kvc_auth_from_text),
+    "wda-auth": (wda_auths, WdaAuthInfo.encode, WdaAuthInfo.parse),
+    "commitment": (commitments, Commitment.encode, Commitment.parse),
+}
+
+# the separators and digits of the formats, and characters that lenient
+# integer, hex and line readers accept in place of them
+EDIT_CHARS = "0129afAF :=/_-+xkv\n\r\t\x0b\x85\xa0\u0661"
+
+
+@st.composite
+def single_edits(draw, text):
+    """`text` with one character deleted, inserted or replaced."""
+    pos = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    new = char if isinstance(text, str) else char.encode("utf-8")
+    kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if kind == "insert":
+        return text[:pos] + new + text[pos:]
+    return text[:pos] + (new if kind == "replace" else text[:0]) + text[pos + 1:]
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_write(name, data):
+    values, write, parse = FORMATS[name]
+    value = data.draw(values)
+    assert parse(write(value)) == value
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_edited_text_is_refused_or_is_what_the_writer_writes(name, data):
+    values, write, parse = FORMATS[name]
+    written = write(data.draw(values))
+    for _ in range(10):
+        edited = data.draw(single_edits(written))
+        try:
+            parsed = parse(edited)
+        except ValueError:
+            continue
+        assert write(parsed) == edited
+
+
+def test_a_refusal_names_the_first_line_that_differs():
+    text = "aqqproof v1 q=1/2 n=15 answer=4\n10:4\n11:06\nremainder=kvc1:" + "0" * 64 + "\n"
+    with pytest.raises(ValueError, match=r"^proof file is not in canonical form at line 3: found '11:06\\n'$"):
+        proof_from_text(text)
