@@ -8,6 +8,20 @@ parts' commitments.  Inserting (key, 0) is deliberately *not* an identity
 operation; committing the empty nodes of a tree is what lets a verifier
 prove that a key is unset.
 
+Additivity also makes a digest's commitment cheap, in the style of
+Bellare and Micciancio's incremental AdHash: with H the contribution of
+one insertion and Z(r) the sum of H(node, 0) over the subtree of r,
+
+    commit(subtree of r) = Z(r) + sum over buckets b in it of (H(b, c_b) - H(b, 0)).
+
+Z depends only on sigma, so it is public setup data.  `_zero_fold`
+memoizes it by Z(r) = Z(2r) + Z(2r+1) + H(r, 0) for subtrees of more than
+`_SHORT` leaves and folds shorter subtrees directly, so the memo holds
+under 2*sigma/_SHORT ints per sigma (1,023 at sigma = 2**16).  Once it is
+warm, a digest commitment costs 2*|Q| SHA-256 calls for |Q| buckets, and
+the fold of every node after a given one (a query proof's remainder)
+at most 2*|Q| + 4*_SHORT.  `sha256_calls` counts the calls.
+
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
 search, and no formal security proof is claimed here.  The functions
@@ -18,10 +32,9 @@ combination), so a production key-value commitment can be slotted in.
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .digest import QDigest
-from .tree import post_order_nodes
+from .tree import check_node, is_in_subtree, level, post_order_nodes, post_order_rank
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -38,6 +51,13 @@ _PREFIX = "kvc1:"
 KEY_LIMIT = 1 << (8 * _KEY_BYTES)
 VALUE_LIMIT = 1 << (8 * _VALUE_BYTES)
 MAX_SIGMA = KEY_LIMIT // 2
+
+# Subtrees with at most this many leaves are folded node by node, taller
+# ones are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
+_SHORT = 64
+_ZERO_FOLDS: dict[int, dict[int, int]] = {}
+
+_sha256_calls = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +101,21 @@ def initialize() -> Commitment:
     return Commitment(0)
 
 
+def sha256_calls() -> int:
+    """How many SHA-256 calls insertions have made in this process so far.
+
+    Not locked: calls made by several threads at once may be undercounted.
+    """
+    return _sha256_calls
+
+
 def _contribution(key: int, value: int) -> int:
+    global _sha256_calls
     if not isinstance(key, int) or key < 0 or key >= KEY_LIMIT:
         raise ValueError(f"key {key!r} does not fit the fixed-width encoding")
     if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
+    _sha256_calls += 1
     material = _DOMAIN_TAG + key.to_bytes(_KEY_BYTES, "big") + value.to_bytes(_VALUE_BYTES, "big")
     return int.from_bytes(hashlib.sha256(material).digest(), "big") % GROUP_PRIME
 
@@ -104,9 +134,54 @@ def inverse(c: Commitment) -> Commitment:
     return Commitment((-c.acc) % GROUP_PRIME)
 
 
+def _fold(records) -> int:
+    return sum(_contribution(key, value) for key, value in records) % GROUP_PRIME
+
+
 def commit_records(records) -> Commitment:
     """Fold of (key, value) insertions: the group sum of their contributions."""
-    return Commitment(sum(_contribution(key, value) for key, value in records) % GROUP_PRIME)
+    return Commitment(_fold(records))
+
+
+def _corrections(buckets) -> int:
+    """Sum of H(b, c_b) - H(b, 0): what the buckets add to a zero fold."""
+    return sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+
+
+def _zero_fold(sigma: int, root: int) -> int:
+    """Z(root), the sum of H(node, 0) over root's subtree; memoized above _SHORT leaves."""
+    if sigma >> level(root) <= _SHORT:
+        return _fold((node, 0) for node in post_order_nodes(sigma, root))
+    memo = _ZERO_FOLDS.setdefault(sigma, {})
+    if root not in memo:
+        z = _zero_fold(sigma, 2 * root) + _zero_fold(sigma, 2 * root + 1) + _contribution(root, 0)
+        memo[root] = z % GROUP_PRIME
+    return memo[root]
+
+
+def _zero_insert(sigma: int, node: int) -> int:
+    """H(node, 0), read off the memo as Z(node) - Z(2node) - Z(2node+1) when it holds all three."""
+    if sigma >> level(node) <= 2 * _SHORT:
+        return _contribution(node, 0)
+    children = _zero_fold(sigma, 2 * node) + _zero_fold(sigma, 2 * node + 1)
+    return (_zero_fold(sigma, node) - children) % GROUP_PRIME
+
+
+def _zero_fold_after(sigma: int, node: int) -> int:
+    """Sum of H(m, 0) over the nodes m after `node` in post-order.
+
+    Those are node's ancestors and, at each left turn of the root-to-node
+    path, the right sibling's subtree.  The memo supplies all of them but
+    the short subtrees and the ancestors of at most 2*_SHORT leaves, so
+    this costs under 4*_SHORT SHA-256 calls.
+    """
+    z = 0
+    while node > 1:
+        if not node & 1:
+            z += _zero_fold(sigma, node + 1)
+        node //= 2
+        z += _zero_insert(sigma, node)
+    return z % GROUP_PRIME
 
 
 def member(c: Commitment, proof: Commitment, key: int, value: int) -> bool:
@@ -120,28 +195,38 @@ def commit_digest(q: QDigest) -> Commitment:
     """Commitment of a whole digest: one insertion per tree node.
 
     Every node of the full tree is inserted exactly once, empty nodes
-    with value 0.  Committing the zeros is what defeats the attack of
-    hiding an early bucket in a query proof's remainder: the verifier
-    inserts (index, 0) for nodes it believes are empty, and an equal
-    commitment then proves they really are.
+    with value 0, and the sum is taken as Z(1) plus one correction per
+    bucket.  Committing the zeros is what defeats the attack of hiding
+    an early bucket in a query proof's remainder: the verifier inserts
+    (index, 0) for nodes it believes are empty, and an equal commitment
+    then proves they really are.
     """
     return subtree_commitment(q, 1)
 
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
-    return commit_records((node, q.count(node)) for node in post_order_nodes(q.sigma, root))
+    check_node(root, q.sigma)
+    inside = ((node, cnt) for node, cnt in q.buckets().items() if is_in_subtree(node, root, q.sigma))
+    return Commitment((_zero_fold(q.sigma, root) + _corrections(inside)) % GROUP_PRIME)
+
+
+def commitment_after(q: QDigest, node: int) -> Commitment:
+    """Fold of insertions for every node after `node` in post-order, zeros included."""
+    rank = post_order_rank(node, q.sigma)
+    after = ((b, cnt) for b, cnt in q.buckets().items() if post_order_rank(b, q.sigma) > rank)
+    return Commitment((_zero_fold_after(q.sigma, node) + _corrections(after)) % GROUP_PRIME)
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:
     return {root: subtree_commitment(q, root) for root in roots}
 
 
-@lru_cache(maxsize=None)
 def zero_subtree_commitment(sigma: int, root: int) -> Commitment:
     """Fold of zero-valued insertions over a subtree.
 
     Depends only on the tree shape, not on any digest, so it is public
-    setup data; results are memoized.
+    setup data; subtrees of more than _SHORT leaves are memoized.
     """
-    return commit_records((node, 0) for node in post_order_nodes(sigma, root))
+    check_node(root, sigma)
+    return Commitment(_zero_fold(sigma, root))

@@ -8,6 +8,13 @@ node up to and including the stop bucket -- counts taken from the prefix
 for listed nodes, 0 otherwise -- and accepts only if the result equals
 the trusted whole-digest commitment and the prefix sums bracket q*n.
 
+The responder never visits the nodes after the stop.  The commitment is
+additive, so the remainder is the public zero fold of those nodes plus
+H(b, c_b) - H(b, 0) for each bucket b after the stop: once the zero
+folds of a sigma are memoized (see `commitment`; under 2*sigma/64 ints)
+a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  The verifiers keep
+the paper's one insertion per node.
+
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
 in the remainder, shifting the reported answer rightward while the
@@ -33,6 +40,7 @@ from .commitment import (
     combine,
     commit_digest,
     commit_records,
+    commitment_after,
     inverse,
     subtree_commitments,
     zero_subtree_commitment,
@@ -41,6 +49,7 @@ from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import header_fields, index_count, require_canonical
 from .tree import (
     is_in_subtree,
+    is_power_of_two,
     post_order_nodes,
     post_order_rank,
     subtree_rank_interval,
@@ -100,8 +109,7 @@ def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
 def _respond(q: QDigest, frac: Fraction, counted, hidden=frozenset()) -> QuantileProof:
     """The proof with this counted prefix; nodes after its stop and `hidden` go to the remainder."""
     stop = counted[-1][0]
-    after = islice(post_order_nodes(q.sigma), post_order_rank(stop, q.sigma), None)
-    remainder = commit_records((node, q.count(node)) for node in chain(after, hidden))
+    remainder = combine(commitment_after(q, stop), commit_records((node, q.count(node)) for node in hidden))
     answer = range_top(stop, q.sigma, q.leaf_width)
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
 
@@ -281,18 +289,33 @@ def _kvc_auth_text(fields: dict[str, int], commitment: Commitment, subtrees: dic
 
 
 def kvc_auth_from_text(text: str) -> tuple[dict[str, int], Commitment, dict[int, Commitment]]:
-    """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees."""
+    """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees.
+
+    Refuses, naming the field, a sigma that is not a power of two in
+    [1, 2**63], k below 1, a leaf width that is not a power of two, a
+    negative n and a subtree root outside the tree.
+    """
     header, *body = text.splitlines() or [""]
     fields = dict(zip(_KVC_HEADER, map(int, header_fields(header, "kvcauth v1", _KVC_HEADER))))
-    if fields["sigma"] > MAX_SIGMA:
-        raise ValueError(f"sigma {fields['sigma']} exceeds the node-key limit 2**63")
+    sigma = fields["sigma"]
+    if not is_power_of_two(sigma) or sigma > MAX_SIGMA:
+        raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, 2**63]")
+    if fields["k"] < 1:
+        raise ValueError(f"KVC auth field k={fields['k']} is below 1")
+    if not is_power_of_two(fields["leafwidth"]):
+        raise ValueError(f"KVC auth field leafwidth={fields['leafwidth']} is not a positive power of two")
+    if fields["n"] < 0:
+        raise ValueError(f"KVC auth field n={fields['n']} is negative")
     if not body:
         raise ValueError("KVC auth file must carry the whole-digest commitment")
     commitment = Commitment.parse(body[0].removeprefix("commitment="))
     subtrees = {}
     for line in body[1:]:
-        root, _, ctext = line.removeprefix("subtree=").partition(":")
-        subtrees[int(root)] = Commitment.parse(ctext)
+        root_text, _, ctext = line.removeprefix("subtree=").partition(":")
+        root = int(root_text)
+        if not 1 <= root <= 2 * sigma - 1:
+            raise ValueError(f"KVC auth field subtree={root} is outside the tree [1, {2 * sigma - 1}]")
+        subtrees[root] = Commitment.parse(ctext)
     require_canonical(text, _kvc_auth_text(fields, commitment, subtrees), "KVC auth file")
     return fields, commitment, subtrees
 

@@ -188,6 +188,16 @@ def test_auth_writes_the_readme_kvc_file(tmp_path, s1_file, capsys):
     assert capsys.readouterr().out.rstrip().endswith(" subtrees=2")
 
 
+# (a field of README_KVC_FILE, the same field with a value out of its limits)
+OUT_OF_LIMIT_KVC_FIELDS = [
+    ("sigma=8", "sigma=7"),
+    ("k=4", "k=-4"),
+    ("leafwidth=1", "leafwidth=3"),
+    ("n=38", "n=-15"),
+    ("subtree=2:", "subtree=99:"),
+]
+
+
 @pytest.mark.parametrize(
     "kvc_text",
     [
@@ -198,6 +208,7 @@ def test_auth_writes_the_readme_kvc_file(tmp_path, s1_file, capsys):
         README_KVC_FILE + README_KVC_FILE.splitlines(keepends=True)[-1],
         README_KVC_FILE.replace("sigma=8", "sigma=08"),
         README_KVC_FILE.replace("\n", "\r\n"),
+        *(README_KVC_FILE.replace(old, new) for old, new in OUT_OF_LIMIT_KVC_FIELDS),
     ],
     ids=[
         "malformed-header",
@@ -207,6 +218,7 @@ def test_auth_writes_the_readme_kvc_file(tmp_path, s1_file, capsys):
         "repeated-subtree-line",
         "leading-zero-sigma",
         "crlf-line-endings",
+        *(new for _, new in OUT_OF_LIMIT_KVC_FIELDS),
     ],
 )
 def test_verify_refuses_a_malformed_kvc_auth_file(tmp_path, s1_file, kvc_text, capsys):
@@ -216,6 +228,18 @@ def test_verify_refuses_a_malformed_kvc_auth_file(tmp_path, s1_file, kvc_text, c
     kvc_f.write_text(kvc_text)
     assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--accelerated"]])
+@pytest.mark.parametrize("old, new", OUT_OF_LIMIT_KVC_FIELDS, ids=[new for _, new in OUT_OF_LIMIT_KVC_FIELDS])
+def test_verify_names_the_out_of_limit_kvc_auth_field(tmp_path, s1_file, old, new, extra, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["prove", str(digest), "--q", "1/2", "--output", str(proof)])
+    kvc_f.write_text(README_KVC_FILE.replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)] + extra) == 2
+    assert f"error: KVC auth field {new.rstrip(':')} " in capsys.readouterr().err  # names field and value
 
 
 @pytest.mark.parametrize("extra", [[], ["--accelerated"]])

@@ -22,6 +22,7 @@ from qdigest_auth.kvcqa import (
     proof_to_text,
 )
 from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
+from qdigest_auth.tree import is_power_of_two
 from qdigest_auth.wda import WdaAuthInfo
 
 commitments = st.integers(0, GROUP_PRIME - 1).map(Commitment)
@@ -43,13 +44,14 @@ proofs = st.builds(
     remainder=commitments,
 )
 
-kvc_auths = st.tuples(
-    st.fixed_dictionaries(
-        {"sigma": st.integers(max_value=MAX_SIGMA), "k": st.integers(), "leafwidth": st.integers(), "n": st.integers()}
-    ),
-    commitments,
-    st.dictionaries(st.integers(), commitments, max_size=3),
-)
+
+@st.composite
+def kvc_auths(draw):
+    sigma = 2 ** draw(st.integers(0, 63))
+    fields = {"sigma": sigma, "k": draw(st.integers(min_value=1)),
+              "leafwidth": 2 ** draw(st.integers(0, 70)), "n": draw(st.integers(min_value=0))}
+    subtrees = draw(st.dictionaries(st.integers(1, 2 * sigma - 1), commitments, max_size=3))
+    return fields, draw(commitments), subtrees
 
 
 def write_kvc_auth(auth):
@@ -64,7 +66,7 @@ wda_auths = st.builds(WdaAuthInfo, digest_hash=st.binary(min_size=32, max_size=3
 FORMATS = {
     "digest": (digests(), digest_to_bytes, digest_from_bytes),
     "proof": (proofs, proof_to_text, proof_from_text),
-    "kvc-auth": (kvc_auths, write_kvc_auth, kvc_auth_from_text),
+    "kvc-auth": (kvc_auths(), write_kvc_auth, kvc_auth_from_text),
     "wda-auth": (wda_auths, WdaAuthInfo.encode, WdaAuthInfo.parse),
     "commitment": (commitments, Commitment.encode, Commitment.parse),
 }
@@ -108,6 +110,28 @@ def test_an_edited_text_is_refused_or_is_what_the_writer_writes(name, data):
         except ValueError:
             continue
         assert write(parsed) == edited
+
+
+# each KVC auth field with values outside its limits
+OUT_OF_LIMIT_KVC_FIELDS = {
+    "sigma": st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > MAX_SIGMA),
+    "k": st.integers(max_value=0),
+    "leafwidth": st.integers().filter(lambda width: not is_power_of_two(width)),
+    "n": st.integers(max_value=-1),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(kvc_auths(), st.sampled_from([*OUT_OF_LIMIT_KVC_FIELDS, "subtree"]), st.data())
+def test_a_kvc_auth_field_out_of_its_limits_is_refused(auth, field, data):
+    fields, commitment, subtrees = auth
+    if field == "subtree":
+        outside = st.integers().filter(lambda root: not 1 <= root <= 2 * fields["sigma"] - 1)
+        subtrees = {**subtrees, data.draw(outside): commitment}
+    else:
+        fields = {**fields, field: data.draw(OUT_OF_LIMIT_KVC_FIELDS[field])}
+    with pytest.raises(ValueError, match=f"field {field}="):
+        kvc_auth_from_text(write_kvc_auth((fields, commitment, subtrees)))
 
 
 def test_a_refusal_names_the_first_line_that_differs():
