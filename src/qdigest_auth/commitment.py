@@ -8,19 +8,21 @@ parts' commitments.  Inserting (key, 0) is deliberately *not* an identity
 operation; committing the empty nodes of a tree is what lets a verifier
 prove that a key is unset.
 
-Additivity also makes a digest's commitment cheap, in the style of
-Bellare and Micciancio's incremental AdHash: with H the contribution of
-one insertion and Z(r) the sum of H(node, 0) over the subtree of r,
+Additivity makes every commitment over part of the tree cheap, in the
+style of Bellare and Micciancio's incremental AdHash.  With H one
+insertion's contribution and Z(r) the sum of H(node, 0) over r's subtree,
+`subtree_from_buckets` is the one rule, used for the whole digest, any
+subtree and any zero subtree:
 
     commit(subtree of r) = Z(r) + sum over buckets b in it of (H(b, c_b) - H(b, 0)).
 
-Z depends only on sigma, so it is public setup data.  `_zero_fold`
-memoizes it by Z(r) = Z(2r) + Z(2r+1) + H(r, 0) for subtrees of more than
-`_SHORT` leaves and folds shorter subtrees directly, so the memo holds
-under 2*sigma/_SHORT ints per sigma (1,023 at sigma = 2**16).  Once it is
-warm, a digest commitment costs 2*|Q| SHA-256 calls for |Q| buckets, and
-the fold of every node after a given one (a query proof's remainder)
-at most 2*|Q| + 4*_SHORT.  `sha256_calls` counts the calls.
+A proof's remainder, the nodes after a stop in post-order, is the whole
+tree less the stop's post-order prefix, whose zero fold is Z(stop) plus
+Z(left sibling) at each right turn of the root-to-stop path.  Z depends
+only on sigma; `_zero_fold` memoizes the root and every subtree of more
+than `_SHORT` leaves, at most max(sigma/_SHORT - 1, 1) ints per sigma.
+Once it is warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets
+and a remainder at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
 
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
@@ -52,8 +54,8 @@ KEY_LIMIT = 1 << (8 * _KEY_BYTES)
 VALUE_LIMIT = 1 << (8 * _VALUE_BYTES)
 MAX_SIGMA = KEY_LIMIT // 2
 
-# Subtrees with at most this many leaves are folded node by node, taller
-# ones are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
+# Subtrees with at most this many leaves are folded node by node; taller
+# ones and the root are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
 _SHORT = 64
 _ZERO_FOLDS: dict[int, dict[int, int]] = {}
 
@@ -143,44 +145,32 @@ def commit_records(records) -> Commitment:
     return Commitment(_fold(records))
 
 
-def _corrections(buckets) -> int:
-    """Sum of H(b, c_b) - H(b, 0): what the buckets add to a zero fold."""
-    return sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
-
-
 def _zero_fold(sigma: int, root: int) -> int:
-    """Z(root), the sum of H(node, 0) over root's subtree; memoized above _SHORT leaves."""
-    if sigma >> level(root) <= _SHORT:
-        return _fold((node, 0) for node in post_order_nodes(sigma, root))
+    """Z(root), the sum of H(node, 0) over root's subtree; memoized for the root and above _SHORT leaves."""
     memo = _ZERO_FOLDS.setdefault(sigma, {})
-    if root not in memo:
+    if root in memo:
+        return memo[root]
+    if sigma >> level(root) <= _SHORT:
+        z = _fold((node, 0) for node in post_order_nodes(sigma, root))
+        if root > 1:
+            return z
+    else:
         z = _zero_fold(sigma, 2 * root) + _zero_fold(sigma, 2 * root + 1) + _contribution(root, 0)
-        memo[root] = z % GROUP_PRIME
+    memo[root] = z % GROUP_PRIME
     return memo[root]
 
 
-def _zero_insert(sigma: int, node: int) -> int:
-    """H(node, 0), read off the memo as Z(node) - Z(2node) - Z(2node+1) when it holds all three."""
-    if sigma >> level(node) <= 2 * _SHORT:
-        return _contribution(node, 0)
-    children = _zero_fold(sigma, 2 * node) + _zero_fold(sigma, 2 * node + 1)
-    return (_zero_fold(sigma, node) - children) % GROUP_PRIME
+def _zero_prefix(sigma: int, node: int) -> int:
+    """Sum of H(m, 0) over the nodes m up to and including `node` in post-order.
 
-
-def _zero_fold_after(sigma: int, node: int) -> int:
-    """Sum of H(m, 0) over the nodes m after `node` in post-order.
-
-    Those are node's ancestors and, at each left turn of the root-to-node
-    path, the right sibling's subtree.  The memo supplies all of them but
-    the short subtrees and the ancestors of at most 2*_SHORT leaves, so
-    this costs under 4*_SHORT SHA-256 calls.
+    Those are node's subtree and, at each right turn of the root-to-node
+    path, the left sibling's subtree; no ancestor of node comes before it.
     """
-    z = 0
+    z = _zero_fold(sigma, node)
     while node > 1:
-        if not node & 1:
-            z += _zero_fold(sigma, node + 1)
+        if node & 1:
+            z += _zero_fold(sigma, node - 1)
         node //= 2
-        z += _zero_insert(sigma, node)
     return z % GROUP_PRIME
 
 
@@ -204,18 +194,25 @@ def commit_digest(q: QDigest) -> Commitment:
     return subtree_commitment(q, 1)
 
 
+def subtree_from_buckets(sigma: int, root: int, buckets) -> Commitment:
+    """Z(root) plus H(b, c_b) - H(b, 0) per bucket: root's subtree holding these distinct buckets."""
+    check_node(root, sigma)
+    corrections = sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+    return Commitment((_zero_fold(sigma, root) + corrections) % GROUP_PRIME)
+
+
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
-    check_node(root, q.sigma)
     inside = ((node, cnt) for node, cnt in q.buckets().items() if is_in_subtree(node, root, q.sigma))
-    return Commitment((_zero_fold(q.sigma, root) + _corrections(inside)) % GROUP_PRIME)
+    return subtree_from_buckets(q.sigma, root, inside)
 
 
 def commitment_after(q: QDigest, node: int) -> Commitment:
     """Fold of insertions for every node after `node` in post-order, zeros included."""
     rank = post_order_rank(node, q.sigma)
     after = ((b, cnt) for b, cnt in q.buckets().items() if post_order_rank(b, q.sigma) > rank)
-    return Commitment((_zero_fold_after(q.sigma, node) + _corrections(after)) % GROUP_PRIME)
+    whole = subtree_from_buckets(q.sigma, 1, after)
+    return Commitment((whole.acc - _zero_prefix(q.sigma, node)) % GROUP_PRIME)
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:
@@ -226,7 +223,6 @@ def zero_subtree_commitment(sigma: int, root: int) -> Commitment:
     """Fold of zero-valued insertions over a subtree.
 
     Depends only on the tree shape, not on any digest, so it is public
-    setup data; subtrees of more than _SHORT leaves are memoized.
+    setup data.
     """
-    check_node(root, sigma)
-    return Commitment(_zero_fold(sigma, root))
+    return subtree_from_buckets(sigma, root, ())

@@ -8,19 +8,24 @@ node up to and including the stop bucket -- counts taken from the prefix
 for listed nodes, 0 otherwise -- and accepts only if the result equals
 the trusted whole-digest commitment and the prefix sums bracket q*n.
 
-The responder never visits the nodes after the stop.  The commitment is
-additive, so the remainder is the public zero fold of those nodes plus
-H(b, c_b) - H(b, 0) for each bucket b after the stop: once the zero
-folds of a sigma are memoized (see `commitment`; under 2*sigma/64 ints)
-a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  The verifiers keep
-the paper's one insertion per node.
+The responder never visits the nodes after the stop: by additivity the
+remainder is the whole tree holding only the buckets after the stop,
+Z(1) plus their H(b, c_b) - H(b, 0), less the zero fold of the post-order
+prefix up to the stop (see `commitment`).  With the zero folds of a sigma
+memoized a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  The
+verifiers keep the paper's one insertion per node.
 
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
 in the remainder, shifting the reported answer rightward while the
 commitment still balances.  With them, the verifier's (index, 0)
 insertion for the omitted node gives that key multiplicity two against
-one in the trusted commitment, and verification fails.
+one in the trusted commitment, and verification fails.  That defeats the
+omit-left adversary as modelled; it is not soundness.  The remainder is
+a bare group element and the reference commitment has a public inverse,
+so remainder = C - fold(claimed prefix) makes any prefix that passes the
+bracket checks verify (README, "Security caveat").  Soundness needs a
+key-value commitment without a public inverse.
 
 All q*n comparisons use exact rational arithmetic so prover and verifier
 can never disagree on a boundary.
@@ -41,9 +46,8 @@ from .commitment import (
     commit_digest,
     commit_records,
     commitment_after,
-    inverse,
     subtree_commitments,
-    zero_subtree_commitment,
+    subtree_from_buckets,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import header_fields, index_count, require_canonical
@@ -120,10 +124,13 @@ def _shape_error(proof: QuantileProof, n: int, sigma: int, leaf_width: int):
         return "quantile out of range"
     if proof.n != n:
         return "claimed n disagrees with trusted n"
-    if not proof.counted:
-        return "empty counted prefix"
+    if not isinstance(proof.remainder, Commitment):
+        return "remainder is not a commitment"
+    counted = proof.counted
+    if not isinstance(counted, tuple) or not counted or any(not isinstance(e, tuple) or len(e) != 2 for e in counted):
+        return "counted prefix is not a non-empty tuple of (index, count) pairs"
     last_rank = 0
-    for node, cnt in proof.counted:
+    for node, cnt in counted:
         if not isinstance(node, int) or not 1 <= node <= 2 * sigma - 1:
             return f"unknown node index {node!r}"
         if not isinstance(cnt, int) or not 1 <= cnt < VALUE_LIMIT:
@@ -200,12 +207,11 @@ def qqv_accelerated(
 
     When some precomputed subtree lies wholly before the stop bucket in
     post-order, its commitment is combined into the fold instead of
-    inserting its nodes one by one.  Counted buckets claimed inside the
-    skipped subtree are then cross-checked homomorphically: the subtree
-    commitment minus the zero-fold of the same subtree must equal the
-    fold of the claimed (insert minus zero-insert) differences, so a
-    tampered or omitted count inside the subtree is still rejected and
-    the accept/reject decision always matches the plain verifier.
+    inserting its nodes one by one.  The counted buckets claimed inside
+    the skipped subtree must then rebuild its precommitment through
+    `subtree_from_buckets`, so a tampered or omitted count there is still
+    rejected and the verdict always matches the plain verifier.  A
+    precommitment outside the tree or not a `Commitment` is malformed.
     """
     rejected = _precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
@@ -213,7 +219,9 @@ def qqv_accelerated(
 
     stop_rank = post_order_rank(proof.counted[-1][0], sigma)
     best = None
-    for root in precomputed:  # post_order_rank refuses a root outside the tree
+    for root, pc in precomputed.items():
+        if not isinstance(root, int) or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
+            return VerificationStats(False, REASON_MALFORMED, 0)
         if post_order_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
@@ -231,11 +239,10 @@ def qqv_accelerated(
     outside = chain(islice(nodes, skip_lo - 1), islice(nodes, skip_hi - skip_lo + 1, stop_rank - skip_lo + 1))
     fold, ops = _fold_nodes(combine(proof.remainder, precomputed[root]), dict(proof.counted), outside)
 
-    # Cross-check the counted claims covered by the skipped subtree.
-    expected = combine(precomputed[root], inverse(zero_subtree_commitment(sigma, root)))
-    claimed = combine(commit_records(inside), inverse(commit_records((node, 0) for node, _ in inside)))
+    # The counted claims inside the skipped subtree must rebuild its precommitment.
+    rebuilt = subtree_from_buckets(sigma, root, inside)
     ops += 2 * len(inside)
-    return _verdict(claimed == expected and fold == c, ops)
+    return _verdict(rebuilt == precomputed[root] and fold == c, ops)
 
 
 def proof_to_text(proof: QuantileProof) -> str:

@@ -56,11 +56,6 @@ def children(i: int) -> tuple[int, int]:
     return 2 * i, 2 * i + 1
 
 
-def is_leaf(i: int, sigma: int) -> bool:
-    check_node(i, sigma)
-    return i >= sigma
-
-
 def leaf_for_value(v: int, sigma: int) -> int:
     check_sigma(sigma)
     if not isinstance(v, int) or not 1 <= v <= sigma:

@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qdigest_auth.commitment import commit_digest, initialize, insert, subtree_commitment
-from qdigest_auth.digest import quantile_query
+from qdigest_auth.digest import QDigest, quantile_query
 from qdigest_auth.kvcqa import (
     QuantileProof,
     aqq,
@@ -51,8 +52,6 @@ class TestAqq:
         assert proof.remainder == initialize()
 
     def test_empty_digest_refused(self):
-        from qdigest_auth.digest import QDigest
-
         with pytest.raises(ValueError):
             aqq(QDigest(8, 4), Fraction(1, 2))
 
@@ -167,8 +166,6 @@ class TestQqv:
                 assert qqv(aqq(q, frac), c, q.n, q.sigma).accepted
 
     def test_single_node_domain_round_trip(self):
-        from qdigest_auth.digest import QDigest
-
         q = QDigest(1, 2, {1: 7})
         c = commit_digest(q)
         for frac in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -376,6 +373,41 @@ def test_oversized_stop_count_is_malformed(e2, frac):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
+# A sigma=8 digest whose q=3/4 stop lies past the precommitted subtree 2,
+# so qqv_accelerated reads the precommitment.
+HOSTILE_DIGEST = QDigest(8, 4, {1: 3, 2: 1, 5: 4, 7: 2, 8: 5})
+
+# Proof objects no parser would build; each used to raise from a verifier.
+HOSTILE_FIELDS = [
+    ("counted-int", {"counted": 5}),
+    ("counted-short-entry", {"counted": ((8,),)}),
+    ("counted-str", {"counted": "ab"}),
+    ("remainder-none", {"remainder": None}),
+    ("remainder-int", {"remainder": 7}),
+]
+
+
+@pytest.mark.parametrize("fields", [case[1] for case in HOSTILE_FIELDS], ids=[case[0] for case in HOSTILE_FIELDS])
+def test_hostile_proof_objects_are_malformed(fields):
+    q = HOSTILE_DIGEST
+    c, pre = publish_kvc_auth(q)
+    bad = replace(aqq(q, Fraction(3, 4)), **fields)
+    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8)):
+        assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+
+
+@pytest.mark.parametrize(
+    "make_pre",
+    [lambda pre: {0: pre[2]}, lambda pre: {99: pre[2]}, lambda pre: {2: 7}],
+    ids=["root-0", "root-99", "value-int"],
+)
+def test_hostile_precommitments_are_malformed(make_pre):
+    q = HOSTILE_DIGEST
+    c, pre = publish_kvc_auth(q)
+    stats = qqv_accelerated(aqq(q, Fraction(3, 4)), c, make_pre(pre), q.n, 8)
+    assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+
+
 class TestKvcAuthFiles:
     def test_round_trip_precommits_subtree_2(self, e2):
         q, c, n = e2
@@ -386,8 +418,6 @@ class TestKvcAuthFiles:
         assert parsed_c == c and parsed_subtrees == subtrees
 
     def test_single_node_domain_precommits_nothing(self):
-        from qdigest_auth.digest import QDigest
-
         assert publish_kvc_auth(QDigest(1, 2, {1: 7}))[1] == {}
 
     @pytest.mark.parametrize("sigma, ok", [(2**63, True), (2**63 + 1, False), (2**64, False)])

@@ -2,22 +2,26 @@
 
 `commit_digest`, `subtree_commitment`, `zero_subtree_commitment` and the
 remainders of `aqq` and `malicious_aqq_omit_left` take Z, the public fold
-of zero-valued insertions, and add H(b, c_b) - H(b, 0) per bucket.  They
-must equal the literal fold of one insertion per node.  Subtrees of more
-than 64 leaves are memoized, so the domains below reach sigma = 2**10.
+of zero-valued insertions, and add H(b, c_b) - H(b, 0) per bucket; a
+remainder also subtracts the zero fold of the post-order prefix up to its
+stop.  They must equal the literal fold of one insertion per node.  The
+root and subtrees of more than 64 leaves are memoized, so the domains
+below reach sigma = 2**10.
 Once the memo of a sigma is warm, the SHA-256 calls depend on the
 buckets, not on sigma.
 """
 
 import random
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import pytest
 
 from qdigest_auth import commitment
 from qdigest_auth.bench import run_bench
 from qdigest_auth.commitment import (
+    Commitment,
+    combine,
     commit_digest,
     commit_records,
     sha256_calls,
@@ -52,12 +56,15 @@ def test_commitments_equal_the_literal_fold_at_every_root(sigma):
     for seed in range(2):
         q = seeded_digest(seed, sigma)
         assert commit_digest(q) == literal(q, post_order_nodes(sigma))
-        for root in range(1, 2 * sigma):
+        # the literal zero fold of the post-order prefix up to each root, one node at a time
+        prefixes = accumulate((commit_records([(node, 0)]) for node in post_order_nodes(sigma)), combine)
+        for root, prefix in zip(post_order_nodes(sigma), prefixes):
             nodes = list(post_order_nodes(sigma, root))
             assert subtree_commitment(q, root) == literal(q, nodes), root
             assert zero_subtree_commitment(sigma, root) == commit_records((node, 0) for node in nodes), root
-    # every subtree of more than 64 leaves is memoized, and no other
-    assert len(commitment._ZERO_FOLDS.get(sigma, {})) == max(sigma // 64 - 1, 0)
+            assert Commitment(commitment._zero_prefix(sigma, root)) == prefix, root
+    # the root and every subtree of more than 64 leaves are memoized, and no other
+    assert len(commitment._ZERO_FOLDS[sigma]) == max(sigma // 64 - 1, 1)
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 256, 1024])
