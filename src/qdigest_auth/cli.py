@@ -8,7 +8,6 @@ exact-comparison guarantee.
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .bench import format_bench_table, run_bench
@@ -23,7 +22,7 @@ from .kvcqa import (
     qqv,
     qqv_accelerated,
 )
-from .scenario import parse_levels, parse_scenario, run_scenario
+from .scenario import parse_scenario, run_scenario
 from .serialize import dump_digest, load_digest, load_frequencies
 from .wda import dump_authinfo, load_authinfo, wda_authinfo, wda_verify
 
@@ -97,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("freq_file")
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--window", type=int, help="override the scenario's window width")
-    p.add_argument("--levels", help="override the scenario's privilege levels (name:k,...)")
 
     p = sub.add_parser("bench", help="sweep (sigma, k, q) and print a cost table")
     p.add_argument("--sigmas", type=_int_list, default=[64, 256, 1024])
@@ -139,8 +136,9 @@ def cmd_query(args) -> int:
 
 def cmd_auth(args) -> int:
     digest = load_digest(args.digest_file)
-    dump_authinfo(wda_authinfo(digest), args.wda_out)
+    wda_auth = wda_authinfo(digest)
     commitment, subtrees = publish_kvc_auth(digest)
+    dump_authinfo(wda_auth, args.wda_out)
     with open(args.kvc_out, "w", encoding="ascii", newline="") as fh:
         fh.write(kvc_auth_to_text(digest, commitment, subtrees))
     print(f"wda={args.wda_out} kvc={args.kvc_out} subtrees={','.join(map(str, subtrees)) or '-'}")
@@ -179,11 +177,6 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.scenario_file, "r", encoding="ascii") as fh:
         scenario = parse_scenario(fh.read())
-    if args.window is not None:
-        scenario = replace(scenario, window=args.window)
-    if args.levels:
-        levels, coarse = parse_levels(args.levels)
-        scenario = replace(scenario, levels=levels, coarse=coarse)
     freqs = load_frequencies(args.freq_file)
     for line in run_scenario(scenario, freqs, args.k, args.sigma):
         print(line)

@@ -54,6 +54,10 @@ KEY_LIMIT = 1 << (8 * _KEY_BYTES)
 VALUE_LIMIT = 1 << (8 * _VALUE_BYTES)
 MAX_SIGMA = KEY_LIMIT // 2
 
+# The largest domain a commitment covers: the first commitment at a sigma makes
+# 2*sigma - 1 zero insertions (about 6 s at 2**20); a larger sigma is refused.
+COMMIT_MAX_SIGMA = 1 << 20
+
 # Subtrees with at most this many leaves are folded node by node; taller
 # ones and the root are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
 _SHORT = 64
@@ -197,6 +201,8 @@ def commit_digest(q: QDigest) -> Commitment:
 def subtree_from_buckets(sigma: int, root: int, buckets) -> Commitment:
     """Z(root) plus H(b, c_b) - H(b, 0) per bucket: root's subtree holding these distinct buckets."""
     check_node(root, sigma)
+    if sigma > COMMIT_MAX_SIGMA:
+        raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
     corrections = sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
     return Commitment((_zero_fold(sigma, root) + corrections) % GROUP_PRIME)
 

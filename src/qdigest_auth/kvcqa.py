@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain, count, islice
 
 from .commitment import (
-    MAX_SIGMA,
+    COMMIT_MAX_SIGMA,
     VALUE_LIMIT,
     Commitment,
     combine,
@@ -139,6 +139,8 @@ def _shape_error(proof: QuantileProof, n: int, sigma: int, leaf_width: int):
         if rank <= last_rank:
             return "counted prefix is not strictly increasing in post-order"
         last_rank = rank
+    if sum(cnt for _, cnt in counted) > n:
+        return f"counted prefix sums to more than the trusted n={n}"
     stop = proof.counted[-1][0]
     if proof.answer != range_top(stop, sigma, leaf_width):
         return "answer does not match the stop bucket's range"
@@ -298,15 +300,15 @@ def _kvc_auth_text(fields: dict[str, int], commitment: Commitment, subtrees: dic
 def kvc_auth_from_text(text: str) -> tuple[dict[str, int], Commitment, dict[int, Commitment]]:
     """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees.
 
-    Refuses, naming the field, a sigma that is not a power of two in
-    [1, 2**63], k below 1, a leaf width that is not a power of two, a
-    negative n and a subtree root outside the tree.
+    Refuses, naming the field, a sigma that is not a power of two up to
+    the commitment limit 2**20, k below 1, a leaf width that is not a
+    power of two, a negative n and a subtree root outside the tree.
     """
     header, *body = text.splitlines() or [""]
     fields = dict(zip(_KVC_HEADER, map(int, header_fields(header, "kvcauth v1", _KVC_HEADER))))
     sigma = fields["sigma"]
-    if not is_power_of_two(sigma) or sigma > MAX_SIGMA:
-        raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, 2**63]")
+    if not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA:
+        raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, {COMMIT_MAX_SIGMA}]")
     if fields["k"] < 1:
         raise ValueError(f"KVC auth field k={fields['k']} is below 1")
     if not is_power_of_two(fields["leafwidth"]):

@@ -3,13 +3,16 @@
 A session follows the authenticated-data-structure model: a trusted
 source builds a digest and its authentication information, an untrusted
 responder answers quantile queries, and the user verifies each answer
-under the chosen scheme.  The trusted store is an in-process value here;
-distributing it is assumed to happen out of band.
+under the chosen scheme.  The source publishes only what that scheme
+reads: a `wda` session hashes and verifies the one digest it ships, a KVC
+session commits the digest and verifies each proof.  The trusted store is
+an in-process value here; distributing it is assumed to happen out of band.
 
 Also implemented are the deployment patterns built on merging: cumulative
 digests over a stream (full or sliding-window), and privacy profiles that
 publish one digest per privilege level at decreasing compression
-parameters and optionally coarser leaves.
+parameters and optionally coarser leaves.  A scenario file is the only
+place a run's settings come from.
 """
 
 from dataclasses import dataclass, field
@@ -110,47 +113,38 @@ def run_session(script: PartyScript, freqs, k: int, sigma: int) -> list[QueryRec
 
 
 def run_session_on_digest(script: PartyScript, source_digest: QDigest) -> list[QueryRecord]:
-    """Session over a prebuilt source digest (also used for cumulative runs)."""
-    auth = wda_authinfo(source_digest)
-    trusted_c, precomputed = publish_kvc_auth(source_digest)
-    trusted_n = source_digest.n
-    sigma = source_digest.sigma
-
-    if script.behavior.kind == "tamper_count":
-        responder_digest = _tampered_copy(source_digest, script.behavior.node, script.behavior.delta)
-    else:
-        responder_digest = source_digest
-
-    records = []
+    """Session over a prebuilt source digest: only the script's scheme authenticates it."""
+    behavior = script.behavior
+    responder_digest = source_digest
+    if behavior.kind == "tamper_count":
+        responder_digest = _tampered_copy(source_digest, behavior.node, behavior.delta)
     if responder_digest.n == 0:
         # tampering emptied the digest; nothing to query, every answer is refused
-        for q in script.queries:
-            records.append(QueryRecord(q, 0, False, 0, 0, "empty-response"))
-        return records
-    for q in script.queries:
-        if script.scheme == "wda":
-            payload = digest_to_bytes(responder_digest)
-            verdict = wda_verify(responder_digest, auth)
-            answer = quantile_query(responder_digest, q)
-            records.append(
-                QueryRecord(q, answer, verdict.accepted, 0, len(payload), verdict.reason)
-            )
-            continue
+        return [QueryRecord(q, 0, False, 0, 0, "empty-response") for q in script.queries]
 
-        if script.behavior.kind == "omit_left":
-            proof = malicious_aqq_omit_left(responder_digest, q, script.behavior.omit)
+    if script.scheme == "wda":
+        # the whole digest ships once and is verified once; every answer is read off it
+        size = len(digest_to_bytes(responder_digest))
+        verdict = wda_verify(responder_digest, wda_authinfo(source_digest))
+        return [
+            QueryRecord(q, quantile_query(responder_digest, q), verdict.accepted, 0, size, verdict.reason)
+            for q in script.queries
+        ]
+
+    trusted_c, precomputed = publish_kvc_auth(source_digest)
+    trusted = (source_digest.n, source_digest.sigma, source_digest.leaf_width)
+    records = []
+    for q in script.queries:
+        if behavior.kind == "omit_left":
+            proof = malicious_aqq_omit_left(responder_digest, q, behavior.omit)
         else:
             proof = aqq(responder_digest, q)
-        payload = proof_to_text(proof).encode("ascii")
         if script.scheme == "kvc_qa":
-            stats = qqv(proof, trusted_c, trusted_n, sigma, source_digest.leaf_width)
+            stats = qqv(proof, trusted_c, *trusted)
         else:
-            stats = qqv_accelerated(
-                proof, trusted_c, precomputed, trusted_n, sigma, source_digest.leaf_width
-            )
-        records.append(
-            QueryRecord(q, proof.answer, stats.accepted, stats.insert_ops, len(payload), stats.reason)
-        )
+            stats = qqv_accelerated(proof, trusted_c, precomputed, *trusted)
+        size = len(proof_to_text(proof))
+        records.append(QueryRecord(q, proof.answer, stats.accepted, stats.insert_ops, size, stats.reason))
     return records
 
 
@@ -302,21 +296,17 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_levels(text: str) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
     """Parse `name:k` / `name:k:coarse` entries into (levels, coarse) tuples."""
-    levels = []
-    coarse = []
+    levels, coarse = [], []
     for entry in text.split(","):
-        parts = entry.split(":")
+        name, *numbers = entry.split(":")
+        if len(numbers) == 1:
+            numbers.append("0")
         try:
-            if len(parts) == 2:
-                levels.append((parts[0], int(parts[1])))
-                coarse.append(0)
-            elif len(parts) == 3:
-                levels.append((parts[0], int(parts[1])))
-                coarse.append(int(parts[2]))
-            else:
-                raise ValueError
+            k, cut = map(int, numbers)
         except ValueError:
             raise ValueError(f"malformed level entry {entry!r}") from None
+        levels.append((name, k))
+        coarse.append(cut)
     return tuple(levels), tuple(coarse)
 
 
@@ -329,31 +319,24 @@ def _split_stream(freqs, updates: int) -> list[dict[int, int]]:
 
 
 def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:
-    """Run a scenario file against a frequency set; returns transcript lines."""
-    lines = []
+    """Run a scenario file against a frequency set; returns transcript lines, one session per digest."""
     if scenario.levels:
-        profile = build_privacy_profile(
-            freqs, sigma, scenario.levels, scenario.coarse if any(scenario.coarse) else None
-        )
-        for name, level_k in scenario.levels:
-            digest = profile.digests[name]
-            lines.append(f"# level={name} k={level_k} size={digest.size}")
-            records = run_session_on_digest(scenario.script, digest)
-            lines.extend(r.transcript_line() for r in records)
-        return lines
-
-    if scenario.updates > 1 or scenario.window:
+        profile = build_privacy_profile(freqs, sigma, scenario.levels, scenario.coarse or None)
+        sessions = [
+            (f"# level={name} k={level_k} size={profile.digests[name].size}", profile.digests[name])
+            for name, level_k in scenario.levels
+        ]
+    elif scenario.updates > 1 or scenario.window:
         state = CumulativeState(width=scenario.window)
         for chunk in _split_stream(freqs, max(scenario.updates, 1)):
             state = cumulative_update(state, build_from_frequencies(chunk, k, sigma))
-        lines.append(
-            f"# cumulative updates={state.history_len} window={scenario.window} "
-            f"n={state.current.n} size={state.current.size}"
-        )
-        records = run_session_on_digest(scenario.script, state.current)
-        lines.extend(r.transcript_line() for r in records)
-        return lines
-
-    records = run_session(scenario.script, freqs, k, sigma)
-    lines.extend(r.transcript_line() for r in records)
+        sessions = [(f"# cumulative updates={state.history_len} window={scenario.window} "
+                     f"n={state.current.n} size={state.current.size}", state.current)]
+    else:
+        sessions = [(None, build_from_frequencies(freqs, k, sigma))]
+    lines = []
+    for header, digest in sessions:
+        if header is not None:
+            lines.append(header)
+        lines.extend(r.transcript_line() for r in run_session_on_digest(scenario.script, digest))
     return lines

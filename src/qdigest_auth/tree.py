@@ -75,35 +75,29 @@ def node_range(i: int, sigma: int) -> tuple[int, int]:
 def post_order_rank(i: int, sigma: int) -> int:
     """1-based position of node i in a post-order visit of the full tree.
 
-    Computed by walking the bit path from the root: stepping to a left
-    child skips the right sibling's whole subtree plus the parent itself,
-    stepping to a right child skips only the parent.
+    The j leaves left of i's subtree are covered by one perfect subtree
+    per set bit of j, 2j - popcount(j) nodes visited before i's subtree;
+    i comes last in its own.
     """
     check_node(i, sigma)
-    leaf_level = level(sigma)
-    rank = 2 * sigma - 1
-    lvl = level(i)
-    for shift in range(lvl - 1, -1, -1):
-        child_level = lvl - shift
-        if (i >> shift) & 1:
-            rank -= 1
-        else:
-            rank -= 2 ** (leaf_level - child_level + 1)
-    return rank
+    width = sigma >> level(i)
+    j = (i - (1 << level(i))) * width
+    return 2 * j - j.bit_count() + 2 * width - 1
 
 
 def post_order_nodes(sigma: int, root: int = 1):
-    """Yield the nodes of the subtree rooted at `root` in post-order."""
+    """Yield the nodes of the subtree rooted at `root` in post-order.
+
+    A right child is followed by its parent, a left child by the leftmost
+    leaf of its right sibling; the walk starts at root's leftmost leaf.
+    """
     check_node(root, sigma)
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded or node >= sigma:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.append((2 * node + 1, False))
-            stack.append((2 * node, False))
+    leaf_level = level(sigma)
+    node = root << (leaf_level - level(root))
+    while node != root:
+        yield node
+        node = node >> 1 if node & 1 else (node + 1) << (leaf_level - level(node))
+    yield root
 
 
 def subtree_size(root: int, sigma: int) -> int:

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from .digest import QDigest, ValidityReport, validate
 from .serialize import digest_to_bytes, header_fields, require_canonical
 
-# Any 256-bit hashlib algorithm name; deployments may swap it, but both
-# sides must agree since the hash preimage is the canonical digest file.
-WDA_HASH_ALGORITHM = "sha256"
-
 
 def hash_digest_bytes(data: bytes) -> bytes:
-    return hashlib.new(WDA_HASH_ALGORITHM, data).digest()
+    return hashlib.sha256(data).digest()
 
 
 @dataclass(frozen=True)

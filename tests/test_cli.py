@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qdigest_auth.cli import main
-from qdigest_auth.digest import build_from_frequencies, merge, quantile_query
-from qdigest_auth.serialize import dump_frequencies, load_digest
+from qdigest_auth.commitment import sha256_calls
+from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
+from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest
 
 from helpers import random_frequencies
 
@@ -100,6 +101,16 @@ def test_verify_rejects_tampered_proof(tmp_path, s1_file, capsys):
     assert "commitment-mismatch" in capsys.readouterr().out
 
 
+def test_auth_refuses_a_sigma_above_the_commitment_limit_and_writes_no_file(tmp_path, capsys):
+    digest, wda_f, kvc_f = tmp_path / "q.qd", tmp_path / "q.wda", tmp_path / "q.kvc"
+    dump_digest(QDigest(2**40, 4, {1: 5}), digest)
+    before = sha256_calls()
+    assert main(["auth", str(digest), "--wda-out", str(wda_f), "--kvc-out", str(kvc_f)]) == 2
+    assert "exceeds the commitment limit" in capsys.readouterr().err
+    assert sha256_calls() == before
+    assert not wda_f.exists() and not kvc_f.exists()
+
+
 def test_verify_rejects_tampered_digest(tmp_path, s1_file, capsys):
     digest, wda_f = tmp_path / "q.qd", tmp_path / "q.wda"
     main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
@@ -129,12 +140,15 @@ def test_simulate(tmp_path, s1_file, capsys):
     assert "accepted=0" in out
 
 
-def test_simulate_window_override(tmp_path, s1_file, capsys):
+def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys):
     scn = tmp_path / "s.scn"
-    scn.write_text("scheme=kvc_qa\nbehavior=honest\nqueries=1/2\nupdates=4\n")
-    assert main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "4", "--window", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "window=2" in out
+    scn.write_text("scheme=kvc_qa\nbehavior=honest\nqueries=1/2\nupdates=4\nwindow=2\n")
+    assert main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "4"]) == 0
+    assert "window=2" in capsys.readouterr().out
+    for option in (["--window", "2"], ["--levels", "p1:8,p2:2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "4", *option])
+        assert exc.value.code == 2
 
 
 def test_bench_table(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdigest_auth.commitment import commit_digest, initialize, insert, subtree_commitment
+from qdigest_auth.commitment import COMMIT_MAX_SIGMA, commit_digest, initialize, insert, sha256_calls, subtree_commitment
 from qdigest_auth.digest import QDigest, quantile_query
 from qdigest_auth.kvcqa import (
     QuantileProof,
@@ -408,6 +408,18 @@ def test_hostile_precommitments_are_malformed(make_pre):
     assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
+def test_a_counted_sum_above_n_is_malformed_before_any_fold():
+    q = HOSTILE_DIGEST
+    c, pre = publish_kvc_auth(q)
+    proof = aqq(q, Fraction(1, 2))
+    (stop, cnt), total = proof.counted[-1], sum(cnt for _, cnt in proof.counted)
+    bad = _with_counts(proof, {stop: cnt + 24 - total})  # the prefix sums to 24, n is 15
+    before = sha256_calls()
+    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8)):
+        assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+    assert sha256_calls() == before
+
+
 class TestKvcAuthFiles:
     def test_round_trip_precommits_subtree_2(self, e2):
         q, c, n = e2
@@ -420,12 +432,15 @@ class TestKvcAuthFiles:
     def test_single_node_domain_precommits_nothing(self):
         assert publish_kvc_auth(QDigest(1, 2, {1: 7}))[1] == {}
 
-    @pytest.mark.parametrize("sigma, ok", [(2**63, True), (2**63 + 1, False), (2**64, False)])
+    @pytest.mark.parametrize(
+        "sigma, ok",
+        [(COMMIT_MAX_SIGMA, True), (2 * COMMIT_MAX_SIGMA, False), (2**63, False), (2**63 + 1, False), (2**64, False)],
+    )
     def test_sigma_limit(self, e2, sigma, ok):
         q, c, _ = e2
         text = kvc_auth_to_text(q, c, {}).replace("sigma=8", f"sigma={sigma}")
         if ok:
             assert kvc_auth_from_text(text)[0]["sigma"] == sigma
         else:
-            with pytest.raises(ValueError, match="2\\*\\*63"):
+            with pytest.raises(ValueError, match=f"field sigma={sigma} is not a power of two in \\[1, {COMMIT_MAX_SIGMA}\\]"):
                 kvc_auth_from_text(text)

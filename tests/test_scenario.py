@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdigest_auth.commitment import sha256_calls
 from qdigest_auth.digest import build_from_frequencies, validate
 from qdigest_auth.scenario import (
     CumulativeState,
@@ -45,6 +46,15 @@ class TestSessions:
             assert rec.accepted
             assert rec.bytes_moved == digest_bytes
             assert rec.insert_ops == 0
+
+    @pytest.mark.parametrize("behavior", [ResponderBehavior.honest(), ResponderBehavior.tamper_count(12, 2)])
+    def test_wda_session_makes_no_commitment(self, behavior):
+        freqs = random_frequencies(random.Random(5), 4096, max_distinct=500)
+        script = PartyScript("wda", behavior, QUERIES)
+        before = sha256_calls()
+        records = run_session(script, freqs, 64, 4096)
+        assert sha256_calls() == before
+        assert all(rec.accepted == (behavior.kind == "honest") for rec in records)
 
     def test_honest_kvc_accepts(self, s1):
         script = PartyScript("kvc_qa", ResponderBehavior.honest(), QUERIES)

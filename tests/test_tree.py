@@ -62,6 +62,21 @@ def test_leaf_for_value():
         leaf_for_value(9, 8)
 
 
+def recursive_post_order(sigma, node):
+    if node < sigma:
+        yield from recursive_post_order(sigma, 2 * node)
+        yield from recursive_post_order(sigma, 2 * node + 1)
+    yield node
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(11)])
+def test_post_order_matches_a_recursive_visit_at_every_root(sigma):
+    whole = list(recursive_post_order(sigma, 1))
+    assert [post_order_rank(node, sigma) for node in whole] == list(range(1, 2 * sigma))
+    for root in range(1, 2 * sigma):
+        assert list(post_order_nodes(sigma, root)) == list(recursive_post_order(sigma, root))
+
+
 @given(sigmas)
 def test_post_order_rank_is_a_total_order(sigma):
     ranks = [post_order_rank(i, sigma) for i in range(1, 2 * sigma)]

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdigest_auth.commitment import GROUP_PRIME, MAX_SIGMA, VALUE_LIMIT, Commitment
+from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, VALUE_LIMIT, Commitment
 from qdigest_auth.digest import QDigest
 from qdigest_auth.kvcqa import (
     QuantileProof,
@@ -47,7 +47,7 @@ proofs = st.builds(
 
 @st.composite
 def kvc_auths(draw):
-    sigma = 2 ** draw(st.integers(0, 63))
+    sigma = 2 ** draw(st.integers(0, COMMIT_MAX_SIGMA.bit_length() - 1))
     fields = {"sigma": sigma, "k": draw(st.integers(min_value=1)),
               "leafwidth": 2 ** draw(st.integers(0, 70)), "n": draw(st.integers(min_value=0))}
     subtrees = draw(st.dictionaries(st.integers(1, 2 * sigma - 1), commitments, max_size=3))
@@ -114,7 +114,7 @@ def test_an_edited_text_is_refused_or_is_what_the_writer_writes(name, data):
 
 # each KVC auth field with values outside its limits
 OUT_OF_LIMIT_KVC_FIELDS = {
-    "sigma": st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > MAX_SIGMA),
+    "sigma": st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA),
     "k": st.integers(max_value=0),
     "leafwidth": st.integers().filter(lambda width: not is_power_of_two(width)),
     "n": st.integers(max_value=-1),

@@ -20,6 +20,7 @@ import pytest
 from qdigest_auth import commitment
 from qdigest_auth.bench import run_bench
 from qdigest_auth.commitment import (
+    COMMIT_MAX_SIGMA,
     Commitment,
     combine,
     commit_digest,
@@ -28,8 +29,8 @@ from qdigest_auth.commitment import (
     subtree_commitment,
     zero_subtree_commitment,
 )
-from qdigest_auth.digest import build_from_frequencies, counted_prefix
-from qdigest_auth.kvcqa import aqq, malicious_aqq_omit_left
+from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix
+from qdigest_auth.kvcqa import aqq, malicious_aqq_omit_left, publish_kvc_auth
 from qdigest_auth.tree import is_in_subtree, post_order_nodes, post_order_rank
 
 from helpers import random_frequencies
@@ -118,3 +119,20 @@ def test_bench_reports_the_counted_prover_calls():
     rows = run_bench([1024], [4], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)
     assert all(0 <= row.prover_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
     assert len({row.prover_sha256_calls for row in rows}) > 1
+
+
+@pytest.mark.parametrize("sigma", [2 * COMMIT_MAX_SIGMA, 2**40, 2**63])
+def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma):
+    q = QDigest(sigma, 4, {1: 5, sigma: 2})
+    calls = [
+        lambda: commit_digest(q),
+        lambda: publish_kvc_auth(q),
+        lambda: subtree_commitment(q, 2),
+        lambda: zero_subtree_commitment(sigma, 3),
+        lambda: aqq(q, Fraction(1, 2)),
+    ]
+    for call in calls:
+        before = sha256_calls()
+        with pytest.raises(ValueError, match=f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}"):
+            call()
+        assert sha256_calls() == before
