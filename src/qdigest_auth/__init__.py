@@ -45,6 +45,7 @@ from .kvcqa import (
     malicious_aqq_omit_left,
     qqv,
     qqv_accelerated,
+    qqv_fast,
 )
 from .scenario import (
     CumulativeState,
@@ -100,6 +101,7 @@ __all__ = [
     "post_order_rank",
     "qqv",
     "qqv_accelerated",
+    "qqv_fast",
     "quantile_query",
     "range_query",
     "rank_query",

@@ -6,12 +6,13 @@ and verified.  The interesting outputs are operation counts and byte
 sizes, which are deterministic for a given seed; wall-clock times are
 recorded for orientation only.
 
-The expected shape of the numbers: the commitment verifier's insert
-count grows linearly with sigma (it must touch the empty nodes), while
+The expected shape of the numbers: the literal commitment verifier's
+insert count grows linearly with sigma (it must touch the empty nodes), while
 the whole-digest hash preimage grows with the bucket count, which is
 bounded by 4k+1 regardless of sigma.  The prover's SHA-256 calls are
-counted by the commitment layer around `aqq`; with the zero folds of a
-sigma memoized they grow with the buckets after the stop, not with sigma.
+counted by the commitment layer around `aqq`, and those of the zero-fold
+verifier around `qqv_fast`; with the zero folds of a sigma memoized they
+grow with the buckets, not with sigma.
 """
 
 import random
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .commitment import commit_digest, sha256_calls
 from .digest import build_from_frequencies
-from .kvcqa import aqq, proof_to_text, qqv
+from .kvcqa import aqq, proof_to_text, qqv, qqv_fast
 from .serialize import digest_to_bytes
 from .wda import hash_digest_bytes
 
@@ -34,6 +35,7 @@ class BenchRow:
     digest_size: int
     prover_sha256_calls: int
     verifier_insert_ops: int
+    fast_verifier_sha256_calls: int
     proof_bytes: int
     wda_bytes: int
     prove_seconds: float
@@ -74,6 +76,9 @@ def run_bench(sigmas, ks, qs, seed: int = 0) -> list[BenchRow]:
                 t0 = time.perf_counter()
                 stats = qqv(proof, trusted_c, digest.n, sigma)
                 verify_seconds = time.perf_counter() - t0
+                calls = sha256_calls()
+                qqv_fast(proof, trusted_c, digest.n, sigma)
+                fast_calls = sha256_calls() - calls
                 rows.append(
                     BenchRow(
                         sigma=sigma,
@@ -82,6 +87,7 @@ def run_bench(sigmas, ks, qs, seed: int = 0) -> list[BenchRow]:
                         digest_size=digest.size,
                         prover_sha256_calls=prover_calls,
                         verifier_insert_ops=stats.insert_ops,
+                        fast_verifier_sha256_calls=fast_calls,
                         proof_bytes=len(proof_to_text(proof).encode("ascii")),
                         wda_bytes=len(payload),
                         prove_seconds=prove_seconds,
@@ -95,14 +101,15 @@ def run_bench(sigmas, ks, qs, seed: int = 0) -> list[BenchRow]:
 
 def format_bench_table(rows) -> str:
     header = (
-        f"{'sigma':>6} {'k':>4} {'q':>6} {'|Q|':>5} {'prv_sha':>8} {'ver_ins':>8} "
+        f"{'sigma':>6} {'k':>4} {'q':>6} {'|Q|':>5} {'prv_sha':>8} {'ver_ins':>8} {'fst_sha':>8} "
         f"{'proof_B':>8} {'wda_B':>7} {'prove_ms':>9} {'verify_ms':>10} {'hash_ms':>8} ok"
     )
     lines = [header]
     for r in rows:
         lines.append(
             f"{r.sigma:>6} {r.k:>4} {str(r.q):>6} {r.digest_size:>5} "
-            f"{r.prover_sha256_calls:>8} {r.verifier_insert_ops:>8} {r.proof_bytes:>8} "
+            f"{r.prover_sha256_calls:>8} {r.verifier_insert_ops:>8} "
+            f"{r.fast_verifier_sha256_calls:>8} {r.proof_bytes:>8} "
             f"{r.wda_bytes:>7} {r.prove_seconds * 1e3:>9.3f} {r.verify_seconds * 1e3:>10.3f} "
             f"{r.wda_hash_seconds * 1e3:>8.3f} {1 if r.accepted else 0}"
         )

@@ -19,8 +19,8 @@ from .kvcqa import (
     kvc_auth_to_text,
     load_proof,
     publish_kvc_auth,
-    qqv,
     qqv_accelerated,
+    qqv_fast,
 )
 from .scenario import parse_scenario, run_scenario
 from .serialize import dump_digest, load_digest, load_frequencies
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
                 proof, commitment, subtrees, fields["n"], fields["sigma"], fields["leafwidth"]
             )
         else:
-            stats = qqv(proof, commitment, fields["n"], fields["sigma"], fields["leafwidth"])
+            stats = qqv_fast(proof, commitment, fields["n"], fields["sigma"], fields["leafwidth"])
         print(f"accepted={int(stats.accepted)} reason={stats.reason} insert_ops={stats.insert_ops}")
         return EXIT_OK if stats.accepted else EXIT_REJECT
     digest = load_digest(args.digest)

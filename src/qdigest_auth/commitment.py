@@ -16,13 +16,16 @@ subtree and any zero subtree:
 
     commit(subtree of r) = Z(r) + sum over buckets b in it of (H(b, c_b) - H(b, 0)).
 
-A proof's remainder, the nodes after a stop in post-order, is the whole
-tree less the stop's post-order prefix, whose zero fold is Z(stop) plus
-Z(left sibling) at each right turn of the root-to-stop path.  Z depends
-only on sigma; `_zero_fold` memoizes the root and every subtree of more
-than `_SHORT` leaves, at most max(sigma/_SHORT - 1, 1) ints per sigma.
+The zero fold of a stop's post-order prefix, Z(1..stop), is Z(stop) plus
+Z(left sibling) at each right turn of the root-to-stop path, and
+`prefix_from_buckets` is the same rule over that prefix.  A proof's
+remainder, the nodes after a stop, is the whole tree less the prefix; a
+verifier completes it with the prefix.  Z depends only on sigma;
+`_zero_fold` memoizes the root and every subtree of more than `_SHORT`
+leaves, at most max(sigma/_SHORT - 1, 1) ints per sigma.
 Once it is warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets
-and a remainder at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
+and a remainder or a prefix at most 2*|Q| + 4*_SHORT (`sha256_calls`
+counts them).
 
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
@@ -198,13 +201,28 @@ def commit_digest(q: QDigest) -> Commitment:
     return subtree_commitment(q, 1)
 
 
+def _corrections(sigma: int, buckets) -> int:
+    """Sum of H(b, c_b) - H(b, 0) over distinct buckets; refuses sigma above the limit before hashing."""
+    if sigma > COMMIT_MAX_SIGMA:
+        raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
+    return sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+
+
 def subtree_from_buckets(sigma: int, root: int, buckets) -> Commitment:
     """Z(root) plus H(b, c_b) - H(b, 0) per bucket: root's subtree holding these distinct buckets."""
     check_node(root, sigma)
-    if sigma > COMMIT_MAX_SIGMA:
-        raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
-    corrections = sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+    corrections = _corrections(sigma, buckets)
     return Commitment((_zero_fold(sigma, root) + corrections) % GROUP_PRIME)
+
+
+def prefix_from_buckets(sigma: int, stop: int, buckets) -> Commitment:
+    """Z(1..stop) plus H(b, c_b) - H(b, 0) per bucket: the post-order prefix up to stop holding these.
+
+    The buckets must be distinct and rank at or before stop in post-order.
+    """
+    check_node(stop, sigma)
+    corrections = _corrections(sigma, buckets)
+    return Commitment((_zero_prefix(sigma, stop) + corrections) % GROUP_PRIME)
 
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:

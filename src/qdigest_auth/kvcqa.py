@@ -12,8 +12,11 @@ The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
 Z(1) plus their H(b, c_b) - H(b, 0), less the zero fold of the post-order
 prefix up to the stop (see `commitment`).  With the zero folds of a sigma
-memoized a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  The
-verifiers keep the paper's one insertion per node.
+memoized a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  `qqv_fast`
+checks a proof the same way: the nodes up to the stop fold to Z(1..stop)
+plus H(b, c_b) - H(b, 0) per counted bucket, the very group element the
+literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
+insertion per node.
 
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
@@ -46,6 +49,8 @@ from .commitment import (
     commit_digest,
     commit_records,
     commitment_after,
+    prefix_from_buckets,
+    sha256_calls,
     subtree_commitments,
     subtree_from_buckets,
 )
@@ -195,6 +200,24 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
     if rejected is not None:
         return rejected
     return _fold_to_stop(proof, c, sigma)
+
+
+def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
+    """`qqv` through the zero fold: the same checks, verdict and reason in O(|Q|) SHA-256 calls.
+
+    Once `_precheck` passes, the counted buckets are distinct and rank at
+    or before the stop, so remainder + Z(1..stop) + sum of H(b, c_b) -
+    H(b, 0) over them is the group element `qqv` folds node by node.
+    insert_ops is the SHA-256 calls the fold made, from `sha256_calls`.
+    At a sigma above the commitment limit the fold raises ValueError
+    before any hashing.
+    """
+    rejected = _precheck(proof, n, sigma, leaf_width)
+    if rejected is not None:
+        return rejected
+    before = sha256_calls()
+    prefix = prefix_from_buckets(sigma, proof.counted[-1][0], proof.counted)
+    return _verdict(combine(proof.remainder, prefix) == c, sha256_calls() - before)
 
 
 def qqv_accelerated(

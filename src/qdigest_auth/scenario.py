@@ -328,7 +328,8 @@ def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:
         ]
     elif scenario.updates > 1 or scenario.window:
         state = CumulativeState(width=scenario.window)
-        for chunk in _split_stream(freqs, max(scenario.updates, 1)):
+        # an empty stream is one empty update, so the session sees an empty digest as the plain path does
+        for chunk in _split_stream(freqs, max(scenario.updates, 1)) or [{}]:
             state = cumulative_update(state, build_from_frequencies(chunk, k, sigma))
         sessions = [(f"# cumulative updates={state.history_len} window={scenario.window} "
                      f"n={state.current.n} size={state.current.size}", state.current)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qdigest_auth.cli import main
-from qdigest_auth.commitment import sha256_calls
+from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
 from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest
 
@@ -89,6 +89,20 @@ def test_auth_prove_verify_round_trip(tmp_path, s1_file, capsys):
     assert main(["verify", "--digest", str(digest), "--auth", str(wda_f)]) == 0
 
 
+def test_plain_verify_reports_the_sha256_calls_of_the_zero_fold_verifier(tmp_path, s1, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    freqs = write_freqs(tmp_path / "f.tsv", {**s1, 4096: 3})  # q = 1 stops at the last node in post-order
+    main(["build", freqs, "--sigma", "4096", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])  # warms the memo
+    main(["prove", str(digest), "--q", "1", "--output", str(proof)])
+    counted = int(capsys.readouterr().out.split("counted=")[-1])
+    before = sha256_calls()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 0
+    calls = sha256_calls() - before
+    assert capsys.readouterr().out == f"accepted=1 reason=ok insert_ops={calls}\n"
+    assert calls <= 2 * counted + 4 * _SHORT  # the literal fold would insert all 8191 nodes
+
+
 def test_verify_rejects_tampered_proof(tmp_path, s1_file, capsys):
     digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
     main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
@@ -149,6 +163,17 @@ def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys)
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "4", *option])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("session", ["updates=3", "window=2"])
+def test_simulate_a_cumulative_session_over_an_empty_stream(tmp_path, session, capsys):
+    scn, empty = tmp_path / "s.scn", tmp_path / "none.tsv"
+    scn.write_text(f"scheme=kvc_qa\nbehavior=honest\nqueries=1/2,1\n{session}\n")
+    empty.write_text("")
+    assert main(["simulate", str(scn), str(empty), "--sigma", "8", "--k", "4"]) == 0
+    header, *records = capsys.readouterr().out.splitlines()
+    assert header.startswith("# cumulative ") and " n=0 " in header
+    assert records == [f"query={q} answer=0 accepted=0 insert_ops=0 bytes=0" for q in ("1/2", "1/1")]
 
 
 def test_bench_table(capsys):

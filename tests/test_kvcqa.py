@@ -18,6 +18,7 @@ from qdigest_auth.kvcqa import (
     proof_to_text,
     qqv,
     qqv_accelerated,
+    qqv_fast,
     dump_proof,
 )
 from qdigest_auth.tree import post_order_rank, tree_size
@@ -351,6 +352,7 @@ def test_golden_verdicts_on_the_worked_example(e2, make, plain, accelerated):
     as_triple = lambda s: (s.accepted, s.reason, s.insert_ops)  # noqa: E731
     assert as_triple(qqv(proof, c, n, 8)) == plain
     assert as_triple(qqv_accelerated(proof, c, pre, n, 8)) == accelerated
+    assert as_triple(qqv_fast(proof, c, n, 8))[:2] == plain[:2]
 
 
 def test_golden_verdicts_with_a_tampered_precommitment(e2):
@@ -369,7 +371,7 @@ def test_oversized_stop_count_is_malformed(e2, frac):
     proof = aqq(q, frac)
     bad = _with_counts(proof, {proof.counted[-1][0]: 2**200})
     pre = {2: subtree_commitment(q, 2)}
-    for stats in (qqv(bad, c, n, 8), qqv_accelerated(bad, c, pre, n, 8)):
+    for stats in (qqv(bad, c, n, 8), qqv_accelerated(bad, c, pre, n, 8), qqv_fast(bad, c, n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
@@ -392,7 +394,7 @@ def test_hostile_proof_objects_are_malformed(fields):
     q = HOSTILE_DIGEST
     c, pre = publish_kvc_auth(q)
     bad = replace(aqq(q, Fraction(3, 4)), **fields)
-    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8)):
+    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
@@ -415,7 +417,7 @@ def test_a_counted_sum_above_n_is_malformed_before_any_fold():
     (stop, cnt), total = proof.counted[-1], sum(cnt for _, cnt in proof.counted)
     bad = _with_counts(proof, {stop: cnt + 24 - total})  # the prefix sums to 24, n is 15
     before = sha256_calls()
-    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8)):
+    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
     assert sha256_calls() == before
 

@@ -1,0 +1,101 @@
+"""Properties of the three verifiers over mutated `QuantileProof` objects.
+
+Each example draws a digest with sigma up to 2**10 and a quantile,
+proves it honestly, then mutates the proof: edits, drops, inserts or
+reorders counted entries, puts hostile values (2**200, negatives,
+`bool`, non-ints) in its fields, swaps the remainder, or changes n,
+the answer or q.  `qqv`, `qqv_accelerated` (with the source's and with
+bad precommitments) and `qqv_fast` must each return a
+`VerificationStats` and never raise; `qqv_fast` must give `qqv`'s
+verdict and reason; and an accepted proof must carry the digest's
+answer to its q.
+
+Random mutation tests the verifiers' consistency and totality.  It is no
+proof of soundness of the additive hash: none of these mutations solves
+for the remainder, which the reference commitment's public inverse
+allows (README, "Security caveat").
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qdigest_auth.commitment import GROUP_PRIME, Commitment
+from qdigest_auth.digest import build_from_frequencies, quantile_query
+from qdigest_auth.kvcqa import VerificationStats, aqq, publish_kvc_auth, qqv, qqv_accelerated, qqv_fast
+
+hostile = st.one_of(
+    st.sampled_from([2**200, -1, 0, True, False, None, "3", 1.0]),
+    st.integers(-(2**130), 2**130),
+)
+counts = st.one_of(st.integers(1, 60), hostile)
+commitments = st.integers(0, GROUP_PRIME - 1).map(Commitment)
+
+
+@st.composite
+def digests(draw):
+    sigma = 2 ** draw(st.integers(0, 10))
+    freqs = draw(st.dictionaries(st.integers(1, sigma), st.integers(1, 50), min_size=1, max_size=30))
+    return build_from_frequencies(freqs, draw(st.integers(1, 16)), sigma)
+
+
+def node_or_hostile(sigma):
+    return st.one_of(st.integers(1, 2 * sigma - 1), hostile)
+
+
+@st.composite
+def mutated(draw, d, proof):
+    """The proof with one mutation applied."""
+    counted = list(proof.counted)
+    kind = draw(st.sampled_from(["none", "edit", "drop", "insert", "reorder", "remainder", "n", "answer", "q"]))
+    if kind == "edit":
+        i = draw(st.integers(0, len(counted) - 1))
+        node, cnt = counted[i]
+        counted[i] = draw(st.sampled_from([(draw(node_or_hostile(d.sigma)), cnt), (node, draw(counts))]))
+    elif kind == "drop":
+        del counted[draw(st.integers(0, len(counted) - 1))]
+    elif kind == "insert":
+        entry = (draw(node_or_hostile(d.sigma)), draw(counts))
+        counted.insert(draw(st.integers(0, len(counted))), entry)
+    elif kind == "reorder":
+        counted = draw(st.permutations(counted))
+    elif kind == "remainder":
+        other = aqq(d, draw(st.fractions(0, 1, max_denominator=16))).remainder
+        return replace(proof, remainder=draw(st.one_of(commitments, st.just(other), hostile)))
+    elif kind == "n":
+        return replace(proof, n=draw(st.one_of(st.integers(0, 2 * d.n), hostile)))
+    elif kind == "answer":
+        return replace(proof, answer=draw(st.one_of(st.integers(0, 2 * d.sigma), hostile)))
+    elif kind == "q":
+        return replace(proof, q=draw(st.one_of(st.fractions(-1, 2, max_denominator=64), hostile)))
+    return replace(proof, counted=tuple(counted))
+
+
+@st.composite
+def bad_precommitments(draw, sigma, good):
+    roots = st.one_of(st.integers(-1, 2 * sigma + 1), hostile)
+    values = st.one_of(commitments, st.sampled_from([None, 7]))
+    return draw(st.one_of(
+        st.dictionaries(roots, values, min_size=1, max_size=3),
+        st.just({root: Commitment((c.acc + 1) % GROUP_PRIME) for root, c in good.items()}),
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verifiers_are_total_and_agree_on_mutated_proofs(data):
+    d = data.draw(digests())
+    c, good = publish_kvc_auth(d)
+    honest = aqq(d, data.draw(st.fractions(0, 1, max_denominator=64)))
+    proof = data.draw(mutated(d, honest))
+    bad = data.draw(bad_precommitments(d.sigma, good))
+
+    literal = qqv(proof, c, d.n, d.sigma)
+    fast = qqv_fast(proof, c, d.n, d.sigma)
+    results = [literal, fast, qqv_accelerated(proof, c, good, d.n, d.sigma),
+               qqv_accelerated(proof, c, bad, d.n, d.sigma)]
+    assert all(isinstance(stats, VerificationStats) for stats in results)
+    assert (fast.accepted, fast.reason) == (literal.accepted, literal.reason)
+    if literal.accepted:
+        assert proof.answer == quantile_query(d, proof.q)

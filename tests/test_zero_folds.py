@@ -1,10 +1,11 @@
-"""The source's and the prover's commitments through memoized zero folds.
+"""The source's, the prover's and the verifier's commitments through memoized zero folds.
 
 `commit_digest`, `subtree_commitment`, `zero_subtree_commitment` and the
 remainders of `aqq` and `malicious_aqq_omit_left` take Z, the public fold
 of zero-valued insertions, and add H(b, c_b) - H(b, 0) per bucket; a
 remainder also subtracts the zero fold of the post-order prefix up to its
-stop.  They must equal the literal fold of one insertion per node.  The
+stop, and `qqv_fast` adds that prefix back.  They must equal the literal
+fold of one insertion per node.  The
 root and subtrees of more than 64 leaves are memoized, so the domains
 below reach sigma = 2**10.
 Once the memo of a sigma is warm, the SHA-256 calls depend on the
@@ -12,15 +13,17 @@ buckets, not on sigma.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 
 import pytest
 
 from qdigest_auth import commitment
-from qdigest_auth.bench import run_bench
+from qdigest_auth.bench import format_bench_table, run_bench
 from qdigest_auth.commitment import (
     COMMIT_MAX_SIGMA,
+    GROUP_PRIME,
     Commitment,
     combine,
     commit_digest,
@@ -30,7 +33,7 @@ from qdigest_auth.commitment import (
     zero_subtree_commitment,
 )
 from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix
-from qdigest_auth.kvcqa import aqq, malicious_aqq_omit_left, publish_kvc_auth
+from qdigest_auth.kvcqa import QuantileProof, aqq, malicious_aqq_omit_left, publish_kvc_auth, qqv, qqv_fast
 from qdigest_auth.tree import is_in_subtree, post_order_nodes, post_order_rank
 
 from helpers import random_frequencies
@@ -83,6 +86,42 @@ def test_proof_remainders_equal_the_literal_fold(sigma):
                 assert bad.remainder == literal_remainder(q, bad.counted[-1][0], omit), (frac, omit)
 
 
+def literal_verifier_fold(proof, sigma):
+    """The group element `qqv` compares with C: the remainder plus one insertion per node up to the stop."""
+    counted = dict(proof.counted)
+    nodes = islice(post_order_nodes(sigma), post_order_rank(proof.counted[-1][0], sigma))
+    return combine(proof.remainder, commit_records((node, counted.get(node, 0)) for node in nodes))
+
+
+def verifier_cases(q, rng):
+    """Honest, omit-left, altered-count and random-remainder proofs at each quantile."""
+    for frac in QS:
+        proof = aqq(q, frac)
+        yield proof
+        honest = counted_prefix(q.post_order_buckets(), frac * q.n)
+        if len(honest) > 1:
+            omit = {node for node, _ in rng.sample(honest[:-1], rng.randint(1, len(honest) - 1))}
+            yield malicious_aqq_omit_left(q, frac, omit)
+        counted = list(proof.counted)
+        i = rng.randrange(len(counted))
+        counted[i] = (counted[i][0], counted[i][1] + rng.choice([-1, 1]))
+        yield replace(proof, counted=tuple(counted))
+        yield replace(proof, remainder=Commitment(rng.randrange(GROUP_PRIME)))
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 1024, 4096])
+def test_the_fast_verifier_folds_to_the_literal_group_element(sigma):
+    for seed in range(2):
+        q = seeded_digest(seed, sigma)
+        c = commit_digest(q)
+        for proof in verifier_cases(q, random.Random(seed)):
+            literal_stats, fast_stats = qqv(proof, c, q.n, sigma), qqv_fast(proof, c, q.n, sigma)
+            assert (fast_stats.accepted, fast_stats.reason) == (literal_stats.accepted, literal_stats.reason), proof
+            if literal_stats.insert_ops:  # the checks before the fold passed
+                # qqv_fast accepts against a commitment iff its fold is that group element
+                assert qqv_fast(proof, literal_verifier_fold(proof, sigma), q.n, sigma).accepted, proof
+
+
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
 def test_a_root_outside_the_tree_is_refused(root):
     q = seeded_digest(0, 1024)
@@ -110,8 +149,14 @@ def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
     assert calls_of(commit_digest, q) == 2 * q.size
     left = sum(1 for node in q.buckets() if is_in_subtree(node, 2, sigma))
     assert calls_of(subtree_commitment, q, 2) == 2 * left
+    c = commit_digest(q)
     for i in range(65):
         assert calls_of(aqq, q, Fraction(i, 64)) <= 2 * q.size + SUFFIX_CALLS
+        proof = aqq(q, Fraction(i, 64))
+        before = sha256_calls()
+        stats = qqv_fast(proof, c, q.n, sigma)
+        assert stats.accepted
+        assert stats.insert_ops == sha256_calls() - before <= 2 * len(proof.counted) + SUFFIX_CALLS
     assert len(commitment._ZERO_FOLDS[sigma]) <= 2 * sigma // 64
 
 
@@ -119,6 +164,13 @@ def test_bench_reports_the_counted_prover_calls():
     rows = run_bench([1024], [4], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)
     assert all(0 <= row.prover_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
     assert len({row.prover_sha256_calls for row in rows}) > 1
+
+
+@pytest.mark.parametrize("sigma", [2**12, 2**16])
+def test_bench_reports_the_counted_fast_verifier_calls(sigma):
+    rows = run_bench([sigma], [64], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)  # commits first: warm
+    assert all(row.accepted and row.fast_verifier_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
+    assert format_bench_table(rows).split()[6] == "fst_sha"
 
 
 @pytest.mark.parametrize("sigma", [2 * COMMIT_MAX_SIGMA, 2**40, 2**63])
@@ -130,6 +182,8 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         lambda: subtree_commitment(q, 2),
         lambda: zero_subtree_commitment(sigma, 3),
         lambda: aqq(q, Fraction(1, 2)),
+        # a proof that passes every check before the fold
+        lambda: qqv_fast(QuantileProof(Fraction(1, 7), 7, 1, ((sigma, 2),), Commitment(0)), Commitment(0), 7, sigma),
     ]
     for call in calls:
         before = sha256_calls()
