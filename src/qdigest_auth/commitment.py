@@ -27,6 +27,11 @@ Once it is warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets
 and a remainder or a prefix at most 2*|Q| + 4*_SHORT (`sha256_calls`
 counts them).
 
+`fold_ranges` is the loop behind every node-by-node fold: the short
+subtrees of `_zero_fold` and the literal verifiers' prefixes, given as
+one range of node indices per tree level.  It makes one SHA-256 call per
+node; `_RECORD` is the one layout of an insertion's bytes.
+
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
 search, and no formal security proof is claimed here.  The functions
@@ -36,10 +41,11 @@ combination), so a production key-value commitment can be slotted in.
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 
 from .digest import QDigest
-from .tree import check_node, is_in_subtree, level, post_order_nodes, post_order_rank
+from .tree import check_node, is_in_subtree, level, post_order_rank, subtree_ranges
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -49,6 +55,10 @@ _KEY_BYTES = 8
 _VALUE_BYTES = 16
 _ENCODED_BYTES = 32
 _PREFIX = "kvc1:"
+
+# The bytes one insertion hashes: the domain tag, then the key and the value, big-endian.
+_RECORD = struct.Struct(f">{len(_DOMAIN_TAG)}sQ{_VALUE_BYTES}s")
+_ZERO_VALUE = bytes(_VALUE_BYTES)
 
 # Exclusive upper bounds of an insertion's fixed-width key and value: node
 # indices stay below 2**64, so a domain holds at most 2**63 values, and
@@ -125,7 +135,7 @@ def _contribution(key: int, value: int) -> int:
     if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
     _sha256_calls += 1
-    material = _DOMAIN_TAG + key.to_bytes(_KEY_BYTES, "big") + value.to_bytes(_VALUE_BYTES, "big")
+    material = _RECORD.pack(_DOMAIN_TAG, key, value.to_bytes(_VALUE_BYTES, "big"))
     return int.from_bytes(hashlib.sha256(material).digest(), "big") % GROUP_PRIME
 
 
@@ -143,13 +153,29 @@ def inverse(c: Commitment) -> Commitment:
     return Commitment((-c.acc) % GROUP_PRIME)
 
 
-def _fold(records) -> int:
-    return sum(_contribution(key, value) for key, value in records) % GROUP_PRIME
-
-
 def commit_records(records) -> Commitment:
     """Fold of (key, value) insertions: the group sum of their contributions."""
-    return Commitment(_fold(records))
+    return Commitment(sum(_contribution(key, value) for key, value in records) % GROUP_PRIME)
+
+
+def fold_ranges(ranges, counted: dict[int, int]) -> Commitment:
+    """Fold of one insertion per node of the index ranges, valued counted.get(node, 0).
+
+    The loop behind every literal fold, without `_contribution`'s checks:
+    the ranges come from `tree`, so each node fits the key, and the counts
+    must lie in [0, 2**128), as the caller has checked.  It makes one
+    SHA-256 call per node and reduces mod p once at the end, which gives
+    the residue of the sum of reduced contributions.
+    """
+    global _sha256_calls
+    sha256, from_bytes, pack, tag = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG
+    value_of = {node: cnt.to_bytes(_VALUE_BYTES, "big") for node, cnt in counted.items()}.get
+    total = 0
+    for nodes in ranges:
+        for node in nodes:
+            total += from_bytes(sha256(pack(tag, node, value_of(node, _ZERO_VALUE))).digest(), "big")
+        _sha256_calls += len(nodes)
+    return Commitment(total % GROUP_PRIME)
 
 
 def _zero_fold(sigma: int, root: int) -> int:
@@ -158,7 +184,7 @@ def _zero_fold(sigma: int, root: int) -> int:
     if root in memo:
         return memo[root]
     if sigma >> level(root) <= _SHORT:
-        z = _fold((node, 0) for node in post_order_nodes(sigma, root))
+        z = fold_ranges(subtree_ranges(root, sigma), {}).acc
         if root > 1:
             return z
     else:

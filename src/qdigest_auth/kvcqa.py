@@ -7,6 +7,9 @@ The verifier completes the commitment by inserting one record per tree
 node up to and including the stop bucket -- counts taken from the prefix
 for listed nodes, 0 otherwise -- and accepts only if the result equals
 the trusted whole-digest commitment and the prefix sums bracket q*n.
+Those nodes are enumerated level by level, one range of indices per
+level (`tree.prefix_ranges`), not in post-order: insertion commutes, so
+the fold is the same group element and the count of insertions the same.
 
 The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
@@ -16,7 +19,8 @@ memoized a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  `qqv_fast`
 checks a proof the same way: the nodes up to the stop fold to Z(1..stop)
 plus H(b, c_b) - H(b, 0) per counted bucket, the very group element the
 literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
-insertion per node.
+insertion per node up to the stop; the accelerated one leaves the
+precommitted subtree out of each level's range instead of visiting it.
 
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
@@ -39,7 +43,6 @@ too, with `publish_kvc_auth`, the source side of the scheme.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice
 
 from .commitment import (
     COMMIT_MAX_SIGMA,
@@ -49,6 +52,7 @@ from .commitment import (
     commit_digest,
     commit_records,
     commitment_after,
+    fold_ranges,
     prefix_from_buckets,
     sha256_calls,
     subtree_commitments,
@@ -59,9 +63,8 @@ from .serialize import header_fields, index_count, require_canonical
 from .tree import (
     is_in_subtree,
     is_power_of_two,
-    post_order_nodes,
     post_order_rank,
-    subtree_rank_interval,
+    prefix_ranges,
     subtree_size,
 )
 
@@ -168,22 +171,18 @@ def _precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> Veri
     return None
 
 
-def _fold_nodes(fold: Commitment, counted: dict[int, int], nodes) -> tuple[Commitment, int]:
-    """Add one insertion per node, its counted value or 0, to fold; also returns how many."""
-    tally = count()  # zip draws from it once per node the fold consumes
-    records = ((node, counted.get(node, 0)) for node, _ in zip(nodes, tally))
-    return combine(fold, commit_records(records)), next(tally)
-
-
 def _verdict(matches: bool, ops: int) -> VerificationStats:
     return VerificationStats(matches, REASON_OK if matches else REASON_COMMITMENT_MISMATCH, ops)
 
 
-def _fold_to_stop(proof: QuantileProof, c: Commitment, sigma: int) -> VerificationStats:
-    stop_rank = post_order_rank(proof.counted[-1][0], sigma)
-    nodes = islice(post_order_nodes(sigma), stop_rank)
-    fold, ops = _fold_nodes(proof.remainder, dict(proof.counted), nodes)
-    return _verdict(fold == c, ops)
+def _fold_to_stop(proof: QuantileProof, start: Commitment, sigma: int, skip=None) -> tuple[Commitment, int]:
+    """Fold one insertion per node up to the stop, less skip's subtree, into start; also returns how many.
+
+    The nodes go level by level rather than in post-order; insertion
+    commutes, so the fold is the same group element.
+    """
+    ranges = prefix_ranges(proof.counted[-1][0], sigma, skip)
+    return combine(start, fold_ranges(ranges, dict(proof.counted))), sum(map(len, ranges))
 
 
 def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
@@ -199,7 +198,8 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
     rejected = _precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
         return rejected
-    return _fold_to_stop(proof, c, sigma)
+    fold, ops = _fold_to_stop(proof, proof.remainder, sigma)
+    return _verdict(fold == c, ops)
 
 
 def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
@@ -256,13 +256,11 @@ def qqv_accelerated(
         if best is None or size > best[1]:
             best = (root, size, inside)
     if best is None:
-        return _fold_to_stop(proof, c, sigma)
+        fold, ops = _fold_to_stop(proof, proof.remainder, sigma)
+        return _verdict(fold == c, ops)
 
     root, _, inside = best
-    skip_lo, skip_hi = subtree_rank_interval(root, sigma)
-    nodes = post_order_nodes(sigma)
-    outside = chain(islice(nodes, skip_lo - 1), islice(nodes, skip_hi - skip_lo + 1, stop_rank - skip_lo + 1))
-    fold, ops = _fold_nodes(combine(proof.remainder, precomputed[root]), dict(proof.counted), outside)
+    fold, ops = _fold_to_stop(proof, combine(proof.remainder, precomputed[root]), sigma, skip=root)
 
     # The counted claims inside the skipped subtree must rebuild its precommitment.
     rebuilt = subtree_from_buckets(sigma, root, inside)

@@ -93,7 +93,7 @@ class QueryRecord:
         return (
             f"query={self.q.numerator}/{self.q.denominator} answer={self.answer} "
             f"accepted={1 if self.accepted else 0} insert_ops={self.insert_ops} "
-            f"bytes={self.bytes_moved}"
+            f"bytes={self.bytes_moved} reason={self.reason}"
         )
 
 

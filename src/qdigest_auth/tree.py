@@ -100,6 +100,36 @@ def post_order_nodes(sigma: int, root: int = 1):
     yield root
 
 
+def subtree_ranges(root: int, sigma: int) -> list[range]:
+    """The nodes of root's subtree as one range of indices per level, from root's down to the leaves."""
+    check_node(root, sigma)
+    return [range(root << d, (root + 1) << d) for d in range(level(sigma) - level(root) + 1)]
+
+
+def prefix_ranges(stop: int, sigma: int, skip: int | None = None) -> list[range]:
+    """The nodes of post-order rank at most rank(stop) as one range of indices per level.
+
+    At a level l above stop's level L these are the nodes left of stop's
+    ancestor, range(2**l, stop >> (L - l)); at and below L, the nodes of
+    stop's subtree and those left of it, range(2**l, (stop + 1) << (l - L)).
+    With `skip`, a node ranked before stop, its subtree is left out, which
+    splits each level at and below skip's into two ranges.
+    """
+    check_node(stop, sigma)
+    top = level(stop)
+    ranges = [range(1 << lvl, stop >> (top - lvl)) for lvl in range(top)]
+    ranges += [range(1 << lvl, (stop + 1) << (lvl - top)) for lvl in range(top, level(sigma) + 1)]
+    if skip is None:
+        return ranges
+    if post_order_rank(skip, sigma) >= post_order_rank(stop, sigma):
+        raise ValueError(f"subtree {skip!r} does not rank before stop {stop}")
+    head = level(skip)
+    for whole, sub in zip(ranges[head:], subtree_ranges(skip, sigma)):
+        ranges[level(sub.start)] = range(whole.start, sub.start)
+        ranges.append(range(sub.stop, whole.stop))
+    return ranges
+
+
 def subtree_size(root: int, sigma: int) -> int:
     check_node(root, sigma)
     return 2 ** (level(sigma) - level(root) + 1) - 1

@@ -173,7 +173,9 @@ def test_simulate_a_cumulative_session_over_an_empty_stream(tmp_path, session, c
     assert main(["simulate", str(scn), str(empty), "--sigma", "8", "--k", "4"]) == 0
     header, *records = capsys.readouterr().out.splitlines()
     assert header.startswith("# cumulative ") and " n=0 " in header
-    assert records == [f"query={q} answer=0 accepted=0 insert_ops=0 bytes=0" for q in ("1/2", "1/1")]
+    assert records == [
+        f"query={q} answer=0 accepted=0 insert_ops=0 bytes=0 reason=empty-response" for q in ("1/2", "1/1")
+    ]
 
 
 def test_bench_table(capsys):

@@ -95,6 +95,7 @@ class TestSessions:
         line = run_session(script, s1, 4, 8)[0].transcript_line()
         assert line.startswith("query=1/2 answer=")
         assert " accepted=1 " in line and " insert_ops=" in line and " bytes=" in line
+        assert line.endswith(" reason=ok")
 
 
 class TestCumulative:

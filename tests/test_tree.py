@@ -1,3 +1,5 @@
+from itertools import chain, islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +11,10 @@ from qdigest_auth.tree import (
     parent,
     post_order_nodes,
     post_order_rank,
+    prefix_ranges,
     sibling,
     subtree_rank_interval,
+    subtree_ranges,
     subtree_size,
     tree_size,
 )
@@ -75,6 +79,43 @@ def test_post_order_matches_a_recursive_visit_at_every_root(sigma):
     assert [post_order_rank(node, sigma) for node in whole] == list(range(1, 2 * sigma))
     for root in range(1, 2 * sigma):
         assert list(post_order_nodes(sigma, root)) == list(recursive_post_order(sigma, root))
+
+
+def flat(ranges):
+    return [node for nodes in ranges for node in nodes]
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
+def test_prefix_ranges_hold_the_post_order_prefix_of_every_stop(sigma):
+    for rank, stop in enumerate(post_order_nodes(sigma), 1):
+        nodes = flat(prefix_ranges(stop, sigma))
+        assert len(nodes) == len(set(nodes)) == rank, stop
+        assert set(nodes) == set(islice(post_order_nodes(sigma), rank)), stop
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(8)])
+def test_prefix_ranges_without_a_subtree_hold_the_post_order_walk_around_it(sigma):
+    for stop_rank, stop in enumerate(post_order_nodes(sigma), 1):
+        for root in islice(post_order_nodes(sigma), stop_rank - 1):
+            # the walk that skipped root's subtree before the prefix was enumerated level by level
+            skip_lo, skip_hi = subtree_rank_interval(root, sigma)
+            walk = post_order_nodes(sigma)
+            after = islice(walk, skip_hi - skip_lo + 1, stop_rank - skip_lo + 1)
+            outside = list(chain(islice(walk, skip_lo - 1), after))
+            nodes = flat(prefix_ranges(stop, sigma, skip=root))
+            assert len(nodes) == len(set(nodes)) == len(outside), (stop, root)
+            assert set(nodes) == set(outside), (stop, root)
+        for root in islice(post_order_nodes(sigma), stop_rank - 1, None):
+            with pytest.raises(ValueError):
+                prefix_ranges(stop, sigma, skip=root)
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
+def test_subtree_ranges_hold_the_subtree_one_level_each(sigma):
+    for root in range(1, 2 * sigma):
+        ranges = subtree_ranges(root, sigma)
+        assert [level(nodes[0]) for nodes in ranges] == list(range(level(root), level(sigma) + 1))
+        assert sorted(flat(ranges)) == sorted(post_order_nodes(sigma, root))
 
 
 @given(sigmas)

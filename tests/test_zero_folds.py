@@ -12,6 +12,7 @@ Once the memo of a sigma is warm, the SHA-256 calls depend on the
 buckets, not on sigma.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,13 +29,22 @@ from qdigest_auth.commitment import (
     combine,
     commit_digest,
     commit_records,
+    fold_ranges,
     sha256_calls,
     subtree_commitment,
     zero_subtree_commitment,
 )
 from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix
-from qdigest_auth.kvcqa import QuantileProof, aqq, malicious_aqq_omit_left, publish_kvc_auth, qqv, qqv_fast
-from qdigest_auth.tree import is_in_subtree, post_order_nodes, post_order_rank
+from qdigest_auth.kvcqa import (
+    QuantileProof,
+    aqq,
+    malicious_aqq_omit_left,
+    publish_kvc_auth,
+    qqv,
+    qqv_accelerated,
+    qqv_fast,
+)
+from qdigest_auth.tree import is_in_subtree, post_order_nodes, post_order_rank, prefix_ranges, subtree_ranges
 
 from helpers import random_frequencies
 
@@ -122,6 +132,24 @@ def test_the_fast_verifier_folds_to_the_literal_group_element(sigma):
                 assert qqv_fast(proof, literal_verifier_fold(proof, sigma), q.n, sigma).accepted, proof
 
 
+@pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 1024])
+def test_fold_ranges_is_the_literal_fold_of_its_nodes(sigma):
+    rng = random.Random(f"fold-ranges:{sigma}")
+    for _ in range(25):
+        stop, root = rng.randrange(1, 2 * sigma), rng.randrange(1, 2 * sigma)
+        cases = [prefix_ranges(stop, sigma), subtree_ranges(root, sigma)]
+        if post_order_rank(root, sigma) < post_order_rank(stop, sigma):
+            cases.append(prefix_ranges(stop, sigma, skip=root))
+        values = [0, 1, rng.randrange(2**128), 2**128 - 1]
+        counted = {rng.randrange(1, 2 * sigma): rng.choice(values) for _ in range(rng.randrange(12))}
+        for ranges in cases:
+            nodes = [node for nodes in ranges for node in nodes]
+            before = sha256_calls()
+            fold = fold_ranges(ranges, counted)
+            assert sha256_calls() - before == len(nodes)
+            assert fold == commit_records((node, counted.get(node, 0)) for node in nodes), (stop, root, counted)
+
+
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
 def test_a_root_outside_the_tree_is_refused(root):
     q = seeded_digest(0, 1024)
@@ -190,3 +218,56 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         with pytest.raises(ValueError, match=f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}"):
             call()
         assert sha256_calls() == before
+
+
+@pytest.fixture
+def cold_zero_folds():
+    saved = dict(commitment._ZERO_FOLDS)
+    commitment._ZERO_FOLDS.clear()
+    yield
+    commitment._ZERO_FOLDS.clear()
+    commitment._ZERO_FOLDS.update(saved)
+
+
+def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds):
+    """`sha256_calls` agrees with a counter around `hashlib.sha256` and `hashlib.new`.
+
+    Such a counter sees no `.copy()` of a hasher, so a fold that copied one
+    would make fewer visible calls than it hashes, and this test would fail.
+    """
+    seen = 0
+    sha256, new = hashlib.sha256, hashlib.new
+
+    def counted_sha256(*args, **kwargs):
+        nonlocal seen
+        seen += 1
+        return sha256(*args, **kwargs)
+
+    def counted_new(*args, **kwargs):
+        nonlocal seen
+        seen += 1
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    monkeypatch.setattr(hashlib, "new", counted_new)
+    sigma = 2**10
+    q = seeded_digest(0, sigma)
+    c, precomputed = commit_digest(q), subtree_commitment(q, 2)
+    calls = [lambda: commit_digest(q), lambda: subtree_commitment(q, 2)]
+    for frac in (Fraction(1, 4), Fraction(3, 4), Fraction(1)):
+        proof = aqq(q, frac)
+        calls += [
+            lambda frac=frac: aqq(q, frac),
+            lambda proof=proof: qqv(proof, c, q.n, sigma),
+            lambda proof=proof: qqv_accelerated(proof, c, {2: precomputed}, q.n, sigma),
+            lambda proof=proof: qqv_fast(proof, c, q.n, sigma),
+        ]
+    commitment._ZERO_FOLDS.clear()  # the first call folds every zero subtree again
+    counts = []
+    for call in calls:
+        seen_before, counted_before = seen, sha256_calls()
+        call()
+        assert seen - seen_before == sha256_calls() - counted_before
+        counts.append(seen - seen_before)
+    # aqq may hash nothing once the memo is warm, the verifiers always hash
+    assert counts[0] >= 2 * sigma - 1 and all(counts[3::4] + counts[4::4] + counts[5::4])
