@@ -11,21 +11,17 @@ prove that a key is unset.
 Additivity makes every commitment over part of the tree cheap, in the
 style of Bellare and Micciancio's incremental AdHash.  With H one
 insertion's contribution and Z(r) the sum of H(node, 0) over r's subtree,
-`subtree_from_buckets` is the one rule, used for the whole digest, any
-subtree and any zero subtree:
+`commit_subtrees` is the one rule, for any disjoint subtrees holding
+given buckets: the whole digest, one subtree, a zero subtree, or the
+post-order prefix up to a proof's stop (`tree.prefix_roots`):
 
-    commit(subtree of r) = Z(r) + sum over buckets b in it of (H(b, c_b) - H(b, 0)).
+    commit(subtrees r) = sum of Z(r) + sum over buckets b in them of (H(b, c_b) - H(b, 0)).
 
-The zero fold of a stop's post-order prefix, Z(1..stop), is Z(stop) plus
-Z(left sibling) at each right turn of the root-to-stop path, and
-`prefix_from_buckets` is the same rule over that prefix.  A proof's
-remainder, the nodes after a stop, is the whole tree less the prefix; a
-verifier completes it with the prefix.  Z depends only on sigma;
-`_zero_fold` memoizes the root and every subtree of more than `_SHORT`
-leaves, at most max(sigma/_SHORT - 1, 1) ints per sigma.
-Once it is warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets
-and a remainder or a prefix at most 2*|Q| + 4*_SHORT (`sha256_calls`
-counts them).
+Z depends only on sigma; `_zero_fold` memoizes the root and every
+subtree of more than `_SHORT` leaves, at most max(sigma/_SHORT - 1, 1)
+ints per sigma.  Once it is warm, a commitment costs 2*|Q| SHA-256 calls
+for |Q| buckets and a post-order prefix at most 2*|Q| + 4*_SHORT
+(`sha256_calls` counts them).
 
 `fold_ranges` is the loop behind every node-by-node fold: the short
 subtrees of `_zero_fold` and the literal verifiers' prefixes, given as
@@ -45,7 +41,7 @@ import struct
 from dataclasses import dataclass
 
 from .digest import QDigest
-from .tree import check_node, is_in_subtree, level, post_order_rank, subtree_ranges
+from .tree import check_node, is_in_subtree, level, subtree_ranges
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -193,20 +189,6 @@ def _zero_fold(sigma: int, root: int) -> int:
     return memo[root]
 
 
-def _zero_prefix(sigma: int, node: int) -> int:
-    """Sum of H(m, 0) over the nodes m up to and including `node` in post-order.
-
-    Those are node's subtree and, at each right turn of the root-to-node
-    path, the left sibling's subtree; no ancestor of node comes before it.
-    """
-    z = _zero_fold(sigma, node)
-    while node > 1:
-        if node & 1:
-            z += _zero_fold(sigma, node - 1)
-        node //= 2
-    return z % GROUP_PRIME
-
-
 def member(c: Commitment, proof: Commitment, key: int, value: int) -> bool:
     """True iff inserting (key, value) into the proof reproduces c exactly.
 
@@ -227,42 +209,23 @@ def commit_digest(q: QDigest) -> Commitment:
     return subtree_commitment(q, 1)
 
 
-def _corrections(sigma: int, buckets) -> int:
-    """Sum of H(b, c_b) - H(b, 0) over distinct buckets; refuses sigma above the limit before hashing."""
+def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
+    """Z(r) per root plus H(b, c_b) - H(b, 0) per bucket: disjoint subtrees holding these distinct buckets.
+
+    Refuses a root outside the tree or a sigma above the limit before any hashing.
+    """
+    for root in roots:
+        check_node(root, sigma)
     if sigma > COMMIT_MAX_SIGMA:
         raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
-    return sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
-
-
-def subtree_from_buckets(sigma: int, root: int, buckets) -> Commitment:
-    """Z(root) plus H(b, c_b) - H(b, 0) per bucket: root's subtree holding these distinct buckets."""
-    check_node(root, sigma)
-    corrections = _corrections(sigma, buckets)
-    return Commitment((_zero_fold(sigma, root) + corrections) % GROUP_PRIME)
-
-
-def prefix_from_buckets(sigma: int, stop: int, buckets) -> Commitment:
-    """Z(1..stop) plus H(b, c_b) - H(b, 0) per bucket: the post-order prefix up to stop holding these.
-
-    The buckets must be distinct and rank at or before stop in post-order.
-    """
-    check_node(stop, sigma)
-    corrections = _corrections(sigma, buckets)
-    return Commitment((_zero_prefix(sigma, stop) + corrections) % GROUP_PRIME)
+    corrections = sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+    return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)
 
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
     inside = ((node, cnt) for node, cnt in q.buckets().items() if is_in_subtree(node, root, q.sigma))
-    return subtree_from_buckets(q.sigma, root, inside)
-
-
-def commitment_after(q: QDigest, node: int) -> Commitment:
-    """Fold of insertions for every node after `node` in post-order, zeros included."""
-    rank = post_order_rank(node, q.sigma)
-    after = ((b, cnt) for b, cnt in q.buckets().items() if post_order_rank(b, q.sigma) > rank)
-    whole = subtree_from_buckets(q.sigma, 1, after)
-    return Commitment((whole.acc - _zero_prefix(q.sigma, node)) % GROUP_PRIME)
+    return commit_subtrees(q.sigma, [root], inside)
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:
@@ -275,4 +238,4 @@ def zero_subtree_commitment(sigma: int, root: int) -> Commitment:
     Depends only on the tree shape, not on any digest, so it is public
     setup data.
     """
-    return subtree_from_buckets(sigma, root, ())
+    return commit_subtrees(sigma, [root], ())

@@ -14,11 +14,12 @@ the fold is the same group element and the count of insertions the same.
 The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
 Z(1) plus their H(b, c_b) - H(b, 0), less the zero fold of the post-order
-prefix up to the stop (see `commitment`).  With the zero folds of a sigma
-memoized a proof costs O(|Q|) SHA-256 calls for |Q| buckets.  `qqv_fast`
-checks a proof the same way: the nodes up to the stop fold to Z(1..stop)
-plus H(b, c_b) - H(b, 0) per counted bucket, the very group element the
-literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
+prefix up to the stop, whose nodes are the disjoint subtrees of
+`tree.prefix_roots`; `commitment.commit_subtrees` commits both.  With
+the zero folds of a sigma memoized a proof costs O(|Q|) SHA-256 calls
+for |Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
+subtrees holding the counted buckets commit to the very group element
+the literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
 insertion per node up to the stop; the accelerated one leaves the
 precommitted subtree out of each level's range instead of visiting it.
 
@@ -51,12 +52,11 @@ from .commitment import (
     combine,
     commit_digest,
     commit_records,
-    commitment_after,
+    commit_subtrees,
     fold_ranges,
-    prefix_from_buckets,
+    inverse,
     sha256_calls,
     subtree_commitments,
-    subtree_from_buckets,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import header_fields, index_count, require_canonical
@@ -65,6 +65,7 @@ from .tree import (
     is_power_of_two,
     post_order_rank,
     prefix_ranges,
+    prefix_roots,
     subtree_size,
 )
 
@@ -95,8 +96,7 @@ class VerificationStats:
 
 def aqq(q: QDigest, fraction) -> QuantileProof:
     """Authenticated quantile query (honest responder)."""
-    frac = query_fraction(q, fraction)
-    return _respond(q, frac, counted_prefix(q.post_order_buckets(), frac * q.n))
+    return _respond(q, query_fraction(q, fraction), q.post_order_buckets())
 
 
 def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
@@ -109,19 +109,26 @@ def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
     """
     frac = query_fraction(q, fraction)
     omit = frozenset(omit)
-    target = frac * q.n
     ordered = q.post_order_buckets()
-    if not omit <= {i for i, _ in counted_prefix(ordered, target)[:-1]}:
+    if not omit <= {i for i, _ in counted_prefix(ordered, frac * q.n)[:-1]}:
         raise ValueError("omission set must contain only buckets before the honest stop bucket")
-    # if the omitted mass made q*n unreachable, the last bucket is claimed anyway
+    # The kept stop ranks at or after the honest one, so kept's tail is every bucket after it;
+    # if the omitted mass made q*n unreachable, the last bucket is claimed anyway.
     kept = [(node, cnt) for node, cnt in ordered if node not in omit]
-    return _respond(q, frac, counted_prefix(kept, target), hidden=omit)
+    return _respond(q, frac, kept, hidden=omit)
 
 
-def _respond(q: QDigest, frac: Fraction, counted, hidden=frozenset()) -> QuantileProof:
-    """The proof with this counted prefix; nodes after its stop and `hidden` go to the remainder."""
+def _respond(q: QDigest, frac: Fraction, buckets, hidden=frozenset()) -> QuantileProof:
+    """The proof counting `buckets`, a post-order list, up to q*n; the rest and `hidden` go to the remainder.
+
+    The remainder is the whole tree holding the buckets after the stop,
+    less the zero fold of the post-order prefix up to the stop.
+    """
+    counted = counted_prefix(buckets, frac * q.n)
     stop = counted[-1][0]
-    remainder = combine(commitment_after(q, stop), commit_records((node, q.count(node)) for node in hidden))
+    after = commit_subtrees(q.sigma, [1], buckets[len(counted):])
+    prefix = commit_subtrees(q.sigma, prefix_roots(stop, q.sigma), ())
+    remainder = combine(combine(after, inverse(prefix)), commit_records((node, q.count(node)) for node in hidden))
     answer = range_top(stop, q.sigma, q.leaf_width)
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
 
@@ -216,7 +223,7 @@ def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width
     if rejected is not None:
         return rejected
     before = sha256_calls()
-    prefix = prefix_from_buckets(sigma, proof.counted[-1][0], proof.counted)
+    prefix = commit_subtrees(sigma, prefix_roots(proof.counted[-1][0], sigma), proof.counted)
     return _verdict(combine(proof.remainder, prefix) == c, sha256_calls() - before)
 
 
@@ -234,7 +241,7 @@ def qqv_accelerated(
     post-order, its commitment is combined into the fold instead of
     inserting its nodes one by one.  The counted buckets claimed inside
     the skipped subtree must then rebuild its precommitment through
-    `subtree_from_buckets`, so a tampered or omitted count there is still
+    `commit_subtrees`, so a tampered or omitted count there is still
     rejected and the verdict always matches the plain verifier.  A
     precommitment outside the tree or not a `Commitment` is malformed.
     """
@@ -263,7 +270,7 @@ def qqv_accelerated(
     fold, ops = _fold_to_stop(proof, combine(proof.remainder, precomputed[root]), sigma, skip=root)
 
     # The counted claims inside the skipped subtree must rebuild its precommitment.
-    rebuilt = subtree_from_buckets(sigma, root, inside)
+    rebuilt = commit_subtrees(sigma, [root], inside)
     ops += 2 * len(inside)
     return _verdict(rebuilt == precomputed[root] and fold == c, ops)
 

@@ -213,6 +213,10 @@ def build_privacy_profile(freqs, sigma: int, levels, coarse_levels=None) -> Priv
     levels = tuple((str(name), int(k)) for name, k in levels)
     if not levels:
         raise ValueError("need at least one privilege level")
+    names = [name for name, _ in levels]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"privilege level names must be distinct, repeated: {', '.join(repeated)}")
     ks = [k for _, k in levels]
     if any(lower >= higher for higher, lower in zip(ks, ks[1:])):
         raise ValueError("k values must be strictly decreasing with decreasing privilege")

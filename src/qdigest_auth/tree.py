@@ -100,6 +100,21 @@ def post_order_nodes(sigma: int, root: int = 1):
     yield root
 
 
+def prefix_roots(stop: int, sigma: int) -> list[int]:
+    """Roots of the disjoint subtrees whose nodes are those of post-order rank at most rank(stop).
+
+    They are stop's subtree and, at each right turn of the root-to-stop
+    path, the left sibling's subtree; no ancestor of stop comes before it.
+    """
+    check_node(stop, sigma)
+    roots = [stop]
+    while stop > 1:
+        if stop & 1:
+            roots.append(stop - 1)
+        stop //= 2
+    return roots
+
+
 def subtree_ranges(root: int, sigma: int) -> list[range]:
     """The nodes of root's subtree as one range of indices per level, from root's down to the leaves."""
     check_node(root, sigma)
@@ -133,12 +148,6 @@ def prefix_ranges(stop: int, sigma: int, skip: int | None = None) -> list[range]
 def subtree_size(root: int, sigma: int) -> int:
     check_node(root, sigma)
     return 2 ** (level(sigma) - level(root) + 1) - 1
-
-
-def subtree_rank_interval(root: int, sigma: int) -> tuple[int, int]:
-    """Post-order ranks occupied by the subtree of `root` (inclusive)."""
-    hi = post_order_rank(root, sigma)
-    return hi - subtree_size(root, sigma) + 1, hi
 
 
 def is_in_subtree(i: int, root: int, sigma: int) -> bool:

@@ -165,6 +165,14 @@ def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys)
         assert exc.value.code == 2
 
 
+def test_simulate_refuses_a_repeated_privilege_level_name(tmp_path, s1_file, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("scheme=wda\nbehavior=honest\nqueries=1/2\nlevels=a:8,a:4\n")
+    assert main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated: a" in captured.err
+
+
 @pytest.mark.parametrize("session", ["updates=3", "window=2"])
 def test_simulate_a_cumulative_session_over_an_empty_stream(tmp_path, session, capsys):
     scn, empty = tmp_path / "s.scn", tmp_path / "none.tsv"

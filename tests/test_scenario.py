@@ -189,6 +189,8 @@ class TestPrivacyProfile:
             build_privacy_profile(s1, 8, [("p1", 4), ("p2", 4)])
         with pytest.raises(ValueError):
             build_privacy_profile(s1, 8, [("p1", 8), ("p2", 4)], coarse_levels=[1, 0])
+        with pytest.raises(ValueError, match="repeated: p1"):
+            build_privacy_profile(s1, 8, [("p1", 8), ("p1", 4)])
 
     def test_coarse_levels_floor_precision(self, s1):
         profile = build_privacy_profile(s1, 8, [("p1", 8), ("p2", 4)], coarse_levels=[0, 1])

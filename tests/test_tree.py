@@ -12,8 +12,8 @@ from qdigest_auth.tree import (
     post_order_nodes,
     post_order_rank,
     prefix_ranges,
+    prefix_roots,
     sibling,
-    subtree_rank_interval,
     subtree_ranges,
     subtree_size,
     tree_size,
@@ -21,6 +21,13 @@ from qdigest_auth.tree import (
 
 # hand enumeration of the post-order visit for sigma = 8
 POST_ORDER_8 = [8, 9, 4, 10, 11, 5, 2, 12, 13, 6, 14, 15, 7, 3, 1]
+
+
+def subtree_rank_interval(root, sigma):
+    """Post-order ranks occupied by the subtree of `root` (inclusive)."""
+    hi = post_order_rank(root, sigma)
+    return hi - subtree_size(root, sigma) + 1, hi
+
 
 sigmas = st.sampled_from([2, 4, 8, 16, 64, 256])
 
@@ -91,6 +98,16 @@ def test_prefix_ranges_hold_the_post_order_prefix_of_every_stop(sigma):
         nodes = flat(prefix_ranges(stop, sigma))
         assert len(nodes) == len(set(nodes)) == rank, stop
         assert set(nodes) == set(islice(post_order_nodes(sigma), rank)), stop
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
+def test_prefix_roots_split_the_post_order_prefix_of_every_stop_into_disjoint_subtrees(sigma):
+    for rank, stop in enumerate(post_order_nodes(sigma), 1):
+        subtrees = [list(post_order_nodes(sigma, root)) for root in prefix_roots(stop, sigma)]
+        nodes = [node for subtree in subtrees for node in subtree]
+        assert len(nodes) == len(set(nodes)), stop
+        assert set(nodes) == set(islice(post_order_nodes(sigma), rank)), stop
+        assert set(nodes) == set(flat(prefix_ranges(stop, sigma))), stop
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(8)])

@@ -29,6 +29,7 @@ from qdigest_auth.commitment import (
     combine,
     commit_digest,
     commit_records,
+    commit_subtrees,
     fold_ranges,
     sha256_calls,
     subtree_commitment,
@@ -44,7 +45,14 @@ from qdigest_auth.kvcqa import (
     qqv_accelerated,
     qqv_fast,
 )
-from qdigest_auth.tree import is_in_subtree, post_order_nodes, post_order_rank, prefix_ranges, subtree_ranges
+from qdigest_auth.tree import (
+    is_in_subtree,
+    post_order_nodes,
+    post_order_rank,
+    prefix_ranges,
+    prefix_roots,
+    subtree_ranges,
+)
 
 from helpers import random_frequencies
 
@@ -76,7 +84,7 @@ def test_commitments_equal_the_literal_fold_at_every_root(sigma):
             nodes = list(post_order_nodes(sigma, root))
             assert subtree_commitment(q, root) == literal(q, nodes), root
             assert zero_subtree_commitment(sigma, root) == commit_records((node, 0) for node in nodes), root
-            assert Commitment(commitment._zero_prefix(sigma, root)) == prefix, root
+            assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
     # the root and every subtree of more than 64 leaves are memoized, and no other
     assert len(commitment._ZERO_FOLDS[sigma]) == max(sigma // 64 - 1, 1)
 
