@@ -49,9 +49,9 @@ from .kvcqa import (
 )
 from .scenario import (
     CumulativeState,
-    PartyScript,
     PrivacyProfile,
     ResponderBehavior,
+    Scenario,
     build_privacy_profile,
     cumulative_update,
     mean_bucket_depth,
@@ -64,11 +64,11 @@ from .wda import WdaAuthInfo, WdaVerdict, wda_authinfo, wda_verify
 __all__ = [
     "Commitment",
     "CumulativeState",
-    "PartyScript",
     "PrivacyProfile",
     "QDigest",
     "QuantileProof",
     "ResponderBehavior",
+    "Scenario",
     "ValidityReport",
     "VerificationStats",
     "WdaAuthInfo",

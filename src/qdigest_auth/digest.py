@@ -203,8 +203,7 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
     """One bottom-up sweep merging children into parents in place.
 
     Families are visited deepest level first, ascending index within a
-    level.  Returns True when at least one merge moved positive mass; a
-    "merge" of two empty children changes nothing and does not count.
+    level.  Returns True when at least one family merged.
     """
     merged = False
     for lvl in range(level(sigma), 0, -1):
@@ -214,8 +213,6 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
             l, r = 2 * p, 2 * p + 1
             lc = counts.get(l, 0)
             rc = counts.get(r, 0)
-            if lc == 0 and rc == 0:
-                continue
             if counts.get(p, 0) + lc + rc <= threshold:
                 counts[p] = counts.get(p, 0) + lc + rc
                 counts.pop(l, None)

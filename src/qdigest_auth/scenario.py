@@ -12,7 +12,7 @@ Also implemented are the deployment patterns built on merging: cumulative
 digests over a stream (full or sliding-window), and privacy profiles that
 publish one digest per privilege level at decreasing compression
 parameters and optionally coarser leaves.  A scenario file is the only
-place a run's settings come from.
+place a run's settings come from, and one `Scenario` record checks them.
 """
 
 from dataclasses import dataclass, field
@@ -64,10 +64,19 @@ class ResponderBehavior:
 
 
 @dataclass(frozen=True)
-class PartyScript:
+class Scenario:
+    """Every setting of one run, checked when the record is made.
+
+    `levels` holds `(name, k, cut)` triples, most privileged first.  A run
+    is plain, cumulative (`updates` > 1 or `window` > 0) or per level.
+    """
+
     scheme: str
     behavior: ResponderBehavior
     queries: tuple[Fraction, ...]
+    window: int = 0
+    updates: int = 1
+    levels: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -78,6 +87,15 @@ class PartyScript:
         for q in self.queries:
             if not 0 <= q <= 1:
                 raise ValueError(f"query fraction {q} out of [0, 1]")
+        if self.window < 0:
+            raise ValueError(f"window must be 0 or more, got {self.window}")
+        if self.updates < 1:
+            raise ValueError(f"updates must be 1 or more, got {self.updates}")
+        if self.levels and (self.window or self.updates > 1):
+            raise ValueError("levels cannot be combined with window or updates")
+        if self.behavior.kind == "omit_left" and any(cut > 0 for _, _, cut in self.levels):
+            # the omitted nodes are named in the full tree, which a cut level does not have
+            raise ValueError("omit_left cannot run at a level with a cut above 0")
 
 
 @dataclass(frozen=True)
@@ -107,39 +125,34 @@ def _tampered_copy(q: QDigest, node: int, delta: int) -> QDigest:
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
-def run_session(script: PartyScript, freqs, k: int, sigma: int) -> list[QueryRecord]:
-    """Build, serve, and verify one full session; returns one record per query."""
-    return run_session_on_digest(script, build_from_frequencies(freqs, k, sigma))
-
-
-def run_session_on_digest(script: PartyScript, source_digest: QDigest) -> list[QueryRecord]:
-    """Session over a prebuilt source digest: only the script's scheme authenticates it."""
-    behavior = script.behavior
+def run_session(scenario: Scenario, source_digest: QDigest) -> list[QueryRecord]:
+    """Serve and verify one session over the source's digest; only the scenario's scheme authenticates it."""
+    behavior = scenario.behavior
     responder_digest = source_digest
     if behavior.kind == "tamper_count":
         responder_digest = _tampered_copy(source_digest, behavior.node, behavior.delta)
     if responder_digest.n == 0:
         # tampering emptied the digest; nothing to query, every answer is refused
-        return [QueryRecord(q, 0, False, 0, 0, "empty-response") for q in script.queries]
+        return [QueryRecord(q, 0, False, 0, 0, "empty-response") for q in scenario.queries]
 
-    if script.scheme == "wda":
+    if scenario.scheme == "wda":
         # the whole digest ships once and is verified once; every answer is read off it
         size = len(digest_to_bytes(responder_digest))
         verdict = wda_verify(responder_digest, wda_authinfo(source_digest))
         return [
             QueryRecord(q, quantile_query(responder_digest, q), verdict.accepted, 0, size, verdict.reason)
-            for q in script.queries
+            for q in scenario.queries
         ]
 
     trusted_c, precomputed = publish_kvc_auth(source_digest)
     trusted = (source_digest.n, source_digest.sigma, source_digest.leaf_width)
     records = []
-    for q in script.queries:
+    for q in scenario.queries:
         if behavior.kind == "omit_left":
             proof = malicious_aqq_omit_left(responder_digest, q, behavior.omit)
         else:
             proof = aqq(responder_digest, q)
-        if script.scheme == "kvc_qa":
+        if scenario.scheme == "kvc_qa":
             stats = qqv(proof, trusted_c, *trusted)
         else:
             stats = qqv_accelerated(proof, trusted_c, precomputed, *trusted)
@@ -199,37 +212,30 @@ def mean_bucket_depth(q: QDigest) -> float:
 class PrivacyProfile:
     """One digest per privilege level, most privileged first."""
 
-    levels: tuple[tuple[str, int], ...]
+    levels: tuple[tuple[str, int, int], ...]
     digests: dict[str, QDigest] = field(hash=False)
 
 
-def build_privacy_profile(freqs, sigma: int, levels, coarse_levels=None) -> PrivacyProfile:
-    """Build per-privilege digests with strictly decreasing k.
+def build_privacy_profile(freqs, sigma: int, levels) -> PrivacyProfile:
+    """Build per-privilege digests from `(name, k, cut)` triples.
 
-    Lower privilege means a smaller k (more compression, less precision)
-    and, when coarse_levels is given, a nondecreasing number of tree
-    levels cut away (wider leaves, a hard floor on precision).
+    Lower privilege means a strictly smaller k (more compression, less
+    precision) and a nondecreasing number of tree levels cut away (wider
+    leaves, a hard floor on precision).
     """
-    levels = tuple((str(name), int(k)) for name, k in levels)
+    levels = tuple((str(name), int(k), int(cut)) for name, k, cut in levels)
     if not levels:
         raise ValueError("need at least one privilege level")
-    names = [name for name, _ in levels]
+    names, ks, cuts = zip(*levels)
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"privilege level names must be distinct, repeated: {', '.join(repeated)}")
-    ks = [k for _, k in levels]
     if any(lower >= higher for higher, lower in zip(ks, ks[1:])):
         raise ValueError("k values must be strictly decreasing with decreasing privilege")
-    if coarse_levels is None:
-        cuts = [0] * len(levels)
-    else:
-        cuts = [int(c) for c in coarse_levels]
-        if len(cuts) != len(levels):
-            raise ValueError("coarse_levels must match the number of privilege levels")
-        if any(a > b for a, b in zip(cuts, cuts[1:])):
-            raise ValueError("coarse levels must be nondecreasing with decreasing privilege")
+    if any(a > b for a, b in zip(cuts, cuts[1:])):
+        raise ValueError("coarse levels must be nondecreasing with decreasing privilege")
     digests = {}
-    for (name, k), cut in zip(levels, cuts):
+    for name, k, cut in levels:
         q = coarsen(freqs, k, sigma, cut)
         report = validate(q)
         assert report.ok, f"level {name} produced an invalid digest"
@@ -241,22 +247,13 @@ def build_privacy_profile(freqs, sigma: int, levels, coarse_levels=None) -> Priv
 # Scenario files and transcripts
 
 
-@dataclass(frozen=True)
-class Scenario:
-    script: PartyScript
-    window: int = 0
-    updates: int = 1
-    levels: tuple[tuple[str, int], ...] = ()
-    coarse: tuple[int, ...] = ()
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse the line-oriented scenario format.
 
     Keys: scheme=, behavior=, queries= (required); window=, updates=,
     levels= (optional).  behavior is `honest`, `omit_left:<i,j,...>`, or
-    `tamper_count:<node>:<delta>`; levels entries are `name:k` or
-    `name:k:coarse`.
+    `tamper_count:<node>:<delta>`; levels entries are `name:k` (cut 0) or
+    `name:k:cut`.
     """
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -264,9 +261,10 @@ def parse_scenario(text: str) -> Scenario:
         if not line or line.startswith("#"):
             continue
         key, eq, value = line.partition("=")
+        key = key.strip()
         if not eq or key in fields:
             raise ValueError(f"line {lineno}: malformed scenario entry {raw!r}")
-        fields[key.strip()] = value.strip()
+        fields[key] = value.strip()
     missing = {"scheme", "behavior", "queries"} - set(fields)
     if missing:
         raise ValueError(f"scenario is missing keys: {sorted(missing)}")
@@ -285,22 +283,19 @@ def parse_scenario(text: str) -> Scenario:
     else:
         raise ValueError(f"unknown behavior {behavior_text!r}")
 
-    queries = [Fraction(part) for part in fields["queries"].split(",") if part]
-    script = PartyScript(scheme=fields["scheme"], behavior=behavior, queries=tuple(queries))
-
-    levels, coarse = parse_levels(fields["levels"]) if "levels" in fields else ((), ())
     return Scenario(
-        script=script,
+        scheme=fields["scheme"],
+        behavior=behavior,
+        queries=tuple(Fraction(part) for part in fields["queries"].split(",") if part),
         window=int(fields.get("window", 0)),
         updates=int(fields.get("updates", 1)),
-        levels=levels,
-        coarse=coarse,
+        levels=parse_levels(fields["levels"]) if "levels" in fields else (),
     )
 
 
-def parse_levels(text: str) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
-    """Parse `name:k` / `name:k:coarse` entries into (levels, coarse) tuples."""
-    levels, coarse = [], []
+def parse_levels(text: str) -> tuple[tuple[str, int, int], ...]:
+    """Parse `name:k` / `name:k:cut` entries into `(name, k, cut)` triples; a missing cut is 0."""
+    levels = []
     for entry in text.split(","):
         name, *numbers = entry.split(":")
         if len(numbers) == 1:
@@ -309,9 +304,8 @@ def parse_levels(text: str) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...
             k, cut = map(int, numbers)
         except ValueError:
             raise ValueError(f"malformed level entry {entry!r}") from None
-        levels.append((name, k))
-        coarse.append(cut)
-    return tuple(levels), tuple(coarse)
+        levels.append((name, k, cut))
+    return tuple(levels)
 
 
 def _split_stream(freqs, updates: int) -> list[dict[int, int]]:
@@ -325,15 +319,15 @@ def _split_stream(freqs, updates: int) -> list[dict[int, int]]:
 def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:
     """Run a scenario file against a frequency set; returns transcript lines, one session per digest."""
     if scenario.levels:
-        profile = build_privacy_profile(freqs, sigma, scenario.levels, scenario.coarse or None)
+        profile = build_privacy_profile(freqs, sigma, scenario.levels)
         sessions = [
             (f"# level={name} k={level_k} size={profile.digests[name].size}", profile.digests[name])
-            for name, level_k in scenario.levels
+            for name, level_k, _ in profile.levels
         ]
     elif scenario.updates > 1 or scenario.window:
         state = CumulativeState(width=scenario.window)
         # an empty stream is one empty update, so the session sees an empty digest as the plain path does
-        for chunk in _split_stream(freqs, max(scenario.updates, 1)) or [{}]:
+        for chunk in _split_stream(freqs, scenario.updates) or [{}]:
             state = cumulative_update(state, build_from_frequencies(chunk, k, sigma))
         sessions = [(f"# cumulative updates={state.history_len} window={scenario.window} "
                      f"n={state.current.n} size={state.current.size}", state.current)]
@@ -343,5 +337,5 @@ def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:
     for header, digest in sessions:
         if header is not None:
             lines.append(header)
-        lines.extend(r.transcript_line() for r in run_session_on_digest(scenario.script, digest))
+        lines.extend(r.transcript_line() for r in run_session(scenario, digest))
     return lines

@@ -4,8 +4,8 @@ A parser reads its fields leniently, builds the value, and then refuses
 the input unless the writer's output for that value is identical
 (`require_canonical`).  So each parser accepts exactly the texts its
 writer produces: digest, proof, KVC auth, WDA auth and commitment text
-alike.  Only value limits that a spelling cannot express, such as the
-fixed-width encoding bounds, are checked on their own.
+alike.  The digest writer refuses a digest outside the fixed-width
+encoding limits, so such a digest file is neither written nor parsed.
 
 The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
@@ -45,8 +45,13 @@ def require_canonical(text: str | bytes, written: str | bytes, what: str) -> Non
 
 
 def digest_to_bytes(q: QDigest) -> bytes:
+    if q.sigma > MAX_SIGMA:
+        raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
+    buckets = sorted(q.buckets().items())
+    if any(cnt >= VALUE_LIMIT for _, cnt in buckets):
+        raise ValueError("a count does not fit the 2**128 limit")
     lines = [f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"]
-    lines.extend(f"{i}:{c}" for i, c in sorted(q.buckets().items()))
+    lines.extend(f"{i}:{c}" for i, c in buckets)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -54,19 +59,15 @@ def digest_from_bytes(data: bytes) -> QDigest:
     # latin-1 decodes any byte, so every input reaches the canonical check
     header, _, body = data.decode("latin-1").partition("\n")
     sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
-    if sigma > MAX_SIGMA:
-        raise ValueError(f"sigma {sigma} exceeds the node-key limit 2**63")
-    counts = dict(index_count(line) for line in body.splitlines())
-    if any(cnt >= VALUE_LIMIT for cnt in counts.values()):
-        raise ValueError("a count does not fit the 2**128 limit")
-    q = QDigest(sigma, k, counts, leaf_width)
+    q = QDigest(sigma, k, dict(index_count(line) for line in body.splitlines()), leaf_width)
     require_canonical(data, digest_to_bytes(q), "digest file")
     return q
 
 
 def dump_digest(q: QDigest, path) -> None:
+    data = digest_to_bytes(q)  # a refused digest leaves no file behind
     with open(path, "wb") as fh:
-        fh.write(digest_to_bytes(q))
+        fh.write(data)
 
 
 def load_digest(path) -> QDigest:

@@ -50,6 +50,25 @@ def test_build_rejects_out_of_domain(tmp_path, capsys):
     assert "out of domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("freqs, sigma", [("1\t%d\n" % 2**128, 8), ("1\t1\n", 2**64)])
+def test_build_refuses_an_unencodable_digest_and_writes_no_file(tmp_path, capsys, freqs, sigma):
+    freq, out = tmp_path / "big.tsv", tmp_path / "big.qd"
+    freq.write_text(freqs)
+    assert main(["build", str(freq), "--sigma", str(sigma), "--k", "4", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit" in captured.err
+    assert not out.exists()
+
+
+def test_merge_refuses_a_count_past_the_limit_and_writes_no_file(tmp_path, capsys):
+    a, m = tmp_path / "a.qd", tmp_path / "m.qd"
+    dump_digest(QDigest(8, 4, {1: 2**127}), a)
+    assert main(["merge", str(a), str(a), "--output", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2**128 limit" in captured.err
+    assert not m.exists()
+
+
 def test_merge_and_query(tmp_path, s1_file, s2_file, s1, s2, capsys):
     a, b, m = tmp_path / "a.qd", tmp_path / "b.qd", tmp_path / "m.qd"
     main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(a)])
@@ -165,12 +184,22 @@ def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys)
         assert exc.value.code == 2
 
 
-def test_simulate_refuses_a_repeated_privilege_level_name(tmp_path, s1_file, capsys):
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ("scheme=wda\nbehavior=honest\nlevels=a:8,a:4", "repeated: a"),
+        ("scheme=kvc_qa\nbehavior=honest\nwindow=-3", "window"),
+        ("scheme=kvc_qa\nbehavior=honest\nupdates=0", "updates"),
+        ("scheme=kvc_qa\nbehavior=honest\nlevels=a:8,b:4\nwindow=2", "levels"),
+        ("scheme=kvc_qa\nbehavior=omit_left:4\nlevels=a:8,b:4:1", "omit_left"),
+    ],
+)
+def test_simulate_refuses_a_scenario_that_cannot_run(tmp_path, s1_file, capsys, settings, message):
     scn = tmp_path / "s.scn"
-    scn.write_text("scheme=wda\nbehavior=honest\nqueries=1/2\nlevels=a:8,a:4\n")
+    scn.write_text(f"queries=1/2\n{settings}\n")
     assert main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "8"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "repeated: a" in captured.err
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("session", ["updates=3", "window=2"])

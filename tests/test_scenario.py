@@ -7,8 +7,8 @@ from qdigest_auth.commitment import sha256_calls
 from qdigest_auth.digest import build_from_frequencies, validate
 from qdigest_auth.scenario import (
     CumulativeState,
-    PartyScript,
     ResponderBehavior,
+    Scenario,
     build_privacy_profile,
     cumulative_update,
     mean_bucket_depth,
@@ -23,10 +23,79 @@ from helpers import exact_quantile, grid, random_frequencies
 QUERIES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
+# The exact `run_scenario` lines on s1 (sigma 8, k 4, queries 0/1, 1/2, 1/1) for each scheme
+# and run shape; a change to the simulator that keeps behaviour keeps them byte for byte.
+GOLDEN_TRANSCRIPTS = {
+    ("wda", "plain"): [
+        "query=0/1 answer=2 accepted=1 insert_ops=0 bytes=63 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=0 bytes=63 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=0 bytes=63 reason=ok",
+    ],
+    ("wda", "cumulative"): [
+        "# cumulative updates=3 window=2 n=26 size=4",
+        "query=0/1 answer=5 accepted=1 insert_ops=0 bytes=54 reason=ok",
+        "query=1/2 answer=8 accepted=1 insert_ops=0 bytes=54 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=0 bytes=54 reason=ok",
+    ],
+    ("wda", "levels"): [
+        "# level=p1 k=8 size=7",
+        "query=0/1 answer=3 accepted=1 insert_ops=0 bytes=69 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=0 bytes=69 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=0 bytes=69 reason=ok",
+        "# level=p2 k=4 size=4",
+        "query=0/1 answer=2 accepted=1 insert_ops=0 bytes=53 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=0 bytes=53 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=0 bytes=53 reason=ok",
+    ],
+    ("kvc_qa", "plain"): [
+        "query=0/1 answer=2 accepted=1 insert_ops=3 bytes=116 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=9 bytes=130 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=12 bytes=140 reason=ok",
+    ],
+    ("kvc_qa", "cumulative"): [
+        "# cumulative updates=3 window=2 n=26 size=4",
+        "query=0/1 answer=5 accepted=1 insert_ops=8 bytes=117 reason=ok",
+        "query=1/2 answer=8 accepted=1 insert_ops=12 bytes=127 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=15 bytes=131 reason=ok",
+    ],
+    ("kvc_qa", "levels"): [
+        "# level=p1 k=8 size=7",
+        "query=0/1 answer=3 accepted=1 insert_ops=4 bytes=117 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=9 bytes=132 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=15 bytes=146 reason=ok",
+        "# level=p2 k=4 size=4",
+        "query=0/1 answer=2 accepted=1 insert_ops=1 bytes=116 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=4 bytes=125 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=5 bytes=130 reason=ok",
+    ],
+    ("kvc_qa_accelerated", "plain"): [
+        "query=0/1 answer=2 accepted=1 insert_ops=3 bytes=116 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=6 bytes=130 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=9 bytes=140 reason=ok",
+    ],
+    ("kvc_qa_accelerated", "cumulative"): [
+        "# cumulative updates=3 window=2 n=26 size=4",
+        "query=0/1 answer=5 accepted=1 insert_ops=1 bytes=117 reason=ok",
+        "query=1/2 answer=8 accepted=1 insert_ops=5 bytes=127 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=8 bytes=131 reason=ok",
+    ],
+    ("kvc_qa_accelerated", "levels"): [
+        "# level=p1 k=8 size=7",
+        "query=0/1 answer=3 accepted=1 insert_ops=4 bytes=117 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=6 bytes=132 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=12 bytes=146 reason=ok",
+        "# level=p2 k=4 size=4",
+        "query=0/1 answer=2 accepted=1 insert_ops=1 bytes=116 reason=ok",
+        "query=1/2 answer=6 accepted=1 insert_ops=4 bytes=125 reason=ok",
+        "query=1/1 answer=8 accepted=1 insert_ops=5 bytes=130 reason=ok",
+    ],
+}
+
+
 class TestScripts:
     def test_omit_left_requires_commitment_scheme(self):
         with pytest.raises(ValueError):
-            PartyScript("wda", ResponderBehavior.omit_left({10}), QUERIES)
+            Scenario("wda", ResponderBehavior.omit_left({10}), QUERIES)
 
     def test_tamper_needs_nonzero_delta(self):
         with pytest.raises(ValueError):
@@ -34,13 +103,38 @@ class TestScripts:
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            PartyScript("merkle", ResponderBehavior.honest(), QUERIES)
+            Scenario("merkle", ResponderBehavior.honest(), QUERIES)
+
+    def test_query_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="out of"):
+            Scenario("wda", ResponderBehavior.honest(), (Fraction(3, 2),))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"window": -3}, "window"),
+            ({"updates": 0}, "updates"),
+            ({"updates": -2}, "updates"),
+            ({"levels": (("a", 8, 0),), "window": 2}, "levels"),
+            ({"levels": (("a", 8, 0),), "updates": 3}, "levels"),
+        ],
+    )
+    def test_settings_that_cannot_run_are_refused(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario("kvc_qa", ResponderBehavior.honest(), QUERIES, **settings)
+
+    def test_omit_left_refused_at_a_level_with_a_cut(self):
+        # the omitted nodes are named in the full tree, which a cut level does not have
+        omit = ResponderBehavior.omit_left({4})
+        with pytest.raises(ValueError, match="omit_left"):
+            Scenario("kvc_qa", omit, QUERIES, levels=(("a", 8, 0), ("b", 4, 1)))
+        assert Scenario("kvc_qa", omit, QUERIES, levels=(("a", 8, 0), ("b", 4, 0))).levels[1] == ("b", 4, 0)
 
 
 class TestSessions:
     def test_honest_wda_accepts_and_ships_whole_digest(self, s1):
-        script = PartyScript("wda", ResponderBehavior.honest(), QUERIES)
-        records = run_session(script, s1, 4, 8)
+        script = Scenario("wda", ResponderBehavior.honest(), QUERIES)
+        records = run_session(script, build_from_frequencies(s1, 4, 8))
         digest_bytes = len(digest_to_bytes(build_from_frequencies(s1, 4, 8)))
         for rec in records:
             assert rec.accepted
@@ -50,49 +144,48 @@ class TestSessions:
     @pytest.mark.parametrize("behavior", [ResponderBehavior.honest(), ResponderBehavior.tamper_count(12, 2)])
     def test_wda_session_makes_no_commitment(self, behavior):
         freqs = random_frequencies(random.Random(5), 4096, max_distinct=500)
-        script = PartyScript("wda", behavior, QUERIES)
+        script = Scenario("wda", behavior, QUERIES)
         before = sha256_calls()
-        records = run_session(script, freqs, 64, 4096)
+        records = run_session(script, build_from_frequencies(freqs, 64, 4096))
         assert sha256_calls() == before
         assert all(rec.accepted == (behavior.kind == "honest") for rec in records)
 
     def test_honest_kvc_accepts(self, s1):
-        script = PartyScript("kvc_qa", ResponderBehavior.honest(), QUERIES)
-        assert all(rec.accepted for rec in run_session(script, s1, 4, 8))
+        script = Scenario("kvc_qa", ResponderBehavior.honest(), QUERIES)
+        assert all(rec.accepted for rec in run_session(script, build_from_frequencies(s1, 4, 8)))
 
     def test_honest_accelerated_never_costs_more(self, s1):
-        plain = run_session(PartyScript("kvc_qa", ResponderBehavior.honest(), QUERIES), s1, 4, 8)
-        accel = run_session(
-            PartyScript("kvc_qa_accelerated", ResponderBehavior.honest(), QUERIES), s1, 4, 8
-        )
+        digest = build_from_frequencies(s1, 4, 8)
+        plain = run_session(Scenario("kvc_qa", ResponderBehavior.honest(), QUERIES), digest)
+        accel = run_session(Scenario("kvc_qa_accelerated", ResponderBehavior.honest(), QUERIES), digest)
         for p, a in zip(plain, accel):
             assert a.accepted == p.accepted
             assert a.insert_ops <= p.insert_ops
 
     def test_omit_left_rejected(self, s1):
         # bucket 4 is the first post-order bucket of the s1 digest
-        script = PartyScript("kvc_qa", ResponderBehavior.omit_left({4}), (Fraction(1, 2),))
-        records = run_session(script, s1, 4, 8)
+        script = Scenario("kvc_qa", ResponderBehavior.omit_left({4}), (Fraction(1, 2),))
+        records = run_session(script, build_from_frequencies(s1, 4, 8))
         assert records[0].accepted is False
 
     def test_worked_attack_session(self, example2_freqs, example2_digest):
         # the frequency set reconstructs the worked-example digest, so the
         # whole three-party attack run can be replayed end to end
         assert build_from_frequencies(example2_freqs, 5, 8) == example2_digest
-        script = PartyScript("kvc_qa", ResponderBehavior.omit_left({10}), (Fraction(1, 2),))
-        record = run_session(script, example2_freqs, 5, 8)[0]
+        script = Scenario("kvc_qa", ResponderBehavior.omit_left({10}), (Fraction(1, 2),))
+        record = run_session(script, build_from_frequencies(example2_freqs, 5, 8))[0]
         assert record.answer == 6
         assert not record.accepted
 
     def test_tampering_rejected_under_both_schemes(self, s1):
         for scheme in ("wda", "kvc_qa", "kvc_qa_accelerated"):
-            script = PartyScript(scheme, ResponderBehavior.tamper_count(12, 2), QUERIES)
-            records = run_session(script, s1, 4, 8)
+            script = Scenario(scheme, ResponderBehavior.tamper_count(12, 2), QUERIES)
+            records = run_session(script, build_from_frequencies(s1, 4, 8))
             assert all(not rec.accepted for rec in records), scheme
 
     def test_transcript_line_format(self, s1):
-        script = PartyScript("kvc_qa", ResponderBehavior.honest(), (Fraction(1, 2),))
-        line = run_session(script, s1, 4, 8)[0].transcript_line()
+        script = Scenario("kvc_qa", ResponderBehavior.honest(), (Fraction(1, 2),))
+        line = run_session(script, build_from_frequencies(s1, 4, 8))[0].transcript_line()
         assert line.startswith("query=1/2 answer=")
         assert " accepted=1 " in line and " insert_ops=" in line and " bytes=" in line
         assert line.endswith(" reason=ok")
@@ -155,15 +248,15 @@ class TestCumulative:
 
 class TestPrivacyProfile:
     def test_k_one_level_collapses_to_root(self, s1):
-        profile = build_privacy_profile(s1, 8, [("p1", 64), ("p2", 8), ("p3", 1)])
+        profile = build_privacy_profile(s1, 8, [("p1", 64, 0), ("p2", 8, 0), ("p3", 1, 0)])
         assert profile.digests["p3"].buckets() == {1: 38}
 
     def test_each_level_validates_and_sizes_shrink(self):
         rng = random.Random(21)
         freqs = random_frequencies(rng, 256, max_distinct=120)
-        profile = build_privacy_profile(freqs, 256, [("p1", 64), ("p2", 8), ("p3", 1)])
-        sizes = [profile.digests[name].size for name, _ in profile.levels]
-        for (name, k) in profile.levels:
+        profile = build_privacy_profile(freqs, 256, [("p1", 64, 0), ("p2", 8, 0), ("p3", 1, 0)])
+        sizes = [profile.digests[name].size for name, _, _ in profile.levels]
+        for name, k, _ in profile.levels:
             q = profile.digests[name]
             assert validate(q).ok
             assert q.size <= 4 * k + 1
@@ -174,48 +267,63 @@ class TestPrivacyProfile:
 
         rng = random.Random(8)
         freqs = random_frequencies(rng, 256, max_distinct=150)
-        profile = build_privacy_profile(freqs, 256, [("p1", 512), ("p2", 8), ("p3", 1)])
+        profile = build_privacy_profile(freqs, 256, [("p1", 512, 0), ("p2", 8, 0), ("p3", 1, 0)])
 
         def mean_error(q):
             return sum(
                 abs(exact_quantile(freqs, frac) - quantile_query(q, frac)) for frac in grid(21)
             ) / 21
 
-        errors = [mean_error(profile.digests[name]) for name, _ in profile.levels]
+        errors = [mean_error(profile.digests[name]) for name, _, _ in profile.levels]
         assert errors[0] <= errors[1] <= errors[2]
 
     def test_non_monotone_parameters_refused(self, s1):
         with pytest.raises(ValueError):
-            build_privacy_profile(s1, 8, [("p1", 4), ("p2", 4)])
+            build_privacy_profile(s1, 8, [("p1", 4, 0), ("p2", 4, 0)])
         with pytest.raises(ValueError):
-            build_privacy_profile(s1, 8, [("p1", 8), ("p2", 4)], coarse_levels=[1, 0])
+            build_privacy_profile(s1, 8, [("p1", 8, 1), ("p2", 4, 0)])
         with pytest.raises(ValueError, match="repeated: p1"):
-            build_privacy_profile(s1, 8, [("p1", 8), ("p1", 4)])
+            build_privacy_profile(s1, 8, [("p1", 8, 0), ("p1", 4, 0)])
 
     def test_coarse_levels_floor_precision(self, s1):
-        profile = build_privacy_profile(s1, 8, [("p1", 8), ("p2", 4)], coarse_levels=[0, 1])
+        profile = build_privacy_profile(s1, 8, [("p1", 8, 0), ("p2", 4, 1)])
         assert profile.digests["p2"].leaf_width == 2
 
 
 class TestScenarioFiles:
     def test_parse_minimal(self):
         scenario = parse_scenario("scheme=kvc_qa\nbehavior=honest\nqueries=0/1,1/2\n")
-        assert scenario.script.scheme == "kvc_qa"
-        assert scenario.script.queries == (Fraction(0), Fraction(1, 2))
+        assert scenario.scheme == "kvc_qa"
+        assert scenario.queries == (Fraction(0), Fraction(1, 2))
 
     def test_parse_behaviors_and_options(self):
         scenario = parse_scenario(
             "# comment\nscheme=kvc_qa\nbehavior=omit_left:4,5\nqueries=1/2\nwindow=3\nupdates=6\n"
         )
-        assert scenario.script.behavior.omit == frozenset({4, 5})
+        assert scenario.behavior.omit == frozenset({4, 5})
         assert scenario.window == 3 and scenario.updates == 6
         tampered = parse_scenario("scheme=wda\nbehavior=tamper_count:12:-1\nqueries=1/2\n")
-        assert tampered.script.behavior.node == 12
-        assert tampered.script.behavior.delta == -1
+        assert tampered.behavior.node == 12
+        assert tampered.behavior.delta == -1
 
     def test_parse_rejects_missing_keys(self):
         with pytest.raises(ValueError):
             parse_scenario("scheme=wda\n")
+
+    def test_parse_rejects_a_repeated_key_spelled_with_spaces(self):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_scenario("scheme=wda\nscheme =kvc_qa\nbehavior=honest\nqueries=1/2\n")
+
+    def test_levels_parse_as_triples(self):
+        scenario = parse_scenario("scheme=wda\nbehavior=honest\nqueries=1/2\nlevels=p1:8,p2:4:1\n")
+        assert scenario.levels == (("p1", 8, 0), ("p2", 4, 1))
+
+    @pytest.mark.parametrize("scheme", ["wda", "kvc_qa", "kvc_qa_accelerated"])
+    @pytest.mark.parametrize("shape", ["plain", "cumulative", "levels"])
+    def test_golden_transcripts(self, s1, scheme, shape):
+        settings = {"plain": "", "cumulative": "updates=3\nwindow=2\n", "levels": "levels=p1:8,p2:4:1\n"}[shape]
+        scenario = parse_scenario(f"scheme={scheme}\nbehavior=honest\nqueries=0/1,1/2,1/1\n{settings}")
+        assert run_scenario(scenario, s1, 4, 8) == GOLDEN_TRANSCRIPTS[scheme, shape]
 
     def test_run_scenario_transcripts(self, s1):
         scenario = parse_scenario("scheme=kvc_qa\nbehavior=honest\nqueries=0/1,1/2,1/1\n")
