@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .bench import format_bench_table, run_bench
-from .digest import build_from_frequencies, coarsen, merge, quantile_query, validate
+from .digest import coarsen, merge, quantile_query, validate
 from .kvcqa import (
     aqq,
     dump_proof,
@@ -107,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     freqs = load_frequencies(args.freq_file)
-    if args.coarse:
-        digest = coarsen(freqs, args.k, args.sigma, args.coarse)
-    else:
-        digest = build_from_frequencies(freqs, args.k, args.sigma)
+    digest = coarsen(freqs, args.k, args.sigma, args.coarse)
     dump_digest(digest, args.output)
     report = validate(digest)
     print(f"n={digest.n} size={digest.size} bound={4 * digest.k + 1} "

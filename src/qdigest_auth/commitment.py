@@ -17,11 +17,11 @@ post-order prefix up to a proof's stop (`tree.prefix_roots`):
 
     commit(subtrees r) = sum of Z(r) + sum over buckets b in them of (H(b, c_b) - H(b, 0)).
 
-Z depends only on sigma; `_zero_fold` memoizes the root and every
-subtree of more than `_SHORT` leaves, at most max(sigma/_SHORT - 1, 1)
-ints per sigma.  Once it is warm, a commitment costs 2*|Q| SHA-256 calls
-for |Q| buckets and a post-order prefix at most 2*|Q| + 4*_SHORT
-(`sha256_calls` counts them).
+Z depends only on sigma; `_zero_fold` memoizes nodes 1, 2 and 3 and
+every subtree of more than `_SHORT` leaves, at most
+min(2*sigma - 1, max(sigma/_SHORT - 1, 3)) ints per sigma.  Once it is
+warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets and a
+post-order prefix at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
 
 `fold_ranges` is the loop behind every node-by-node fold: the short
 subtrees of `_zero_fold` and the literal verifiers' prefixes, given as
@@ -68,7 +68,7 @@ MAX_SIGMA = KEY_LIMIT // 2
 COMMIT_MAX_SIGMA = 1 << 20
 
 # Subtrees with at most this many leaves are folded node by node; taller
-# ones and the root are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
+# ones and nodes 1, 2 and 3 are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
 _SHORT = 64
 _ZERO_FOLDS: dict[int, dict[int, int]] = {}
 
@@ -175,13 +175,17 @@ def fold_ranges(ranges, counted: dict[int, int]) -> Commitment:
 
 
 def _zero_fold(sigma: int, root: int) -> int:
-    """Z(root), the sum of H(node, 0) over root's subtree; memoized for the root and above _SHORT leaves."""
+    """Z(root), the sum of H(node, 0) over root's subtree; memoized for roots 1-3 and above _SHORT leaves.
+
+    Subtree 2 is the one `kvcqa.publish_kvc_auth` precommits, so after
+    it the accelerated verifier's cross-check finds Z(2) memoized at any sigma.
+    """
     memo = _ZERO_FOLDS.setdefault(sigma, {})
     if root in memo:
         return memo[root]
     if sigma >> level(root) <= _SHORT:
         z = fold_ranges(subtree_ranges(root, sigma), {}).acc
-        if root > 1:
+        if root > 3:
             return z
     else:
         z = _zero_fold(sigma, 2 * root) + _zero_fold(sigma, 2 * root + 1) + _contribution(root, 0)
@@ -230,12 +234,3 @@ def subtree_commitment(q: QDigest, root: int) -> Commitment:
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:
     return {root: subtree_commitment(q, root) for root in roots}
-
-
-def zero_subtree_commitment(sigma: int, root: int) -> Commitment:
-    """Fold of zero-valued insertions over a subtree.
-
-    Depends only on the tree shape, not on any digest, so it is public
-    setup data.
-    """
-    return commit_subtrees(sigma, [root], ())

@@ -14,6 +14,10 @@ can empty a parent whose count an earlier check relied upon.  This module
 keeps that pass available as `compress_one_pass` and provides two
 repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
+
+Every digest built from values, plain or coarse, comes from `coarsen`:
+one checked pass adds each value into its leaf's count, the counts are
+compressed in place, and one `QDigest` is made at the end.
 """
 
 from dataclasses import dataclass
@@ -34,19 +38,9 @@ from .tree import (
 FrequencySet = Mapping[int, int]
 
 
-def as_frequency_map(freqs: FrequencySet | Iterable[tuple[int, int]], sigma: int) -> dict[int, int]:
-    """Normalize frequencies to a value -> multiplicity dict, validating the domain."""
-    if not isinstance(sigma, int) or sigma < 1:
-        raise ValueError(f"domain size must be a positive integer, got {sigma!r}")
-    items = freqs.items() if isinstance(freqs, Mapping) else freqs
-    out: dict[int, int] = {}
-    for value, mult in items:
-        if not isinstance(value, int) or not 1 <= value <= sigma:
-            raise ValueError(f"value {value!r} out of domain [1, {sigma}]")
-        if not isinstance(mult, int) or mult < 1:
-            raise ValueError(f"multiplicity for value {value} must be a positive integer")
-        out[value] = out.get(value, 0) + mult
-    return out
+def _check_k(k: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"compression parameter k must be a positive integer, got {k!r}")
 
 
 class QDigest:
@@ -61,8 +55,7 @@ class QDigest:
 
     def __init__(self, sigma: int, k: int, counts: Mapping[int, int] | None = None, leaf_width: int = 1):
         check_sigma(sigma)
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"compression parameter k must be a positive integer, got {k!r}")
+        _check_k(k)
         if not is_power_of_two(leaf_width):
             raise ValueError(f"leaf width must be a positive power of two, got {leaf_width!r}")
         self.sigma = sigma
@@ -228,23 +221,24 @@ def compress_one_pass(q: QDigest) -> QDigest:
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
-def _compress_until_stable(q: QDigest) -> tuple[dict[int, int], int]:
-    """Sweep until a pass performs no merge; returns the counts and the pass count."""
-    counts = dict(q._counts)
+def _compress_until_stable(counts: dict[int, int], threshold: int, sigma: int) -> int:
+    """Sweep counts in place until a pass performs no merge; returns the pass count."""
     passes = 1
-    while _one_pass(counts, q.threshold, q.sigma):
+    while _one_pass(counts, threshold, sigma):
         passes += 1
-    return counts, passes
+    return passes
 
 
 def iterative_compress(q: QDigest) -> QDigest:
     """Repeat the single-sweep compression until a pass performs no merge."""
-    return QDigest(q.sigma, q.k, _compress_until_stable(q)[0], q.leaf_width)
+    counts = dict(q._counts)
+    _compress_until_stable(counts, q.threshold, q.sigma)
+    return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
 def compress_iterations(q: QDigest) -> int:
     """Number of sweeps `iterative_compress` runs, final no-op pass included."""
-    return _compress_until_stable(q)[1]
+    return _compress_until_stable(dict(q._counts), q.threshold, q.sigma)
 
 
 def recursive_compress(q: QDigest) -> QDigest:
@@ -291,15 +285,8 @@ def merge(q1: QDigest, q2: QDigest) -> QDigest:
     return iterative_compress(digest_sum(q1, q2))
 
 
-def _build(freqs, k: int, sigma: int, leaf_width: int) -> QDigest:
-    fmap = as_frequency_map(freqs, sigma)
-    tree_sigma = next_power_of_two(sigma)
-    counts = {tree_sigma + v - 1: m for v, m in fmap.items()}
-    return iterative_compress(QDigest(tree_sigma, k, counts, leaf_width))
-
-
 def build_from_frequencies(freqs: FrequencySet | Iterable[tuple[int, int]], k: int, sigma: int) -> QDigest:
-    """Build a digest from a value -> multiplicity map.
+    """Build a digest from a value -> multiplicity map or (value, multiplicity) pairs.
 
     A non-power-of-two domain size is padded upward to the next power of
     two (the extra values simply stay at frequency zero), keeping the
@@ -307,7 +294,7 @@ def build_from_frequencies(freqs: FrequencySet | Iterable[tuple[int, int]], k: i
     properties and the construction invariant: no bucket has a bucket
     child, which tightens the size bound to 2k+1.
     """
-    return _build(freqs, k, sigma, 1)
+    return coarsen(freqs, k, sigma, 0)
 
 
 def coarsen(
@@ -318,25 +305,29 @@ def coarsen(
 ) -> QDigest:
     """Build a coarse-grained digest by stopping the binary partition early.
 
-    The bottom `levels_cut` tree levels are folded away: values are mapped
-    onto a domain of sigma / 2**levels_cut leaves, each covering
-    2**levels_cut original values.  Answers are scaled back up at query
-    time, so disclosed precision is bounded below by the leaf width.
+    The bottom `levels_cut` tree levels are folded away (none for a plain
+    build): values are mapped onto a domain of sigma / 2**levels_cut
+    leaves, each covering 2**levels_cut original values.  Answers are
+    scaled back up at query time, so disclosed precision is bounded below
+    by the leaf width.
     """
     if not isinstance(levels_cut, int) or levels_cut < 0:
         raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
-    if levels_cut == 0:
-        return build_from_frequencies(freqs, k, sigma)
-    fmap = as_frequency_map(freqs, sigma)
     tree_sigma = next_power_of_two(sigma)
-    width = 1 << levels_cut
-    if width > tree_sigma:
+    leaves = tree_sigma >> levels_cut  # 0 when the cut is wider than the domain, refused below
+    counts: dict[int, int] = {}
+    for value, mult in (freqs.items() if isinstance(freqs, Mapping) else freqs):
+        if not isinstance(value, int) or not 1 <= value <= sigma:
+            raise ValueError(f"value {value!r} out of domain [1, {sigma}]")
+        if not isinstance(mult, int) or mult < 1:
+            raise ValueError(f"multiplicity for value {value} must be a positive integer")
+        leaf = leaves + ((value - 1) >> levels_cut)
+        counts[leaf] = counts.get(leaf, 0) + mult
+    if not leaves:
         raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
-    coarse: dict[int, int] = {}
-    for v, m in fmap.items():
-        cv = (v + width - 1) // width
-        coarse[cv] = coarse.get(cv, 0) + m
-    return _build(coarse, k, tree_sigma // width, width)
+    _check_k(k)
+    _compress_until_stable(counts, sum(counts.values()) // k, leaves)
+    return QDigest(leaves, k, counts, tree_sigma // leaves)
 
 
 def recompress(q: QDigest, k_new: int) -> QDigest:

@@ -63,6 +63,16 @@ class ResponderBehavior:
         return cls("tamper_count", node=node, delta=delta)
 
 
+def _query_fraction(q) -> Fraction:
+    try:
+        frac = Fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"query fraction has a zero denominator: {q!r}") from None
+    if not 0 <= frac <= 1:
+        raise ValueError(f"query fraction {frac} out of [0, 1]")
+    return frac
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Every setting of one run, checked when the record is made.
@@ -83,10 +93,7 @@ class Scenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.behavior.kind == "omit_left" and self.scheme == "wda":
             raise ValueError("omit_left is only meaningful under commitment-based schemes")
-        object.__setattr__(self, "queries", tuple(Fraction(q) for q in self.queries))
-        for q in self.queries:
-            if not 0 <= q <= 1:
-                raise ValueError(f"query fraction {q} out of [0, 1]")
+        object.__setattr__(self, "queries", tuple(map(_query_fraction, self.queries)))
         if self.window < 0:
             raise ValueError(f"window must be 0 or more, got {self.window}")
         if self.updates < 1:
@@ -286,7 +293,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         scheme=fields["scheme"],
         behavior=behavior,
-        queries=tuple(Fraction(part) for part in fields["queries"].split(",") if part),
+        queries=tuple(part for part in fields["queries"].split(",") if part),
         window=int(fields.get("window", 0)),
         updates=int(fields.get("updates", 1)),
         levels=parse_levels(fields["levels"]) if "levels" in fields else (),
@@ -309,11 +316,11 @@ def parse_levels(text: str) -> tuple[tuple[str, int, int], ...]:
 
 
 def _split_stream(freqs, updates: int) -> list[dict[int, int]]:
-    """Deal the (value, multiplicity) pairs round-robin into `updates` slices."""
-    slices: list[dict[int, int]] = [{} for _ in range(updates)]
+    """Deal the (value, multiplicity) pairs round-robin into at most `updates` slices, none empty."""
+    slices: list[dict[int, int]] = [{} for _ in range(min(updates, len(freqs)))]
     for pos, value in enumerate(sorted(freqs)):
-        slices[pos % updates][value] = freqs[value]
-    return [s for s in slices if s]
+        slices[pos % len(slices)][value] = freqs[value]
+    return slices
 
 
 def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:

@@ -23,12 +23,6 @@ def check_sigma(sigma: int) -> None:
         raise ValueError(f"domain size must be a positive power of two, got {sigma!r}")
 
 
-def tree_size(sigma: int) -> int:
-    """Number of nodes of the full tree over [1, sigma]."""
-    check_sigma(sigma)
-    return 2 * sigma - 1
-
-
 def check_node(i: int, sigma: int) -> None:
     check_sigma(sigma)
     if not isinstance(i, int) or not 1 <= i <= 2 * sigma - 1:
@@ -40,27 +34,10 @@ def level(i: int) -> int:
     return i.bit_length() - 1
 
 
-def parent(i: int) -> int:
-    if i <= 1:
-        raise ValueError("the root has no parent")
-    return i // 2
-
-
 def sibling(i: int) -> int:
     if i <= 1:
         raise ValueError("the root has no sibling")
     return i ^ 1
-
-
-def children(i: int) -> tuple[int, int]:
-    return 2 * i, 2 * i + 1
-
-
-def leaf_for_value(v: int, sigma: int) -> int:
-    check_sigma(sigma)
-    if not isinstance(v, int) or not 1 <= v <= sigma:
-        raise ValueError(f"value {v!r} out of domain [1, {sigma}]")
-    return sigma + v - 1
 
 
 def node_range(i: int, sigma: int) -> tuple[int, int]:

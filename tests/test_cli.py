@@ -156,6 +156,22 @@ def test_verify_needs_exactly_one_input(tmp_path, capsys):
     assert main(["verify", "--auth", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--k", "0"], "k must be a positive integer"),
+        (["--coarse", "-1"], "levels to cut"),
+        (["--coarse", "4"], "cannot cut"),
+    ],
+)
+def test_build_refuses_a_bad_parameter_and_writes_no_file(tmp_path, s1_file, capsys, option, message):
+    out = tmp_path / "bad.qd"
+    assert main(["build", s1_file, "--sigma", "8", "--k", "4", *option, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
 def test_coarse_build(tmp_path, s1_file, capsys):
     out = tmp_path / "c.qd"
     assert main(
@@ -192,11 +208,12 @@ def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys)
         ("scheme=kvc_qa\nbehavior=honest\nupdates=0", "updates"),
         ("scheme=kvc_qa\nbehavior=honest\nlevels=a:8,b:4\nwindow=2", "levels"),
         ("scheme=kvc_qa\nbehavior=omit_left:4\nlevels=a:8,b:4:1", "omit_left"),
+        ("scheme=kvc_qa\nbehavior=honest\nqueries=1/0", "zero denominator"),
     ],
 )
 def test_simulate_refuses_a_scenario_that_cannot_run(tmp_path, s1_file, capsys, settings, message):
     scn = tmp_path / "s.scn"
-    scn.write_text(f"queries=1/2\n{settings}\n")
+    scn.write_text(f"{settings}\n" if "queries=" in settings else f"queries=1/2\n{settings}\n")
     assert main(["simulate", str(scn), s1_file, "--sigma", "8", "--k", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err

@@ -8,13 +8,13 @@ from qdigest_auth.commitment import (
     combine,
     commit_digest,
     commit_records,
+    commit_subtrees,
     initialize,
     insert,
     inverse,
     member,
     subtree_commitment,
     subtree_commitments,
-    zero_subtree_commitment,
 )
 from qdigest_auth.digest import QDigest
 from qdigest_auth.tree import post_order_nodes
@@ -89,7 +89,7 @@ def test_commit_digest_distinguishes_single_count_changes(example2_digest):
 
 def test_empty_digest_commitment_is_not_identity():
     assert commit_digest(QDigest(8, 4)) != initialize()
-    assert commit_digest(QDigest(8, 4)) == zero_subtree_commitment(8, 1)
+    assert commit_digest(QDigest(8, 4)) == commit_subtrees(8, [1], ())
 
 
 def test_subtree_partition_reconstructs_whole_commitment(example2_digest):

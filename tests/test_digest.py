@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from qdigest_auth.digest import (
     recursive_compress,
     validate,
 )
+from qdigest_auth.serialize import digest_to_bytes
+from qdigest_auth.tree import next_power_of_two
 
 from helpers import exact_quantile, grid, random_frequencies, random_sum, rank_oracle
 
@@ -357,3 +360,70 @@ class TestDeterminism:
         recompress(q1, 2)
         compress_one_pass(q1)
         assert q1.buckets() == before
+
+
+class TestBuildPath:
+    """Every build, plain or coarse, pinned byte for byte and refusal by refusal."""
+
+    # SHA-256 over digest_to_bytes (whose header carries the leaf width) of
+    # the corpus below, taken from the code before the build had one path.
+    GOLDEN_CORPUS = "128f2fd9f480d2b3a51c1ffbef45f17b97b80ca7df1b7a6027190c16dafc0ca9"
+
+    def test_seeded_corpus_is_byte_identical(self):
+        h = hashlib.sha256()
+        for seed in range(300):
+            rng = random.Random(seed)
+            sigma = rng.choice([1, 2, 3, 5, 8, 10, 64, 100, 1000, 1024, 4096, 2**16])
+            k = rng.randint(1, 64)
+            skew = rng.random() < 0.5
+            values = [min(sigma, int(rng.paretovariate(1.2))) if skew else rng.randint(1, sigma)
+                      for _ in range(rng.randint(0, 1000))]
+            pairs = [(v, rng.randint(1, 9)) for v in values]  # repeated values add up
+            cut = min(rng.randint(0, 3), next_power_of_two(sigma).bit_length() - 1)
+            freqs = dict(pairs) if rng.random() < 0.5 else pairs
+            for q in (build_from_frequencies(freqs, k, sigma), coarsen(freqs, k, sigma, cut)):
+                h.update(digest_to_bytes(q))
+        assert h.hexdigest() == self.GOLDEN_CORPUS
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"freqs": {0: 1}}, "value 0 out of domain [1, 8]"),
+            ({"freqs": {9: 1}}, "value 9 out of domain [1, 8]"),
+            ({"freqs": [(1.5, 1)]}, "value 1.5 out of domain [1, 8]"),
+            ({"freqs": {1: 0}}, "multiplicity for value 1 must be a positive integer"),
+            ({"freqs": {1: -1}}, "multiplicity for value 1 must be a positive integer"),
+            ({"freqs": {1: 1.0}}, "multiplicity for value 1 must be a positive integer"),
+            ({"sigma": 0}, "domain size must be a positive integer, got 0"),
+            ({"k": 0}, "compression parameter k must be a positive integer, got 0"),
+            ({"k": -1}, "compression parameter k must be a positive integer, got -1"),
+        ],
+    )
+    def test_single_faults_keep_their_messages(self, fault, message):
+        args = {"freqs": {1: 2, 5: 1}, "k": 4, "sigma": 8, **fault}
+        for build in (
+            lambda: build_from_frequencies(args["freqs"], args["k"], args["sigma"]),
+            lambda: coarsen(args["freqs"], args["k"], args["sigma"], 1),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (-1, "levels to cut must be a nonnegative integer, got -1"),
+            (4, "cannot cut 4 levels from a domain of size 8"),
+            (10**12, f"cannot cut {10**12} levels from a domain of size 8"),
+        ],
+    )
+    def test_bad_cuts_keep_their_messages(self, cut, message):
+        with pytest.raises(ValueError) as exc:
+            coarsen({1: 2, 5: 1}, 4, 8, cut)
+        assert str(exc.value) == message
+
+    def test_a_bad_value_is_named_before_a_bad_cut_or_k(self):
+        with pytest.raises(ValueError, match="value 9 out of domain"):
+            coarsen({9: 1}, 0, 8, 4)
+        with pytest.raises(ValueError, match="cannot cut 4 levels"):
+            coarsen({1: 1}, 0, 8, 4)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from qdigest_auth.scenario import (
     CumulativeState,
     ResponderBehavior,
     Scenario,
+    _split_stream,
     build_privacy_profile,
     cumulative_update,
     mean_bucket_depth,
@@ -108,6 +110,10 @@ class TestScripts:
     def test_query_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match="out of"):
             Scenario("wda", ResponderBehavior.honest(), (Fraction(3, 2),))
+
+    def test_a_zero_denominator_is_refused_naming_the_entry(self):
+        with pytest.raises(ValueError, match="zero denominator: '1/0'"):
+            parse_scenario("scheme=wda\nbehavior=honest\nqueries=1/2,1/0\n")
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -339,6 +345,19 @@ class TestScenarioFiles:
         lines = run_scenario(scenario, s1, 4, 8)
         assert sum(1 for line in lines if line.startswith("# level=")) == 3
         assert sum(1 for line in lines if line.startswith("query=")) == 3
+
+    def test_a_stream_is_dealt_round_robin_into_at_most_one_slice_per_value(self):
+        freqs = {3: 5, 1: 1, 2: 3}
+        assert _split_stream(freqs, 2) == [{1: 1, 3: 5}, {2: 3}]
+        assert _split_stream(freqs, 10) == [{1: 1}, {2: 3}, {3: 5}]
+        assert _split_stream({}, 4) == []
+        tracemalloc.start()
+        try:
+            assert len(_split_stream({1: 1, 2: 3}, 10**6)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_run_scenario_with_window(self, s1):
         scenario = parse_scenario(

@@ -5,10 +5,8 @@ from hypothesis import given, strategies as st
 
 from qdigest_auth.tree import (
     is_in_subtree,
-    leaf_for_value,
     level,
     node_range,
-    parent,
     post_order_nodes,
     post_order_rank,
     prefix_ranges,
@@ -16,7 +14,6 @@ from qdigest_auth.tree import (
     sibling,
     subtree_ranges,
     subtree_size,
-    tree_size,
 )
 
 # hand enumeration of the post-order visit for sigma = 8
@@ -57,20 +54,10 @@ def test_post_order_matches_enumeration():
         assert post_order_rank(node, 8) == rank
 
 
-def test_parent_sibling():
-    assert parent(11) == 5
+def test_sibling():
     assert sibling(10) == 11 and sibling(11) == 10
     with pytest.raises(ValueError):
-        parent(1)
-    with pytest.raises(ValueError):
         sibling(1)
-
-
-def test_leaf_for_value():
-    assert leaf_for_value(1, 8) == 8
-    assert leaf_for_value(8, 8) == 15
-    with pytest.raises(ValueError):
-        leaf_for_value(9, 8)
 
 
 def recursive_post_order(sigma, node):
@@ -147,7 +134,7 @@ def test_post_order_rank_is_a_total_order(sigma):
 @given(sigmas, st.data())
 def test_leaf_ranges_partition_the_domain(sigma, data):
     v = data.draw(st.integers(1, sigma))
-    leaf = leaf_for_value(v, sigma)
+    leaf = sigma + v - 1
     assert node_range(leaf, sigma) == (v, v)
 
 
@@ -173,5 +160,5 @@ def test_subtree_interval_matches_membership(sigma, data):
 
 @given(sigmas)
 def test_tree_size(sigma):
-    assert tree_size(sigma) == 2 * sigma - 1
+    assert len(list(post_order_nodes(sigma))) == 2 * sigma - 1
     assert level(sigma) == sigma.bit_length() - 1

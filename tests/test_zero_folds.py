@@ -1,13 +1,13 @@
 """The source's, the prover's and the verifier's commitments through memoized zero folds.
 
-`commit_digest`, `subtree_commitment`, `zero_subtree_commitment` and the
+`commit_digest`, `subtree_commitment`, `commit_subtrees` and the
 remainders of `aqq` and `malicious_aqq_omit_left` take Z, the public fold
 of zero-valued insertions, and add H(b, c_b) - H(b, 0) per bucket; a
 remainder also subtracts the zero fold of the post-order prefix up to its
 stop, and `qqv_fast` adds that prefix back.  They must equal the literal
-fold of one insertion per node.  The
-root and subtrees of more than 64 leaves are memoized, so the domains
-below reach sigma = 2**10.
+fold of one insertion per node.  Nodes
+1, 2 and 3 and subtrees of more than 64 leaves are memoized, so the
+domains below reach sigma = 2**10.
 Once the memo of a sigma is warm, the SHA-256 calls depend on the
 buckets, not on sigma.
 """
@@ -33,7 +33,6 @@ from qdigest_auth.commitment import (
     fold_ranges,
     sha256_calls,
     subtree_commitment,
-    zero_subtree_commitment,
 )
 from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix
 from qdigest_auth.kvcqa import (
@@ -83,10 +82,10 @@ def test_commitments_equal_the_literal_fold_at_every_root(sigma):
         for root, prefix in zip(post_order_nodes(sigma), prefixes):
             nodes = list(post_order_nodes(sigma, root))
             assert subtree_commitment(q, root) == literal(q, nodes), root
-            assert zero_subtree_commitment(sigma, root) == commit_records((node, 0) for node in nodes), root
+            assert commit_subtrees(sigma, [root], ()) == commit_records((node, 0) for node in nodes), root
             assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
-    # the root and every subtree of more than 64 leaves are memoized, and no other
-    assert len(commitment._ZERO_FOLDS[sigma]) == max(sigma // 64 - 1, 1)
+    # nodes 1, 2 and 3 and every subtree of more than 64 leaves are memoized, and no other
+    assert len(commitment._ZERO_FOLDS[sigma]) == min(2 * sigma - 1, max(sigma // 64 - 1, 3))
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 256, 1024])
@@ -161,7 +160,7 @@ def test_fold_ranges_is_the_literal_fold_of_its_nodes(sigma):
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
 def test_a_root_outside_the_tree_is_refused(root):
     q = seeded_digest(0, 1024)
-    for call in (lambda: subtree_commitment(q, root), lambda: zero_subtree_commitment(1024, root)):
+    for call in (lambda: subtree_commitment(q, root), lambda: commit_subtrees(1024, [root], ())):
         with pytest.raises(ValueError, match=r"out of range \[1, 2047\]"):
             call()
 
@@ -216,7 +215,7 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         lambda: commit_digest(q),
         lambda: publish_kvc_auth(q),
         lambda: subtree_commitment(q, 2),
-        lambda: zero_subtree_commitment(sigma, 3),
+        lambda: commit_subtrees(sigma, [3], ()),
         lambda: aqq(q, Fraction(1, 2)),
         # a proof that passes every check before the fold
         lambda: qqv_fast(QuantileProof(Fraction(1, 7), 7, 1, ((sigma, 2),), Commitment(0)), Commitment(0), 7, sigma),
@@ -279,3 +278,17 @@ def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds
         counts.append(seen - seen_before)
     # aqq may hash nothing once the memo is warm, the verifiers always hash
     assert counts[0] >= 2 * sigma - 1 and all(counts[3::4] + counts[4::4] + counts[5::4])
+
+
+@pytest.mark.parametrize("sigma", [8, 128])
+def test_the_accelerated_verifier_reports_every_call_it_makes(sigma, cold_zero_folds):
+    """Z(2) is memoized at every sigma: once the source has published, the
+    cross-check's zero fold is free, as `insert_ops` counts it."""
+    q = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6}) if sigma == 8 else seeded_digest(0, sigma)
+    c, precomputed = publish_kvc_auth(q)
+    proof = aqq(q, Fraction(1))
+    for _ in range(2):
+        before = sha256_calls()
+        stats = qqv_accelerated(proof, c, precomputed, q.n, sigma)
+        assert stats.accepted
+        assert sha256_calls() - before == stats.insert_ops < qqv(proof, c, q.n, sigma).insert_ops
