@@ -23,7 +23,7 @@ compressed in place, and one `QDigest` is made at the end.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .tree import (
     check_sigma,
@@ -174,7 +174,8 @@ def validate(q: QDigest) -> ValidityReport:
     )
 
 
-def _check_compatible(q1: QDigest, q2: QDigest) -> None:
+def check_compatible(q1: QDigest, q2: QDigest) -> None:
+    """Refuses two digests that differ in sigma, k or leaf width."""
     if (q1.sigma, q1.k, q1.leaf_width) != (q2.sigma, q2.k, q2.leaf_width):
         raise ValueError(
             "incompatible digests: "
@@ -185,7 +186,7 @@ def _check_compatible(q1: QDigest, q2: QDigest) -> None:
 
 def digest_sum(q1: QDigest, q2: QDigest) -> QDigest:
     """Pointwise count sum.  Preserves property 1 but may violate property 2."""
-    _check_compatible(q1, q2)
+    check_compatible(q1, q2)
     counts = dict(q1._counts)
     for i, c in q2._counts.items():
         counts[i] = counts.get(i, 0) + c
@@ -357,17 +358,29 @@ def quantile_query(q: QDigest, fraction) -> int:
     return range_top(stop, q.sigma, q.leaf_width)
 
 
-def query_fraction(q: QDigest, fraction) -> Fraction:
-    """The quantile fraction as an exact rational; refuses one outside [0, 1] or an empty digest."""
-    frac = Fraction(fraction)
+def quantile_fraction(value) -> Fraction:
+    """`value`, anything `Fraction` reads, as an exact rational: the q reader of queries, the prover and scenarios.
+
+    Refuses a zero denominator or a value outside [0, 1] with ValueError.
+    """
+    try:
+        frac = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"quantile fraction has a zero denominator: {value!r}") from None
     if not 0 <= frac <= 1:
-        raise ValueError(f"quantile fraction must be in [0, 1], got {fraction!r}")
+        raise ValueError(f"quantile fraction {frac} out of [0, 1]")
+    return frac
+
+
+def query_fraction(q: QDigest, fraction) -> Fraction:
+    """`quantile_fraction` of `fraction`, refused for an empty digest after the fraction is read."""
+    frac = quantile_fraction(fraction)
     if q.n == 0:
         raise ValueError("cannot query an empty digest")
     return frac
 
 
-def counted_prefix(buckets: list[tuple[int, int]], target) -> list[tuple[int, int]]:
+def counted_prefix(buckets: Sequence[tuple[int, int]], target) -> Sequence[tuple[int, int]]:
     """Shortest prefix of (index, count) pairs whose counts reach target; all of them if none does."""
     for stop, acc in enumerate(accumulate(cnt for _, cnt in buckets)):
         if acc >= target:

@@ -7,9 +7,10 @@ The verifier completes the commitment by inserting one record per tree
 node up to and including the stop bucket -- counts taken from the prefix
 for listed nodes, 0 otherwise -- and accepts only if the result equals
 the trusted whole-digest commitment and the prefix sums bracket q*n.
-Those nodes are enumerated level by level, one range of indices per
-level (`tree.prefix_ranges`), not in post-order: insertion commutes, so
-the fold is the same group element and the count of insertions the same.
+Those nodes are enumerated as the per-level index ranges of the
+`tree.prefix_roots` subtrees (`tree.prefix_ranges`), not in post-order:
+insertion commutes, so the fold is the same group element and the count
+of insertions the same.
 
 The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
@@ -20,8 +21,8 @@ the zero folds of a sigma memoized a proof costs O(|Q|) SHA-256 calls
 for |Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
 subtrees holding the counted buckets commit to the very group element
 the literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
-insertion per node up to the stop; the accelerated one leaves the
-precommitted subtree out of each level's range instead of visiting it.
+insertion per node up to the stop; the accelerated one cuts the
+precommitted subtree out of those ranges instead of visiting it.
 
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
@@ -169,12 +170,13 @@ def _precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> Veri
     """
     if _shape_error(proof, n, sigma, leaf_width) is not None:
         return VerificationStats(False, REASON_MALFORMED, 0)
+    # The counts are at least 1, so the prover's stop rule, `counted_prefix`, trims
+    # the prefix iff it overshoots, and returns it whole when it never reaches q*n.
     target = proof.q * n
-    total = sum(cnt for _, cnt in proof.counted)
-    if total < target:
-        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
-    if len(proof.counted) > 1 and total - proof.counted[-1][1] >= target:
+    if len(counted_prefix(proof.counted, target)) < len(proof.counted):
         return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
+    if sum(cnt for _, cnt in proof.counted) < target:
+        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
     return None
 
 
@@ -185,7 +187,7 @@ def _verdict(matches: bool, ops: int) -> VerificationStats:
 def _fold_to_stop(proof: QuantileProof, start: Commitment, sigma: int, skip=None) -> tuple[Commitment, int]:
     """Fold one insertion per node up to the stop, less skip's subtree, into start; also returns how many.
 
-    The nodes go level by level rather than in post-order; insertion
+    The nodes go range by range rather than in post-order; insertion
     commutes, so the fold is the same group element.
     """
     ranges = prefix_ranges(proof.counted[-1][0], sigma, skip)
@@ -250,29 +252,22 @@ def qqv_accelerated(
         return rejected
 
     stop_rank = post_order_rank(proof.counted[-1][0], sigma)
-    best = None
+    best_size, best, inside = 0, None, []
     for root, pc in precomputed.items():
         if not isinstance(root, int) or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
             return VerificationStats(False, REASON_MALFORMED, 0)
         if post_order_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
-        inside = [(node, cnt) for node, cnt in proof.counted if is_in_subtree(node, root, sigma)]
-        if size <= 2 * len(inside):
-            continue  # no net saving over inserting the nodes directly
-        if best is None or size > best[1]:
-            best = (root, size, inside)
-    if best is None:
-        fold, ops = _fold_to_stop(proof, proof.remainder, sigma)
-        return _verdict(fold == c, ops)
-
-    root, _, inside = best
-    fold, ops = _fold_to_stop(proof, combine(proof.remainder, precomputed[root]), sigma, skip=root)
-
-    # The counted claims inside the skipped subtree must rebuild its precommitment.
-    rebuilt = commit_subtrees(sigma, [root], inside)
-    ops += 2 * len(inside)
-    return _verdict(rebuilt == precomputed[root] and fold == c, ops)
+        claims = [(node, cnt) for node, cnt in proof.counted if is_in_subtree(node, root, sigma)]
+        # skipping saves nothing unless the subtree outsizes its claims' rebuild; the first of equal sizes wins
+        if size > 2 * len(claims) and size > best_size:
+            best_size, best, inside = size, root, claims
+    start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
+    fold, ops = _fold_to_stop(proof, start, sigma, skip=best)
+    # The counted claims inside a skipped subtree must rebuild its precommitment.
+    rebuilt = best is None or commit_subtrees(sigma, [best], inside) == precomputed[best]
+    return _verdict(rebuilt and fold == c, ops + 2 * len(inside))
 
 
 def proof_to_text(proof: QuantileProof) -> str:

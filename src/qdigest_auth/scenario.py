@@ -21,8 +21,10 @@ from fractions import Fraction
 from .digest import (
     QDigest,
     build_from_frequencies,
+    check_compatible,
     coarsen,
     merge,
+    quantile_fraction,
     quantile_query,
     validate,
 )
@@ -63,16 +65,6 @@ class ResponderBehavior:
         return cls("tamper_count", node=node, delta=delta)
 
 
-def _query_fraction(q) -> Fraction:
-    try:
-        frac = Fraction(q)
-    except ZeroDivisionError:
-        raise ValueError(f"query fraction has a zero denominator: {q!r}") from None
-    if not 0 <= frac <= 1:
-        raise ValueError(f"query fraction {frac} out of [0, 1]")
-    return frac
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Every setting of one run, checked when the record is made.
@@ -93,7 +85,7 @@ class Scenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.behavior.kind == "omit_left" and self.scheme == "wda":
             raise ValueError("omit_left is only meaningful under commitment-based schemes")
-        object.__setattr__(self, "queries", tuple(map(_query_fraction, self.queries)))
+        object.__setattr__(self, "queries", tuple(map(quantile_fraction, self.queries)))
         if self.window < 0:
             raise ValueError(f"window must be 0 or more, got {self.window}")
         if self.updates < 1:
@@ -191,9 +183,7 @@ class CumulativeState:
 
 def cumulative_update(state: CumulativeState, q: QDigest) -> CumulativeState:
     if state.current is not None:
-        ref = state.current
-        if (ref.sigma, ref.k, ref.leaf_width) != (q.sigma, q.k, q.leaf_width):
-            raise ValueError("incompatible digest fed to cumulative state")
+        check_compatible(state.current, q)
     if state.width:
         window = (state.window + (q,))[-state.width:]
         current = window[0]

@@ -99,26 +99,24 @@ def subtree_ranges(root: int, sigma: int) -> list[range]:
 
 
 def prefix_ranges(stop: int, sigma: int, skip: int | None = None) -> list[range]:
-    """The nodes of post-order rank at most rank(stop) as one range of indices per level.
+    """The nodes of post-order rank at most rank(stop): each `prefix_roots` subtree's `subtree_ranges`.
 
-    At a level l above stop's level L these are the nodes left of stop's
-    ancestor, range(2**l, stop >> (L - l)); at and below L, the nodes of
-    stop's subtree and those left of it, range(2**l, (stop + 1) << (l - L)).
-    With `skip`, a node ranked before stop, its subtree is left out, which
-    splits each level at and below skip's into two ranges.
+    With `skip`, a node ranked before stop, its subtree is left out: in the
+    one prefix subtree that holds skip, each range at and below skip's
+    level is split in two around skip's range at that level.
     """
-    check_node(stop, sigma)
-    top = level(stop)
-    ranges = [range(1 << lvl, stop >> (top - lvl)) for lvl in range(top)]
-    ranges += [range(1 << lvl, (stop + 1) << (lvl - top)) for lvl in range(top, level(sigma) + 1)]
-    if skip is None:
-        return ranges
-    if post_order_rank(skip, sigma) >= post_order_rank(stop, sigma):
+    roots = prefix_roots(stop, sigma)
+    if skip is not None and post_order_rank(skip, sigma) >= post_order_rank(stop, sigma):
         raise ValueError(f"subtree {skip!r} does not rank before stop {stop}")
-    head = level(skip)
-    for whole, sub in zip(ranges[head:], subtree_ranges(skip, sigma)):
-        ranges[level(sub.start)] = range(whole.start, sub.start)
-        ranges.append(range(sub.stop, whole.stop))
+    ranges = []
+    for root in roots:
+        levels = subtree_ranges(root, sigma)
+        if skip is not None and is_in_subtree(skip, root, sigma):
+            head = level(skip) - level(root)
+            for whole, sub in zip(levels[head:], subtree_ranges(skip, sigma)):
+                ranges += [range(whole.start, sub.start), range(sub.stop, whole.stop)]
+            levels = levels[:head]
+        ranges += levels
     return ranges
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,16 @@ def test_verify_needs_exactly_one_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["query", "q.qd", "--q", "1/0"], ["bench", "--sigmas", "4,x"]], ids=["q-1/0", "sigmas-4,x"]
+)
+def test_an_unreadable_option_value_exits_2_through_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "option, message",
     [
         (["--k", "0"], "k must be a positive integer"),
@@ -303,6 +317,7 @@ OUT_OF_LIMIT_KVC_FIELDS = [
         README_KVC_FILE + README_KVC_FILE.splitlines(keepends=True)[-1],
         README_KVC_FILE.replace("sigma=8", "sigma=08"),
         README_KVC_FILE.replace("\n", "\r\n"),
+        README_KVC_FILE.splitlines(keepends=True)[0],
         *(README_KVC_FILE.replace(old, new) for old, new in OUT_OF_LIMIT_KVC_FIELDS),
     ],
     ids=[
@@ -313,6 +328,7 @@ OUT_OF_LIMIT_KVC_FIELDS = [
         "repeated-subtree-line",
         "leading-zero-sigma",
         "crlf-line-endings",
+        "header-only",
         *(new for _, new in OUT_OF_LIMIT_KVC_FIELDS),
     ],
 )
@@ -350,3 +366,34 @@ def test_verify_rejects_an_oversized_stop_count(tmp_path, s1_file, extra, capsys
     capsys.readouterr()
     assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)] + extra) == 1
     assert "reason=malformed" in capsys.readouterr().out
+
+
+def test_readme_command_block_in_fresh_processes(tmp_path):
+    """The README's sigma-8 block, each command in a new `python -m qdigest_auth.cli` process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def qdigest(*argv):
+        return subprocess.run([sys.executable, "-m", "qdigest_auth.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    (tmp_path / "s1.tsv").write_text("1\t1\n2\t2\n3\t3\n4\t4\n5\t6\n6\t6\n7\t7\n8\t9\n")
+    assert qdigest("build", "s1.tsv", "--sigma", "8", "--k", "4", "--output", "q1.qd").returncode == 0
+    assert qdigest("query", "q1.qd", "--q", "1/2").stdout == "6\n"
+    assert qdigest("auth", "q1.qd", "--wda-out", "q1.wda", "--kvc-out", "q1.kvc").returncode == 0
+    assert (tmp_path / "q1.kvc").read_bytes() == README_KVC_FILE.encode("ascii")
+    assert qdigest("prove", "q1.qd", "--q", "1/2", "--output", "q1.proof").returncode == 0
+    for extra in ([], ["--accelerated"]):
+        assert qdigest("verify", "--proof", "q1.proof", "--auth", "q1.kvc", *extra).returncode == 0
+    assert qdigest("verify", "--digest", "q1.qd", "--auth", "q1.wda").returncode == 0
+    (tmp_path / "attack.scn").write_text("scheme=kvc_qa\nbehavior=omit_left:4\nqueries=1/2\n")
+    run = qdigest("simulate", "attack.scn", "s1.tsv", "--sigma", "8", "--k", "4")
+    assert run.returncode == 0
+    assert run.stdout.endswith(" accepted=0 insert_ops=9 bytes=126 reason=commitment-mismatch\n")
+
+    lines = (tmp_path / "q1.proof").read_text().splitlines(keepends=True)
+    node, _, cnt = lines[1].partition(":")
+    lines[1] = f"{node}:{int(cnt) + 1}\n"
+    (tmp_path / "raised.proof").write_text("".join(lines))
+    assert qdigest("verify", "--proof", "raised.proof", "--auth", "q1.kvc").returncode == 1
+    assert qdigest("query", "q1.qd", "--q", "1/0").returncode == 2

@@ -194,6 +194,11 @@ class TestQueries:
         with pytest.raises(ValueError):
             quantile_query(QDigest(8, 4), Fraction(1, 2))
 
+    @pytest.mark.parametrize("query", [lambda q: rank_query(q, 3), lambda q: range_query(q, 1, 3)], ids=["rank", "range"])
+    def test_an_empty_digest_cannot_be_queried(self, query):
+        with pytest.raises(ValueError, match="cannot query an empty digest"):
+            query(QDigest(8, 4))
+
     def test_rank_query(self, example2_digest):
         assert rank_query(example2_digest, 1) == 0
         assert rank_query(example2_digest, 5) == 10
@@ -274,6 +279,10 @@ class TestRecompress:
             recompress(q1, 4)
         with pytest.raises(ValueError):
             recompress(q1, 8)
+
+    def test_k_below_one_is_refused(self, s1):
+        with pytest.raises(ValueError, match="new compression parameter must be a positive integer, got 0"):
+            recompress(build_from_frequencies(s1, 4, 8), 0)
 
 
 class TestValidate:

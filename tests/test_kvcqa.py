@@ -1,11 +1,20 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qdigest_auth.commitment import COMMIT_MAX_SIGMA, commit_digest, initialize, insert, sha256_calls, subtree_commitment
-from qdigest_auth.digest import QDigest, quantile_query
+from qdigest_auth.commitment import (
+    COMMIT_MAX_SIGMA,
+    commit_digest,
+    initialize,
+    insert,
+    sha256_calls,
+    subtree_commitment,
+    subtree_commitments,
+)
+from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix, quantile_query, range_top
 from qdigest_auth.kvcqa import (
     QuantileProof,
     aqq,
@@ -21,7 +30,7 @@ from qdigest_auth.kvcqa import (
     qqv_fast,
     dump_proof,
 )
-from qdigest_auth.tree import post_order_rank
+from qdigest_auth.tree import post_order_rank, prefix_ranges
 
 from helpers import grid, random_digest
 
@@ -308,6 +317,7 @@ class TestProofFiles:
             "aqqproof v1 q=1/2 n=15 answer=4\n04:3\nremainder=kvc1:" + "0" * 64 + "\n",
             "aqqproof v1 q=2/4 n=15 answer=4\n10:4\nremainder=kvc1:" + "0" * 64 + "\n",
             "aqqproof v1 q=1/2 n=15 answer=4\n10:4\nremainder=kvc1:" + "A" * 64 + "\n",
+            "aqqproof v1 q=1/0 n=15 answer=4\n10:4\nremainder=kvc1:" + "0" * 64 + "\n",
         ],
     )
     def test_malformed_files_rejected(self, text):
@@ -420,6 +430,63 @@ def test_a_counted_sum_above_n_is_malformed_before_any_fold():
     for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
     assert sha256_calls() == before
+
+
+@pytest.mark.parametrize(
+    "query",
+    [quantile_query, aqq, lambda q, frac: malicious_aqq_omit_left(q, frac, set())],
+    ids=["quantile_query", "aqq", "malicious_aqq_omit_left"],
+)
+def test_a_string_quantile_with_a_zero_denominator_is_a_value_error(e2, query):
+    with pytest.raises(ValueError, match="zero denominator: '1/0'"):
+        query(e2[0], "1/0")
+
+
+# SHA-256 of the corpus below, taken from the code before the query path's
+# prefix, q*n stop and accelerated fold each had one body.
+GOLDEN_QUERY_PATH = "991a097d9cfdf4bf20884d4be2e0031ca0d5d7f3684d59b3e3763c684db28aff"
+
+
+def test_seeded_query_path_corpus_is_unchanged():
+    """Pins every prefix node list, proof text and verdict over a seeded corpus.
+
+    For each sigma up to 2**8 and every stop: the nodes of
+    `prefix_ranges`, and with subtree 2 skipped where it ranks before the
+    stop.  For each seed and each q in sixteenths: the text of honest,
+    truncated, first-count-raised and omit-left proofs, and the
+    (accepted, reason, insert_ops) of `qqv`, `qqv_fast` and
+    `qqv_accelerated` with the source's precommitment and with four
+    random ones.
+    """
+    h = hashlib.sha256()
+    for sigma in (2**e for e in range(9)):
+        for stop in range(1, 2 * sigma):
+            h.update(repr(sorted(node for r in prefix_ranges(stop, sigma) for node in r)).encode())
+            if sigma > 1 and post_order_rank(2, sigma) < post_order_rank(stop, sigma):
+                h.update(repr(sorted(node for r in prefix_ranges(stop, sigma, skip=2) for node in r)).encode())
+    for seed in range(30):
+        rng = random.Random(seed)
+        sigma = 2 ** rng.randint(0, 8)
+        freqs = {rng.randint(1, sigma): rng.randint(1, 9) for _ in range(rng.randint(1, 60))}
+        d = build_from_frequencies(freqs, rng.randint(1, 64), sigma)
+        c, pre = publish_kvc_auth(d)
+        many = subtree_commitments(d, rng.sample(range(1, 2 * sigma), min(4, 2 * sigma - 1)))
+        for i in range(17):
+            frac = Fraction(i, 16)
+            honest = aqq(d, frac)
+            counted = honest.counted
+            proofs = [honest, replace(honest, counted=((counted[0][0], counted[0][1] + 1),) + counted[1:])]
+            if len(counted) > 1:
+                proofs.append(replace(honest, counted=counted[:-1], answer=range_top(counted[-2][0], sigma, 1)))
+            before = [node for node, _ in counted_prefix(d.post_order_buckets(), frac * d.n)[:-1]]
+            if before:
+                proofs.append(malicious_aqq_omit_left(d, frac, rng.sample(before, rng.randint(1, len(before)))))
+            for proof in proofs:
+                h.update(proof_to_text(proof).encode())
+                for stats in (qqv(proof, c, d.n, sigma), qqv_fast(proof, c, d.n, sigma),
+                              qqv_accelerated(proof, c, pre, d.n, sigma), qqv_accelerated(proof, c, many, d.n, sigma)):
+                    h.update(repr((stats.accepted, stats.reason, stats.insert_ops)).encode())
+    assert h.hexdigest() == GOLDEN_QUERY_PATH
 
 
 class TestKvcAuthFiles:

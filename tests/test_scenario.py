@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdigest_auth.commitment import sha256_calls
-from qdigest_auth.digest import build_from_frequencies, validate
+from qdigest_auth.digest import QDigest, build_from_frequencies, validate
 from qdigest_auth.scenario import (
     CumulativeState,
     ResponderBehavior,
@@ -14,6 +14,7 @@ from qdigest_auth.scenario import (
     build_privacy_profile,
     cumulative_update,
     mean_bucket_depth,
+    parse_levels,
     parse_scenario,
     run_scenario,
     run_session,
@@ -129,6 +130,28 @@ class TestScripts:
         with pytest.raises(ValueError, match=message):
             Scenario("kvc_qa", ResponderBehavior.honest(), QUERIES, **settings)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ResponderBehavior("bogus"), "unknown responder behavior 'bogus'"),
+            (lambda: ResponderBehavior.omit_left(set()), "omit_left behavior needs a nonempty omission set"),
+            (lambda: parse_scenario("scheme=wda\nbehavior=tamper_count:4\nqueries=1/2\n"),
+             "malformed tamper_count behavior: 'tamper_count:4'"),
+            (lambda: parse_scenario("scheme=wda\nbehavior=bogus\nqueries=1/2\n"), "unknown behavior 'bogus'"),
+            (lambda: parse_levels("a:x"), "malformed level entry 'a:x'"),
+            (lambda: parse_levels("a"), "malformed level entry 'a'"),
+            (lambda: parse_levels("a:1:2:3"), "malformed level entry 'a:1:2:3'"),
+            (lambda: build_privacy_profile({1: 1}, 8, []), "need at least one privilege level"),
+            (lambda: mean_bucket_depth(QDigest(8, 4)), "empty digest has no bucket depth"),
+        ],
+        ids=["behavior-bogus", "omit-left-empty", "tamper-count-short", "parse-behavior-bogus", "level-a:x",
+             "level-a", "level-a:1:2:3", "no-levels", "empty-depth"],
+    )
+    def test_bad_inputs_are_refused_with_their_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_omit_left_refused_at_a_level_with_a_cut(self):
         # the omitted nodes are named in the full tree, which a cut level does not have
         omit = ResponderBehavior.omit_left({4})
@@ -189,6 +212,13 @@ class TestSessions:
             records = run_session(script, build_from_frequencies(s1, 4, 8))
             assert all(not rec.accepted for rec in records), scheme
 
+    @pytest.mark.parametrize("scheme, reason", [("wda", "hash-mismatch"), ("kvc_qa", "malformed")])
+    def test_a_tamper_that_empties_a_bucket_is_rejected(self, example2_digest, scheme, reason):
+        # bucket 6 holds 2, so the tamper drops it and n falls from 15 to 13
+        script = Scenario(scheme, ResponderBehavior.tamper_count(6, -2), (Fraction(1, 2),))
+        (record,) = run_session(script, example2_digest)
+        assert (record.accepted, record.reason) == (False, reason)
+
     def test_transcript_line_format(self, s1):
         script = Scenario("kvc_qa", ResponderBehavior.honest(), (Fraction(1, 2),))
         line = run_session(script, build_from_frequencies(s1, 4, 8))[0].transcript_line()
@@ -227,9 +257,10 @@ class TestCumulative:
             assert state.current.n == sum(per_digest[-w:])
         assert state.current.n <= w * max(per_digest)
 
-    def test_incompatible_digest_refused(self, s1):
-        state = cumulative_update(CumulativeState(), build_from_frequencies(s1, 4, 8))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("width", [0, 1])  # a width-1 window never merges, so only the check refuses
+    def test_incompatible_digest_refused(self, s1, width):
+        state = cumulative_update(CumulativeState(width=width), build_from_frequencies(s1, 4, 8))
+        with pytest.raises(ValueError, match="incompatible digest"):
             cumulative_update(state, build_from_frequencies(s1, 5, 8))
 
     def test_distribution_shift_depth_degrades_without_window(self):

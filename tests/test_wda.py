@@ -81,6 +81,13 @@ def test_authinfo_text_round_trip(tmp_path, example2_digest):
     assert load_authinfo(path) == auth
 
 
+def test_authinfo_file_without_its_final_newline_is_refused(tmp_path, example2_digest):
+    path = tmp_path / "auth.wda"
+    path.write_text(wda_authinfo(example2_digest).encode())
+    with pytest.raises(ValueError, match="must end with a newline"):
+        load_authinfo(path)
+
+
 @pytest.mark.parametrize(
     "text",
     [
