@@ -23,10 +23,12 @@ min(2*sigma - 1, max(sigma/_SHORT - 1, 3)) ints per sigma.  Once it is
 warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets and a
 post-order prefix at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
 
-`fold_ranges` is the loop behind every node-by-node fold: the short
-subtrees of `_zero_fold` and the literal verifiers' prefixes, given as
-one range of node indices per tree level.  It makes one SHA-256 call per
-node; `_RECORD` is the one layout of an insertion's bytes.
+`fold_ranges` is the loop behind every node-by-node fold, given ranges
+of node indices that each lie within one tree level: a short subtree of
+`_zero_fold` comes as one range per level, and a literal verifier's
+prefix as one range per level of each `tree.prefix_roots` subtree (up
+to 17 roots at sigma 2^16).  It makes one SHA-256 call per node;
+`_RECORD` is the one layout of an insertion's bytes.
 
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision

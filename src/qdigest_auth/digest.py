@@ -20,9 +20,11 @@ one checked pass adds each value into its leaf's count, the counts are
 compressed in place, and one `QDigest` is made at the end.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import ceil
 from typing import Iterable, Mapping, Sequence
 
 from .tree import (
@@ -31,8 +33,9 @@ from .tree import (
     level,
     next_power_of_two,
     node_range,
-    post_order_rank,
     sibling,
+    unchecked_rank,
+    unchecked_top,
 )
 
 FrequencySet = Mapping[int, int]
@@ -103,8 +106,8 @@ class QDigest:
 
     def post_order_buckets(self) -> list[tuple[int, int]]:
         """Buckets as (index, count) pairs sorted by post-order rank."""
-        order = sorted(self._counts, key=lambda i: post_order_rank(i, self.sigma))
-        return [(i, self._counts[i]) for i in order]
+        sigma = self.sigma  # the keys were checked against it when the digest was made
+        return sorted(self._counts.items(), key=lambda bucket: unchecked_rank(bucket[0], sigma))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QDigest):
@@ -197,21 +200,32 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
     """One bottom-up sweep merging children into parents in place.
 
     Families are visited deepest level first, ascending index within a
-    level.  Returns True when at least one family merged.
+    level.  A level's nodes are its slice of the sorted keys plus the
+    parents made by merges at the level below, which arrive in ascending
+    order; siblings are then adjacent, so each family is read once.
+    Returns True when at least one family merged.
     """
+    keys = sorted(counts)
+    end = len(keys)
+    made: list[int] = []
     merged = False
     for lvl in range(level(sigma), 0, -1):
-        lo, hi = 1 << lvl, (2 << lvl) - 1
-        parents = sorted({i // 2 for i in counts if lo <= i <= hi})
-        for p in parents:
+        start = bisect_left(keys, 1 << lvl, 0, end)
+        nodes = sorted(keys[start:end] + made) if made else islice(keys, start, end)
+        end, made, last = start, [], 0
+        for i in nodes:
+            p = i >> 1
+            if p == last:  # i's sibling, or a parent both kept and made, came first
+                continue
+            last = p
             l, r = 2 * p, 2 * p + 1
-            lc = counts.get(l, 0)
-            rc = counts.get(r, 0)
-            if counts.get(p, 0) + lc + rc <= threshold:
-                counts[p] = counts.get(p, 0) + lc + rc
+            total = counts.get(p, 0) + counts.get(l, 0) + counts.get(r, 0)
+            if total <= threshold:
+                counts[p] = total
                 counts.pop(l, None)
                 counts.pop(r, None)
-                merged = True
+                made.append(p)
+        merged = merged or bool(made)
     return merged
 
 
@@ -327,7 +341,9 @@ def coarsen(
     if not leaves:
         raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
     _check_k(k)
-    _compress_until_stable(counts, sum(counts.values()) // k, leaves)
+    # One pass settles counts that hold only leaves: a family that does not
+    # merge keeps an empty parent, so a second pass would repeat its failed check.
+    _one_pass(counts, sum(counts.values()) // k, leaves)
     return QDigest(leaves, k, counts, tree_sigma // leaves)
 
 
@@ -381,9 +397,10 @@ def query_fraction(q: QDigest, fraction) -> Fraction:
 
 
 def counted_prefix(buckets: Sequence[tuple[int, int]], target) -> Sequence[tuple[int, int]]:
-    """Shortest prefix of (index, count) pairs whose counts reach target; all of them if none does."""
+    """Shortest prefix of (index, count) pairs whose integer counts reach target; all of them if none does."""
+    need = ceil(target)  # an integer sum reaches target iff it reaches its ceiling
     for stop, acc in enumerate(accumulate(cnt for _, cnt in buckets)):
-        if acc >= target:
+        if acc >= need:
             return buckets[: stop + 1]
     return buckets
 
@@ -403,11 +420,8 @@ def rank_query(q: QDigest, x: int) -> int:
 
 
 def _rank_below(q: QDigest, x: int) -> int:
-    return sum(
-        c
-        for i, c in q._counts.items()
-        if range_top(i, q.sigma, q.leaf_width) < x
-    )
+    sigma, width = q.sigma, q.leaf_width  # the keys were checked against sigma when q was made
+    return sum(c for i, c in q._counts.items() if unchecked_top(i, sigma) * width < x)
 
 
 def range_query(q: QDigest, lo: int, hi: int) -> int:

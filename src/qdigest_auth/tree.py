@@ -40,26 +40,38 @@ def sibling(i: int) -> int:
     return i ^ 1
 
 
+def unchecked_top(i: int, sigma: int) -> int:
+    """Largest domain value under node i, for an i and sigma the caller has checked.
+
+    Node i spans width = sigma >> level(i) values and ends just before its
+    right neighbour at the same level would start: (i + 1) * width - sigma.
+    """
+    return (i + 1) * (sigma >> level(i)) - sigma
+
+
 def node_range(i: int, sigma: int) -> tuple[int, int]:
     """Closed interval of domain values covered by node i."""
     check_node(i, sigma)
-    lvl = level(i)
-    width = sigma >> lvl
-    lo = (i - (1 << lvl)) * width + 1
-    return lo, lo + width - 1
+    hi = unchecked_top(i, sigma)
+    return hi - (sigma >> level(i)) + 1, hi
 
 
-def post_order_rank(i: int, sigma: int) -> int:
-    """1-based position of node i in a post-order visit of the full tree.
+def unchecked_rank(i: int, sigma: int) -> int:
+    """`post_order_rank` of node i, for an i and sigma the caller has checked.
 
     The j leaves left of i's subtree are covered by one perfect subtree
     per set bit of j, 2j - popcount(j) nodes visited before i's subtree;
     i comes last in its own.
     """
-    check_node(i, sigma)
     width = sigma >> level(i)
-    j = (i - (1 << level(i))) * width
+    j = i * width - sigma
     return 2 * j - j.bit_count() + 2 * width - 1
+
+
+def post_order_rank(i: int, sigma: int) -> int:
+    """1-based position of node i in a post-order visit of the full tree."""
+    check_node(i, sigma)
+    return unchecked_rank(i, sigma)
 
 
 def post_order_nodes(sigma: int, root: int = 1):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.digest import (
     QDigest,
+    _one_pass,
     build_from_frequencies,
     coarsen,
+    counted_prefix,
     compress_iterations,
     compress_one_pass,
     digest_sum,
@@ -23,7 +25,7 @@ from qdigest_auth.digest import (
     validate,
 )
 from qdigest_auth.serialize import digest_to_bytes
-from qdigest_auth.tree import next_power_of_two
+from qdigest_auth.tree import level, next_power_of_two
 
 from helpers import exact_quantile, grid, random_frequencies, random_sum, rank_oracle
 
@@ -133,6 +135,75 @@ class TestSumAndOnePass:
         assert compress_one_pass(q1) == q1
 
 
+def scan_one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
+    """Reference sweep: each level's parents are found by scanning every bucket."""
+    merged = False
+    for lvl in range(level(sigma), 0, -1):
+        lo, hi = 1 << lvl, (2 << lvl) - 1
+        parents = sorted({i // 2 for i in counts if lo <= i <= hi})
+        for p in parents:
+            l, r = 2 * p, 2 * p + 1
+            lc = counts.get(l, 0)
+            rc = counts.get(r, 0)
+            if counts.get(p, 0) + lc + rc <= threshold:
+                counts[p] = counts.get(p, 0) + lc + rc
+                counts.pop(l, None)
+                counts.pop(r, None)
+                merged = True
+    return merged
+
+
+def assert_passes_match_the_scan(counts: dict[int, int], threshold: int, sigma: int) -> None:
+    """Runs both sweeps pass after pass until one merges nothing."""
+    mine, ref = dict(counts), dict(counts)
+    merged = True
+    while merged:
+        merged = _one_pass(mine, threshold, sigma)
+        assert merged == scan_one_pass(ref, threshold, sigma)
+        assert list(mine.items()) == list(ref.items())  # same counts, made in the same order
+
+
+class TestOnePassAgainstTheScan:
+    """The level-bucketed sweep does what the per-level scan of every bucket did."""
+
+    def test_random_count_maps_with_internal_nodes(self):
+        internal = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            sigma = 2 ** rng.randint(0, 12)
+            nodes = rng.sample(range(1, 2 * sigma), rng.randint(0, min(2 * sigma - 1, 300)))
+            counts = {i: rng.randint(1, 50) for i in nodes}
+            internal += any(i < sigma for i in counts)
+            k = rng.randint(1, 40)
+            assert_passes_match_the_scan(counts, sum(counts.values()) // k, sigma)
+        assert internal > 200
+
+    def test_digest_sums_that_show_the_one_pass_flaw(self, s1, s2):
+        worked = digest_sum(build_from_frequencies(s1, 4, 8), build_from_frequencies(s2, 4, 8))
+        sums = [worked]
+        for seed in range(200):
+            rng = random.Random(seed)
+            sums.append(random_sum(rng, k=rng.randint(1, 40)))
+        flawed = 0
+        for s in sums:
+            assert_passes_match_the_scan(s.buckets(), s.threshold, s.sigma)
+            flawed += not validate(compress_one_pass(s)).ok
+        assert flawed >= 10
+        assert compress_one_pass(worked).buckets() == ONE_PASS_BUCKETS
+
+    def test_one_pass_settles_a_fresh_build(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            sigma = rng.choice([1, 2, 8, 100, 1024, 4096, 2**16])
+            values = [rng.randint(1, sigma) for _ in range(rng.randint(0, 2000))]
+            freqs = {v: rng.randint(1, 9) for v in values}
+            cut = min(rng.randint(0, 3), level(next_power_of_two(sigma)))
+            q = coarsen(freqs, rng.randint(1, 64), sigma, cut)
+            counts = q.buckets()
+            assert not _one_pass(counts, q.threshold, q.sigma)
+            assert counts == q.buckets()
+
+
 class TestRepairedCompression:
     def test_both_algorithms_fix_the_worked_example(self, s1, s2):
         s = digest_sum(build_from_frequencies(s1, 4, 8), build_from_frequencies(s2, 4, 8))
@@ -226,6 +297,19 @@ class TestQueries:
             q = build_from_frequencies(random_frequencies(rng, sigma), rng.randint(1, 16), sigma)
             for x in range(1, sigma + 1):
                 assert rank_query(q, x) == rank_oracle(q, x)
+
+    def test_counted_prefix_compares_with_the_exact_target(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            buckets = [(i, rng.randint(1, 9)) for i in range(1, rng.randint(1, 12))]
+            target = Fraction(rng.randint(0, 80), rng.randint(1, 7))
+            acc, want = 0, buckets
+            for stop, (_, cnt) in enumerate(buckets):
+                acc += cnt
+                if Fraction(acc) >= target:
+                    want = buckets[: stop + 1]
+                    break
+            assert counted_prefix(buckets, target) == want
 
     def test_degenerate_digest_answers_exactly(self):
         rng = random.Random(5)
