@@ -7,6 +7,7 @@ exact-comparison guarantee.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -52,7 +53,10 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(part) for part in text.split(",") if part]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qdigest` parser, built once and shared: `parse_args` makes a
+    fresh namespace on each call, and no command mutates a default."""
     parser = argparse.ArgumentParser(
         prog="qdigest",
         description="Build, merge, query, and authenticate q-digest quantile summaries.",
@@ -199,8 +203,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -246,6 +246,8 @@ def qqv_accelerated(
     `commit_subtrees`, so a tampered or omitted count there is still
     rejected and the verdict always matches the plain verifier.  A
     precommitment outside the tree or not a `Commitment` is malformed.
+    insert_ops is the SHA-256 calls it made, from `sha256_calls`, so the
+    cross-check's zero fold counts when it is not yet memoized.
     """
     rejected = _precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
@@ -264,10 +266,11 @@ def qqv_accelerated(
         if size > 2 * len(claims) and size > best_size:
             best_size, best, inside = size, root, claims
     start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
-    fold, ops = _fold_to_stop(proof, start, sigma, skip=best)
+    before = sha256_calls()
+    fold, _ = _fold_to_stop(proof, start, sigma, skip=best)
     # The counted claims inside a skipped subtree must rebuild its precommitment.
     rebuilt = best is None or commit_subtrees(sigma, [best], inside) == precomputed[best]
-    return _verdict(rebuilt and fold == c, ops + 2 * len(inside))
+    return _verdict(rebuilt and fold == c, sha256_calls() - before)
 
 
 def proof_to_text(proof: QuantileProof) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qdigest_auth.cli import main
+from qdigest_auth.cli import build_parser, main
 from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
 from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest
@@ -124,6 +124,39 @@ def test_plain_verify_reports_the_sha256_calls_of_the_zero_fold_verifier(tmp_pat
     calls = sha256_calls() - before
     assert capsys.readouterr().out == f"accepted=1 reason=ok insert_ops={calls}\n"
     assert calls <= 2 * counted + 4 * _SHORT  # the literal fold would insert all 8191 nodes
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_plain_verify_after_an_accelerated_one_runs_the_zero_fold_verifier(tmp_path, s1, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    freqs = write_freqs(tmp_path / "f.tsv", {**s1, 4096: 3})
+    main(["build", freqs, "--sigma", "4096", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])
+    main(["prove", str(digest), "--q", "1", "--output", str(proof)])
+    counted = int(capsys.readouterr().out.split("counted=")[-1])
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]) == 0
+    assert int(capsys.readouterr().out.split("insert_ops=")[-1]) > 4096  # folds subtree 3 node by node
+    before = sha256_calls()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 0
+    calls = sha256_calls() - before
+    assert capsys.readouterr().out == f"accepted=1 reason=ok insert_ops={calls}\n"
+    assert calls <= 2 * counted + 4 * _SHORT
+
+
+def test_a_usage_error_leaves_the_next_call_working(tmp_path, s1_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(tmp_path / "q.qd")]) == 0
+
+
+def test_bench_options_leave_the_shared_defaults_alone(capsys):
+    assert main(["bench", "--sigmas", "64", "--ks", "4", "--qs", "1/2"]) == 0
+    args = build_parser().parse_args(["bench"])
+    assert (args.sigmas, args.ks, args.qs) == ([64, 256, 1024], [4, 16], [0, Fraction(1, 2), 1])
 
 
 def test_verify_rejects_tampered_proof(tmp_path, s1_file, capsys):

@@ -442,9 +442,10 @@ def test_a_string_quantile_with_a_zero_denominator_is_a_value_error(e2, query):
         query(e2[0], "1/0")
 
 
-# SHA-256 of the corpus below, taken from the code before the query path's
-# prefix, q*n stop and accelerated fold each had one body.
-GOLDEN_QUERY_PATH = "991a097d9cfdf4bf20884d4be2e0031ca0d5d7f3684d59b3e3763c684db28aff"
+# SHA-256 of the corpus below.  `qqv_accelerated`'s insert_ops with a random
+# precommitment include the zero fold of a skipped subtree that is not
+# memoized (a root past 3 with at most 64 leaves).
+GOLDEN_QUERY_PATH = "efb16bcc94fb456865d2496dd82a9883ca3e79212e203fa8b810a1ff3a3f7716"
 
 
 def test_seeded_query_path_corpus_is_unchanged():

@@ -51,6 +51,7 @@ from qdigest_auth.tree import (
     prefix_ranges,
     prefix_roots,
     subtree_ranges,
+    subtree_size,
 )
 
 from helpers import random_frequencies
@@ -283,12 +284,21 @@ def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds
 @pytest.mark.parametrize("sigma", [8, 128])
 def test_the_accelerated_verifier_reports_every_call_it_makes(sigma, cold_zero_folds):
     """Z(2) is memoized at every sigma: once the source has published, the
-    cross-check's zero fold is free, as `insert_ops` counts it."""
+    cross-check's zero fold is free.  A verifier that has not published
+    folds Z(2) on its first call, and `insert_ops` counts that fold too."""
     q = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6}) if sigma == 8 else seeded_digest(0, sigma)
     c, precomputed = publish_kvc_auth(q)
     proof = aqq(q, Fraction(1))
-    for _ in range(2):
+    literal = qqv(proof, c, q.n, sigma).insert_ops
+    commitment._ZERO_FOLDS.clear()  # as in a fresh verifying process
+    reported = []
+    for _ in range(3):
         before = sha256_calls()
         stats = qqv_accelerated(proof, c, precomputed, q.n, sigma)
         assert stats.accepted
-        assert sha256_calls() - before == stats.insert_ops < qqv(proof, c, q.n, sigma).insert_ops
+        assert sha256_calls() - before == stats.insert_ops
+        reported.append(stats.insert_ops)
+    assert reported[0] == reported[1] + subtree_size(2, sigma)
+    assert reported[1] == reported[2] < literal
+    if sigma == 8:
+        assert reported[:2] == [19, 12]
