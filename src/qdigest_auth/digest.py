@@ -16,8 +16,8 @@ repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
 
 Every digest built from values, plain or coarse, comes from `coarsen`:
-one checked pass adds each value into its leaf's count, the counts are
-compressed in place, and one `QDigest` is made at the end.
+one checked pass adds each value into its leaf's count, `_leaf_pass`
+compresses them level by level, and one `QDigest` is made at the end.
 """
 
 from bisect import bisect_left
@@ -229,6 +229,36 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
     return merged
 
 
+def _leaf_pass(counts: Mapping[int, int], threshold: int, sigma: int) -> dict[int, int]:
+    """`_one_pass` on a map holding only leaves, over sorted lists; returns the kept map.
+
+    With no parent present, a family is one node or two adjacent siblings: it
+    moves up as one parent if its sum is at most threshold, else it is kept.
+    """
+    keys = sorted(counts)
+    cnts = [counts[i] for i in keys]
+    kept: dict[int, int] = {}
+    for _ in range(level(sigma)):
+        up_keys, up_cnts, j, m = [], [], 0, len(keys)
+        while j < m:
+            i, c = keys[j], cnts[j]
+            j += 1
+            if j < m and keys[j] == i ^ 1:  # i is even and its sibling follows
+                c2, j = cnts[j], j + 1
+                if c + c2 > threshold:
+                    kept[i], kept[i + 1] = c, c2
+                    continue
+                c += c2
+            elif c > threshold:
+                kept[i] = c
+                continue
+            up_keys.append(i >> 1)  # the family's parent, in ascending order
+            up_cnts.append(c)
+        keys, cnts = up_keys, up_cnts
+    kept.update(zip(keys, cnts))
+    return kept
+
+
 def compress_one_pass(q: QDigest) -> QDigest:
     """The original single-sweep compression; may leave property 2 violated."""
     counts = dict(q._counts)
@@ -341,10 +371,10 @@ def coarsen(
     if not leaves:
         raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
     _check_k(k)
-    # One pass settles counts that hold only leaves: a family that does not
+    # `_one_pass` on leaf-only counts, which one pass settles: a family that does not
     # merge keeps an empty parent, so a second pass would repeat its failed check.
-    _one_pass(counts, sum(counts.values()) // k, leaves)
-    return QDigest(leaves, k, counts, tree_sigma // leaves)
+    kept = _leaf_pass(counts, sum(counts.values()) // k, leaves)
+    return QDigest(leaves, k, kept, tree_sigma // leaves)
 
 
 def recompress(q: QDigest, k_new: int) -> QDigest:

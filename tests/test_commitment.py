@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.commitment import (
+    GROUP_PRIME,
     Commitment,
     combine,
     commit_digest,
@@ -146,6 +147,20 @@ def test_oversized_values_are_rejected():
         insert(initialize(), 1, 1 << 128)
     with pytest.raises(ValueError):
         insert(initialize(), 1 << 64, 1)
+
+
+def test_commitment_range_edges():
+    assert Commitment(0).acc == 0
+    assert Commitment(GROUP_PRIME - 1).acc == GROUP_PRIME - 1
+    for acc in (-1, GROUP_PRIME):
+        with pytest.raises(ValueError, match="out of group range"):
+            Commitment(acc)
+
+
+def test_commit_subtrees_accepts_sigma_at_the_limit():
+    assert commit_subtrees(1 << 20, [], ()) == Commitment(0)  # no root, nothing hashed
+    with pytest.raises(ValueError, match="exceeds the commitment limit"):
+        commit_subtrees(1 << 21, [], ())
 
 
 def test_permutation_invariance_at_ten_thousand_insertions():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.digest import (
     QDigest,
+    _leaf_pass,
     _one_pass,
     build_from_frequencies,
     coarsen,
@@ -204,6 +205,44 @@ class TestOnePassAgainstTheScan:
             assert counts == q.buckets()
 
 
+class TestLeafPassAgainstTheSweep:
+    """The build's leaf pass keeps what `_one_pass` leaves of the same leaves-only map."""
+
+    def test_random_leaf_maps(self):
+        heavy = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            sigma = 2 ** rng.randint(0, 12)
+            leaves = rng.sample(range(sigma, 2 * sigma), rng.randint(0, min(sigma, 300)))
+            counts = {i: rng.randint(1, 50) * (1 if rng.random() < 0.9 else 1000) for i in leaves}
+            k = rng.randint(1, 64)
+            threshold = sum(counts.values()) // k
+            heavy += any(c > threshold for c in counts.values())
+            swept = dict(counts)
+            _one_pass(swept, threshold, sigma)
+            assert _leaf_pass(counts, threshold, sigma) == swept
+        assert heavy > 500
+
+    def test_coarse_builds_keep_what_the_sweep_keeps(self):
+        cut_at_all = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            sigma = rng.randint(1, 2**12)
+            tree_sigma = next_power_of_two(sigma)
+            cut = rng.randint(0, level(tree_sigma))
+            cut_at_all += cut > 0
+            freqs = {rng.randint(1, sigma): rng.randint(1, 9) for _ in range(rng.randint(0, 400))}
+            k = rng.randint(1, 64)
+            leaves, width = tree_sigma >> cut, 1 << cut
+            counts: dict[int, int] = {}
+            for v, mult in freqs.items():
+                leaf = leaves - 1 + -(-v // width)  # the leaf covering v
+                counts[leaf] = counts.get(leaf, 0) + mult
+            _one_pass(counts, sum(freqs.values()) // k, leaves)
+            assert coarsen(freqs, k, sigma, cut) == QDigest(leaves, k, counts, width)
+        assert cut_at_all > 500
+
+
 class TestRepairedCompression:
     def test_both_algorithms_fix_the_worked_example(self, s1, s2):
         s = digest_sum(build_from_frequencies(s1, 4, 8), build_from_frequencies(s2, 4, 8))
@@ -380,6 +419,23 @@ class TestValidate:
     def test_empty_digest_is_valid(self):
         report = validate(QDigest(8, 4))
         assert report.ok and report.size == 0 and report.size_bound_ok
+
+    def test_property_2_fails_when_a_neighbourhood_sum_equals_the_threshold(self):
+        # n = 8, k = 2: leaves 4 and 5 have neighbourhood sum 2 + 2 = floor(n / k)
+        at = validate(QDigest(4, 2, {3: 4, 4: 2, 5: 2}))
+        assert {4, 5} <= set(at.prop2_violations)
+        # n = 9: floor(n / k) is still 4, and the sum is 5
+        above = validate(QDigest(4, 2, {3: 4, 4: 2, 5: 3}))
+        assert not {4, 5} & set(above.prop2_violations)
+
+    def test_size_bound_holds_at_exactly_4k_plus_1_buckets(self):
+        assert validate(QDigest(8, 1, {i: 1 for i in range(8, 13)})).size_bound_ok
+        assert not validate(QDigest(8, 1, {i: 1 for i in range(8, 14)})).size_bound_ok
+
+    @pytest.mark.parametrize("width", [0, 3, 6, -2])
+    def test_leaf_width_must_be_a_power_of_two(self, width):
+        with pytest.raises(ValueError, match=f"leaf width must be a positive power of two, got {width}"):
+            QDigest(8, 4, {8: 1}, width)
 
     def test_mass_conservation_over_random_merges(self):
         rng = random.Random(23)

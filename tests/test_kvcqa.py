@@ -408,6 +408,29 @@ def test_hostile_proof_objects_are_malformed(fields):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
+# Counted entries that break the prefix's shape; each must be a malformed reject.
+SHAPE_BREAKS = [
+    ("count-0", lambda q: _with_entry(aqq(q, Fraction(3, 4)), 1, (9, 0))),
+    ("count-minus-1", lambda q: _with_entry(aqq(q, Fraction(3, 4)), 1, (9, -1))),
+    ("stop-count-0", lambda q: _with_counts(aqq(q, Fraction(3, 4)), {7: 0})),
+    # the honest q=1/3 proof ((8, 5),) replayed at q=1/2 with its entry repeated
+    ("repeated-entry", lambda q: replace(aqq(q, Fraction(1, 3)), q=Fraction(1, 2), counted=((8, 5), (8, 5)))),
+]
+
+
+def _with_entry(proof, at, entry):
+    return replace(proof, counted=(*proof.counted[:at], entry, *proof.counted[at:]))
+
+
+@pytest.mark.parametrize("make", [case[1] for case in SHAPE_BREAKS], ids=[case[0] for case in SHAPE_BREAKS])
+def test_counted_entries_that_break_the_shape_are_malformed(make):
+    q = HOSTILE_DIGEST
+    c, pre = publish_kvc_auth(q)
+    bad = make(q)
+    for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
+        assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+
+
 @pytest.mark.parametrize(
     "make_pre",
     [lambda pre: {0: pre[2]}, lambda pre: {99: pre[2]}, lambda pre: {2: 7}],

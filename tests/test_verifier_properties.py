@@ -1,11 +1,11 @@
 """Properties of the three verifiers over mutated `QuantileProof` objects.
 
 Each example draws a digest with sigma up to 2**10 and a quantile,
-proves it honestly, then mutates the proof: edits, drops, inserts or
-reorders counted entries, puts hostile values (2**200, negatives,
-`bool`, non-ints) in its fields, swaps the remainder, or changes n,
-the answer or q.  `qqv`, `qqv_accelerated` (with the source's and with
-bad precommitments) and `qqv_fast` must each return a
+proves it honestly, then mutates the proof: edits, drops, inserts,
+repeats or reorders counted entries, puts hostile values (2**200,
+negatives, `bool`, non-ints) in its fields, swaps the remainder, or
+changes n, the answer or q.  `qqv`, `qqv_accelerated` (with the
+source's and with bad precommitments) and `qqv_fast` must each return a
 `VerificationStats` and never raise; `qqv_fast` must give `qqv`'s
 verdict and reason; and an accepted proof must carry the digest's
 answer to its q.
@@ -48,7 +48,8 @@ def node_or_hostile(sigma):
 def mutated(draw, d, proof):
     """The proof with one mutation applied."""
     counted = list(proof.counted)
-    kind = draw(st.sampled_from(["none", "edit", "drop", "insert", "reorder", "remainder", "n", "answer", "q"]))
+    kinds = ["none", "edit", "drop", "insert", "repeat", "reorder", "remainder", "n", "answer", "q"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "edit":
         i = draw(st.integers(0, len(counted) - 1))
         node, cnt = counted[i]
@@ -58,6 +59,9 @@ def mutated(draw, d, proof):
     elif kind == "insert":
         entry = (draw(node_or_hostile(d.sigma)), draw(counts))
         counted.insert(draw(st.integers(0, len(counted))), entry)
+    elif kind == "repeat":  # a counted entry copied next to itself
+        i = draw(st.integers(0, len(counted) - 1))
+        counted.insert(i, counted[i])
     elif kind == "reorder":
         counted = draw(st.permutations(counted))
     elif kind == "remainder":
