@@ -22,7 +22,8 @@ for |Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
 subtrees holding the counted buckets commit to the very group element
 the literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
 insertion per node up to the stop; the accelerated one cuts the
-precommitted subtree out of those ranges instead of visiting it.
+precommitted subtree out of them once the counted buckets inside it
+rebuild its precommitment.  insert_ops is the SHA-256 calls made.
 
 Inserting the zeros is not optional: without them a malicious responder
 can omit an early bucket from the counted prefix and hide its insertion
@@ -90,6 +91,8 @@ class QuantileProof:
 
 @dataclass(frozen=True)
 class VerificationStats:
+    """A verdict, its reason code and insert_ops: the SHA-256 calls made, 0 for a reject before any commitment work."""
+
     accepted: bool
     reason: str
     insert_ops: int
@@ -241,13 +244,13 @@ def qqv_accelerated(
 
     When some precomputed subtree lies wholly before the stop bucket in
     post-order, its commitment is combined into the fold instead of
-    inserting its nodes one by one.  The counted buckets claimed inside
-    the skipped subtree must then rebuild its precommitment through
-    `commit_subtrees`, so a tampered or omitted count there is still
-    rejected and the verdict always matches the plain verifier.  A
+    inserting its nodes one by one.  Cheapest check first: after
+    `_precheck`, the counted buckets claimed inside the skipped subtree
+    must rebuild its precommitment through `commit_subtrees`, or the proof
+    is a `commitment-mismatch` before the O(sigma) fold to the stop.  A
     precommitment outside the tree or not a `Commitment` is malformed.
-    insert_ops is the SHA-256 calls it made, from `sha256_calls`, so the
-    cross-check's zero fold counts when it is not yet memoized.
+    insert_ops is the SHA-256 calls it made, from `sha256_calls`: after a
+    cross-check reject only the check's, with its zero fold if not memoized.
     """
     rejected = _precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
@@ -265,12 +268,13 @@ def qqv_accelerated(
         # skipping saves nothing unless the subtree outsizes its claims' rebuild; the first of equal sizes wins
         if size > 2 * len(claims) and size > best_size:
             best_size, best, inside = size, root, claims
-    start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
     before = sha256_calls()
+    # The counted claims inside a skipped subtree must rebuild its precommitment; O(|claims|), so first.
+    if best is not None and commit_subtrees(sigma, [best], inside) != precomputed[best]:
+        return _verdict(False, sha256_calls() - before)
+    start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
     fold, _ = _fold_to_stop(proof, start, sigma, skip=best)
-    # The counted claims inside a skipped subtree must rebuild its precommitment.
-    rebuilt = best is None or commit_subtrees(sigma, [best], inside) == precomputed[best]
-    return _verdict(rebuilt and fold == c, sha256_calls() - before)
+    return _verdict(fold == c, sha256_calls() - before)
 
 
 def proof_to_text(proof: QuantileProof) -> str:

@@ -10,7 +10,9 @@ import pytest
 from qdigest_auth.cli import build_parser, main
 from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
+from qdigest_auth.kvcqa import load_proof
 from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest
+from qdigest_auth.tree import is_in_subtree
 
 from helpers import random_frequencies
 
@@ -169,6 +171,26 @@ def test_verify_rejects_tampered_proof(tmp_path, s1_file, capsys):
     capsys.readouterr()
     assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 1
     assert "commitment-mismatch" in capsys.readouterr().out
+
+
+def test_a_raised_first_count_is_rejected_before_the_accelerated_fold(tmp_path, s1, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    freqs = write_freqs(tmp_path / "f.tsv", {v * 512: cnt for v, cnt in s1.items()})
+    main(["build", freqs, "--sigma", "4096", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])  # memoizes Z(2)
+    main(["prove", str(digest), "--q", "5/7", "--output", str(proof)])  # stops past subtree 2
+    header, first, *rest = proof.read_text().splitlines(keepends=True)
+    node, _, cnt = first.partition(":")
+    proof.write_text(header + f"{node}:{int(cnt) + 1}\n" + "".join(rest))
+    inside = sum(is_in_subtree(node, 2, 4096) for node, _ in load_proof(proof).counted)
+    capsys.readouterr()
+    before = sha256_calls()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]) == 1
+    calls = sha256_calls() - before
+    assert capsys.readouterr().out == f"accepted=0 reason=commitment-mismatch insert_ops={calls}\n"
+    assert calls == 2 * inside < 4096  # the cross-check alone: no fold to the stop
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 1
+    assert capsys.readouterr().out.startswith("accepted=0 reason=commitment-mismatch ")
 
 
 def test_auth_refuses_a_sigma_above_the_commitment_limit_and_writes_no_file(tmp_path, capsys):

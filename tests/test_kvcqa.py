@@ -333,20 +333,21 @@ def _with_counts(proof, counts):
 # (accepted, reason, insert_ops) of qqv and qqv_accelerated on the worked
 # example with subtree 2 precommitted.  The altered counts at q=1 keep the
 # prefix sum at n, so only the commitments can reject them: inside the
-# skipped subtree through the homomorphic cross-check, outside it through
-# the fold.
+# skipped subtree through the homomorphic cross-check, which runs before the
+# fold and costs two calls per claim inside (Z(2) is memoized), outside it
+# through the fold.
 GOLDEN_VERDICTS = [
     ("honest-0", lambda q: aqq(q, 0), (True, "ok", 4), (True, "ok", 4)),
     ("honest-1/2", lambda q: aqq(q, Fraction(1, 2)), (True, "ok", 5), (True, "ok", 5)),
     ("honest-1", lambda q: aqq(q, 1), (True, "ok", 15), (True, "ok", 12)),
     ("omit-left-1/2", lambda q: malicious_aqq_omit_left(q, Fraction(1, 2), {10}),
-     (False, "commitment-mismatch", 10), (False, "commitment-mismatch", 5)),
+     (False, "commitment-mismatch", 10), (False, "commitment-mismatch", 2)),
     ("omit-left-3/4", lambda q: malicious_aqq_omit_left(q, Fraction(3, 4), {10, 11}),
      (False, "count-too-low", 0), (False, "count-too-low", 0)),
     ("altered-1/2", lambda q: _with_counts(aqq(q, Fraction(1, 2)), {11: 7}),
      (False, "commitment-mismatch", 5), (False, "commitment-mismatch", 5)),
     ("altered-inside-subtree", lambda q: _with_counts(aqq(q, 1), {10: 5, 11: 5}),
-     (False, "commitment-mismatch", 15), (False, "commitment-mismatch", 12)),
+     (False, "commitment-mismatch", 15), (False, "commitment-mismatch", 4)),
     ("altered-outside-subtree", lambda q: _with_counts(aqq(q, 1), {6: 3, 7: 1}),
      (False, "commitment-mismatch", 15), (False, "commitment-mismatch", 12)),
 ]
@@ -369,7 +370,8 @@ def test_golden_verdicts_with_a_tampered_precommitment(e2):
     q, c, n = e2
     pre = {2: insert(subtree_commitment(q, 2), 8, 1)}
     stats = qqv_accelerated(aqq(q, 1), c, pre, n, 8)
-    assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "commitment-mismatch", 12)
+    # the claims 10 and 11 inside subtree 2 fail the cross-check before the fold
+    assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "commitment-mismatch", 4)
     # a stop inside the tampered subtree never reads its precommitment
     stats = qqv_accelerated(aqq(q, Fraction(1, 2)), c, pre, n, 8)
     assert (stats.accepted, stats.reason, stats.insert_ops) == (True, "ok", 5)
@@ -467,8 +469,9 @@ def test_a_string_quantile_with_a_zero_denominator_is_a_value_error(e2, query):
 
 # SHA-256 of the corpus below.  `qqv_accelerated`'s insert_ops with a random
 # precommitment include the zero fold of a skipped subtree that is not
-# memoized (a root past 3 with at most 64 leaves).
-GOLDEN_QUERY_PATH = "efb16bcc94fb456865d2496dd82a9883ca3e79212e203fa8b810a1ff3a3f7716"
+# memoized (a root past 3 with at most 64 leaves); after a cross-check
+# reject they count only the check's calls.
+GOLDEN_QUERY_PATH = "d991e404a4166de275829a4f5cefdea23c5a3b3d1facd26cb35b74189df8d1b3"
 
 
 def test_seeded_query_path_corpus_is_unchanged():

@@ -6,9 +6,9 @@ repeats or reorders counted entries, puts hostile values (2**200,
 negatives, `bool`, non-ints) in its fields, swaps the remainder, or
 changes n, the answer or q.  `qqv`, `qqv_accelerated` (with the
 source's and with bad precommitments) and `qqv_fast` must each return a
-`VerificationStats` and never raise; `qqv_fast` must give `qqv`'s
-verdict and reason; and an accepted proof must carry the digest's
-answer to its q.
+`VerificationStats` and never raise; `qqv_fast`, and `qqv_accelerated`
+with the source's precommitment, must give `qqv`'s verdict and reason;
+and an accepted proof must carry the digest's answer to its q.
 
 Random mutation tests the verifiers' consistency and totality.  It is no
 proof of soundness of the additive hash: none of these mutations solves
@@ -97,9 +97,10 @@ def test_verifiers_are_total_and_agree_on_mutated_proofs(data):
 
     literal = qqv(proof, c, d.n, d.sigma)
     fast = qqv_fast(proof, c, d.n, d.sigma)
-    results = [literal, fast, qqv_accelerated(proof, c, good, d.n, d.sigma),
-               qqv_accelerated(proof, c, bad, d.n, d.sigma)]
+    accelerated = qqv_accelerated(proof, c, good, d.n, d.sigma)
+    results = [literal, fast, accelerated, qqv_accelerated(proof, c, bad, d.n, d.sigma)]
     assert all(isinstance(stats, VerificationStats) for stats in results)
-    assert (fast.accepted, fast.reason) == (literal.accepted, literal.reason)
+    for stats in (fast, accelerated):
+        assert (stats.accepted, stats.reason) == (literal.accepted, literal.reason)
     if literal.accepted:
         assert proof.answer == quantile_query(d, proof.q)

@@ -302,3 +302,51 @@ def test_the_accelerated_verifier_reports_every_call_it_makes(sigma, cold_zero_f
     assert reported[1] == reported[2] < literal
     if sigma == 8:
         assert reported[:2] == [19, 12]
+
+
+def shifted(proof, src, dst):
+    """`proof` with one unit of count moved from node src to node dst: the prefix still sums to n."""
+    counted = dict(proof.counted)
+    counted[src] -= 1
+    counted[dst] += 1
+    return replace(proof, counted=tuple(counted.items()))
+
+
+@pytest.mark.parametrize("sigma", [8, 2**10])
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, memo, cold_zero_folds):
+    """At q = 1 the stop lies past subtree 2.  A count inside it raised by one
+    taken from its last claim, or its first claim dropped onto the stop,
+    fails the cross-check: two calls per claim inside, plus the fold of Z(2)
+    when it is not memoized, and no fold to the stop.  The same shift
+    between two claims outside it still pays the whole fold."""
+    q = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6}) if sigma == 8 else seeded_digest(0, sigma)
+    c, precomputed = publish_kvc_auth(q)  # memoizes Z(2)
+    proof = aqq(q, Fraction(1))
+    counted = dict(proof.counted)
+    inside = [node for node in counted if is_in_subtree(node, 2, sigma)]
+    outside = [node for node in counted if not is_in_subtree(node, 2, sigma)]
+    stop, first = proof.counted[-1][0], inside[0]
+    dropped = {node: cnt for node, cnt in counted.items() if node != first} | {stop: counted[stop] + counted[first]}
+    cold = subtree_size(2, sigma) if memo == "cold" else 0
+
+    def run(bad):
+        if memo == "cold":
+            commitment._ZERO_FOLDS.clear()
+        before = sha256_calls()
+        stats = qqv_accelerated(bad, c, precomputed, q.n, sigma)
+        assert stats.insert_ops == sha256_calls() - before
+        literal = qqv(bad, c, q.n, sigma)
+        assert (stats.accepted, stats.reason) == (literal.accepted, literal.reason)
+        return stats
+
+    raised = run(shifted(proof, inside[-1], first))
+    assert (raised.reason, raised.insert_ops) == ("commitment-mismatch", 2 * len(inside) + cold)
+    omitted = run(replace(proof, counted=tuple(dropped.items())))
+    assert (omitted.reason, omitted.insert_ops) == ("commitment-mismatch", 2 * (len(inside) - 1) + cold)
+    honest = run(proof)
+    assert honest.accepted and honest.insert_ops > raised.insert_ops
+    elsewhere = run(shifted(proof, outside[1], outside[0]))
+    assert (elsewhere.reason, elsewhere.insert_ops) == ("commitment-mismatch", honest.insert_ops)
+    if sigma == 8:
+        assert [raised.insert_ops, omitted.insert_ops, honest.insert_ops] == ([4, 2, 12] if memo == "warm" else [11, 9, 19])
