@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success or an accepted verification, 1 when a
-verification rejects, 2 on usage, parse, or domain errors.  Quantiles are
-passed as exact fractions (`--q 1/2`) so the command line never loses the
-exact-comparison guarantee.
+verification rejects, also on a responder file that does not parse, 2 on
+usage, parse, or domain errors.  Quantiles are passed as exact fractions
+(`--q 1/2`) so the command line never loses the exact-comparison guarantee.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from fractions import Fraction
 from .bench import format_bench_table, run_bench
 from .digest import coarsen, merge, quantile_query, validate
 from .kvcqa import (
+    REASON_MALFORMED,
     aqq,
     dump_proof,
     kvc_auth_from_text,
@@ -157,22 +158,28 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     if (args.proof is None) == (args.digest is None):
         raise ValueError("pass exactly one of --proof (KVC) or --digest (WDA)")
-    if args.proof is not None:
+    wda = args.proof is None
+    if wda:  # the trusted file is read first, so that its parse errors stay usage errors
+        auth = load_authinfo(args.auth)
+    else:
         with open(args.auth, "r", encoding="ascii", newline="") as fh:
             fields, commitment, subtrees = kvc_auth_from_text(fh.read())
-        proof = load_proof(args.proof)
-        if args.accelerated:
-            stats = qqv_accelerated(
-                proof, commitment, subtrees, fields["n"], fields["sigma"], fields["leafwidth"]
-            )
-        else:
-            stats = qqv_fast(proof, commitment, fields["n"], fields["sigma"], fields["leafwidth"])
-        print(f"accepted={int(stats.accepted)} reason={stats.reason} insert_ops={stats.insert_ops}")
-        return EXIT_OK if stats.accepted else EXIT_REJECT
-    digest = load_digest(args.digest)
-    verdict = wda_verify(digest, load_authinfo(args.auth))
-    print(f"accepted={int(verdict.accepted)} reason={verdict.reason}")
-    return EXIT_OK if verdict.accepted else EXIT_REJECT
+        trusted = fields["n"], fields["sigma"], fields["leafwidth"]
+    try:  # the responder's file: bytes that do not parse are a malformed response, not a usage error
+        received = load_digest(args.digest) if wda else load_proof(args.proof)
+    except ValueError as exc:
+        print(f"accepted=0 reason={REASON_MALFORMED}{'' if wda else ' insert_ops=0'} detail={exc}")
+        return EXIT_REJECT
+    if wda:
+        verdict = wda_verify(received, auth)
+        print(f"accepted={int(verdict.accepted)} reason={verdict.reason}")
+        return EXIT_OK if verdict.accepted else EXIT_REJECT
+    if args.accelerated:
+        stats = qqv_accelerated(received, commitment, subtrees, *trusted)
+    else:
+        stats = qqv_fast(received, commitment, *trusted)
+    print(f"accepted={int(stats.accepted)} reason={stats.reason} insert_ops={stats.insert_ops}")
+    return EXIT_OK if stats.accepted else EXIT_REJECT
 
 
 def cmd_simulate(args) -> int:

@@ -18,6 +18,7 @@ always restore property 2.
 Every digest built from values, plain or coarse, comes from `coarsen`:
 one checked pass adds each value into its leaf's count, `_leaf_pass`
 compresses them level by level, and one `QDigest` is made at the end.
+`merge` sums its digests in one map; queries bisect a post-order index.
 """
 
 from bisect import bisect_left
@@ -54,7 +55,7 @@ class QDigest:
     leaf aggregates, and query answers are scaled back by it.
     """
 
-    __slots__ = ("sigma", "k", "leaf_width", "_counts", "_n")
+    __slots__ = ("sigma", "k", "leaf_width", "_counts", "_n", "_index")
 
     def __init__(self, sigma: int, k: int, counts: Mapping[int, int] | None = None, leaf_width: int = 1):
         check_sigma(sigma)
@@ -76,6 +77,7 @@ class QDigest:
                 items[i] = c
         self._counts = items
         self._n = sum(items.values())
+        self._index = None  # see _post_order_index
 
     @property
     def n(self) -> int:
@@ -106,8 +108,16 @@ class QDigest:
 
     def post_order_buckets(self) -> list[tuple[int, int]]:
         """Buckets as (index, count) pairs sorted by post-order rank."""
-        sigma = self.sigma  # the keys were checked against it when the digest was made
-        return sorted(self._counts.items(), key=lambda bucket: unchecked_rank(bucket[0], sigma))
+        return list(self._post_order_index()[0])
+
+    def _post_order_index(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+        """Post-order buckets, each one's largest original value, and sums[j], the mass of the first j buckets."""
+        if self._index is None:  # built on first use, assigned whole: a reader sees all of it or none
+            sigma, width = self.sigma, self.leaf_width  # the keys were checked against sigma
+            buckets = sorted(self._counts.items(), key=lambda bucket: unchecked_rank(bucket[0], sigma))
+            tops = [unchecked_top(i, sigma) * width for i, _ in buckets]
+            self._index = (buckets, tops, list(accumulate((c for _, c in buckets), initial=0)))
+        return self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QDigest):
@@ -191,9 +201,12 @@ def digest_sum(q1: QDigest, q2: QDigest) -> QDigest:
     """Pointwise count sum.  Preserves property 1 but may violate property 2."""
     check_compatible(q1, q2)
     counts = dict(q1._counts)
-    for i, c in q2._counts.items():
-        counts[i] = counts.get(i, 0) + c
+    _add_counts(counts, q2)
     return QDigest(q1.sigma, q1.k, counts, q1.leaf_width)
+
+
+def _add_counts(counts: dict[int, int], q: QDigest) -> None:
+    counts.update({i: counts.get(i, 0) + c for i, c in q._counts.items()})
 
 
 def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
@@ -325,9 +338,15 @@ def recursive_compress(q: QDigest) -> QDigest:
     return QDigest(sigma, q.k, counts, q.leaf_width)
 
 
-def merge(q1: QDigest, q2: QDigest) -> QDigest:
-    """Sum two digests and restore property 2, yielding a well-formed digest."""
-    return iterative_compress(digest_sum(q1, q2))
+def merge(q1: QDigest, q2: QDigest, *more: QDigest) -> QDigest:
+    """Sum two or more digests, restoring property 2 after each, in one count map: the left fold of binary merges."""
+    counts, n = dict(q1._counts), q1.n
+    for q in (q2, *more):
+        check_compatible(q1, q)
+        _add_counts(counts, q)
+        n += q.n
+        _compress_until_stable(counts, n // q1.k, q1.sigma)
+    return QDigest(q1.sigma, q1.k, counts, q1.leaf_width)
 
 
 def build_from_frequencies(freqs: FrequencySet | Iterable[tuple[int, int]], k: int, sigma: int) -> QDigest:
@@ -400,8 +419,8 @@ def quantile_query(q: QDigest, fraction) -> int:
     arithmetic, so prover and verifier can never disagree on a boundary.
     """
     frac = query_fraction(q, fraction)
-    stop = counted_prefix(q.post_order_buckets(), frac * q.n)[-1][0]
-    return range_top(stop, q.sigma, q.leaf_width)
+    buckets, _, sums = q._post_order_index()
+    return range_top(buckets[_stop_position(sums, frac * q.n)][0], q.sigma, q.leaf_width)
 
 
 def quantile_fraction(value) -> Fraction:
@@ -427,12 +446,13 @@ def query_fraction(q: QDigest, fraction) -> Fraction:
 
 
 def counted_prefix(buckets: Sequence[tuple[int, int]], target) -> Sequence[tuple[int, int]]:
-    """Shortest prefix of (index, count) pairs whose integer counts reach target; all of them if none does."""
-    need = ceil(target)  # an integer sum reaches target iff it reaches its ceiling
-    for stop, acc in enumerate(accumulate(cnt for _, cnt in buckets)):
-        if acc >= need:
-            return buckets[: stop + 1]
-    return buckets
+    """Shortest prefix of (index, count) pairs, no count negative, whose counts reach target; all if none does."""
+    return buckets[: _stop_position(list(accumulate((cnt for _, cnt in buckets), initial=0)), target) + 1]
+
+
+def _stop_position(sums: Sequence[int], target) -> int:
+    """First j with sums[j + 1] >= ceil(target), else the last bucket's: sums[j] is the first j buckets' mass."""
+    return bisect_left(sums, ceil(target), 1, len(sums) - 1) - 1
 
 
 def range_top(i: int, sigma: int, leaf_width: int) -> int:
@@ -450,8 +470,8 @@ def rank_query(q: QDigest, x: int) -> int:
 
 
 def _rank_below(q: QDigest, x: int) -> int:
-    sigma, width = q.sigma, q.leaf_width  # the keys were checked against sigma when q was made
-    return sum(c for i, c in q._counts.items() if unchecked_top(i, sigma) * width < x)
+    _, tops, sums = q._post_order_index()  # a node follows its subtree in post-order: tops never decrease
+    return sums[bisect_left(tops, x)]
 
 
 def range_query(q: QDigest, lo: int, hi: int) -> int:

@@ -171,8 +171,8 @@ class CumulativeState:
     With width 0 the state keeps one ever-growing digest; n grows without
     bound and the fixed k eventually over-compresses new data.  With a
     positive width only the most recent `width` digests contribute: the
-    window merge is recomputed from the retained digests, since q-digests
-    cannot subtract expired ones.
+    window is merged again from the retained digests, in one `merge` call
+    over one count map, since q-digests cannot subtract expired ones.
     """
 
     current: QDigest | None = None
@@ -186,9 +186,7 @@ def cumulative_update(state: CumulativeState, q: QDigest) -> CumulativeState:
         check_compatible(state.current, q)
     if state.width:
         window = (state.window + (q,))[-state.width:]
-        current = window[0]
-        for item in window[1:]:
-            current = merge(current, item)
+        current = merge(*window) if len(window) > 1 else window[0]
         return CumulativeState(current, state.width, window, state.history_len + 1)
     current = q if state.current is None else merge(state.current, q)
     return CumulativeState(current, 0, (), state.history_len + 1)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from qdigest_auth.digest import QDigest, build_from_frequencies, digest_sum
-from qdigest_auth.tree import node_range
+from qdigest_auth.tree import node_range, post_order_rank
 
 SIGMAS = [2**e for e in range(3, 11)]
 
@@ -13,6 +13,15 @@ def random_frequencies(rng: random.Random, sigma: int, max_distinct: int = 200, 
     distinct = rng.randint(1, min(sigma, max_distinct))
     values = rng.sample(range(1, sigma + 1), distinct)
     return {v: rng.randint(1, max_mult) for v in values}
+
+
+def log_uniform(rng: random.Random, sigma: int, count: int) -> dict[int, int]:
+    """`count` values in [1, sigma] with a uniform logarithm, as in perfbench's `wda_stream` batches."""
+    freqs: dict[int, int] = {}
+    for _ in range(count):
+        v = min(sigma, int((sigma + 1) ** rng.random()))
+        freqs[v] = freqs.get(v, 0) + 1
+    return freqs
 
 
 def random_digest(rng: random.Random, sigma: int | None = None, k: int | None = None) -> QDigest:
@@ -49,6 +58,17 @@ def rank_oracle(q: QDigest, x: int) -> int:
         if node_range(node, q.sigma)[1] * q.leaf_width < x:
             total += cnt
     return total
+
+
+def quantile_oracle(q: QDigest, fraction) -> int:
+    """Independent linear scan of the stop rule: buckets by `post_order_rank`, first to reach fraction * n."""
+    target = Fraction(fraction) * q.n
+    acc = 0
+    for node, cnt in sorted(q.buckets().items(), key=lambda bucket: post_order_rank(bucket[0], q.sigma)):
+        acc += cnt
+        if acc >= target:
+            break
+    return node_range(node, q.sigma)[1] * q.leaf_width
 
 
 def grid(points: int = 101):

@@ -211,6 +211,52 @@ def test_verify_rejects_tampered_digest(tmp_path, s1_file, capsys):
     assert main(["verify", "--digest", str(digest), "--auth", str(wda_f)]) == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--accelerated"]])
+def test_a_proof_file_cut_short_is_a_malformed_response(tmp_path, extra, capsys):
+    rng = random.Random(18)
+    freqs = write_freqs(tmp_path / "f.tsv", {rng.randint(1, 2**16): rng.randint(1, 9) for _ in range(3000)})
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", freqs, "--sigma", str(2**16), "--k", "64", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])
+    main(["prove", str(digest), "--q", "3/4", "--output", str(proof)])
+    assert len(proof.read_bytes()) > 300
+    proof.write_bytes(proof.read_bytes()[:300])
+    capsys.readouterr()
+    before = sha256_calls()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)] + extra) == 1
+    out = capsys.readouterr().out
+    verdict, _, detail = out.partition(" detail=")
+    assert verdict == "accepted=0 reason=malformed insert_ops=0" and detail.count("\n") == 1 < len(detail)
+    assert sha256_calls() == before
+
+
+def test_a_digest_file_with_a_leading_zero_count_is_a_malformed_response(tmp_path, s1_file, capsys):
+    digest, wda_f = tmp_path / "q.qd", tmp_path / "q.wda"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(wda_f), "--kvc-out", str(tmp_path / "q.kvc")])
+    digest.write_bytes(digest.read_bytes().replace(b"4:3", b"4:03"))
+    capsys.readouterr()
+    assert main(["verify", "--digest", str(digest), "--auth", str(wda_f)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("accepted=0 reason=malformed detail=") and "b'4:03" in out
+
+
+@pytest.mark.parametrize("responder", ["--proof", "--digest"])
+def test_a_missing_responder_file_or_a_bad_auth_file_stays_a_usage_error(tmp_path, s1_file, responder, capsys):
+    digest, proof = tmp_path / "q.qd", tmp_path / "q.proof"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["prove", str(digest), "--q", "1/2", "--output", str(proof)])
+    auth = tmp_path / "q.auth"
+    auth.write_text("not an auth file\n")
+    responder_file = {"--proof": proof, "--digest": digest}[responder]
+    responder_file.write_bytes(responder_file.read_bytes()[:-1])  # unparsable, but the auth file is read first
+    capsys.readouterr()
+    assert main(["verify", responder, str(responder_file), "--auth", str(auth)]) == 2
+    assert main(["verify", responder, str(tmp_path / "missing"), "--auth", str(auth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 2
+
+
 def test_verify_needs_exactly_one_input(tmp_path, capsys):
     assert main(["verify", "--auth", str(tmp_path / "x")]) == 2
 

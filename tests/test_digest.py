@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from qdigest_auth.digest import (
     build_from_frequencies,
     coarsen,
     counted_prefix,
+    check_compatible,
     compress_iterations,
     compress_one_pass,
     digest_sum,
@@ -22,13 +24,22 @@ from qdigest_auth.digest import (
     range_query,
     rank_query,
     recompress,
+    range_top,
     recursive_compress,
     validate,
 )
 from qdigest_auth.serialize import digest_to_bytes
 from qdigest_auth.tree import level, next_power_of_two
 
-from helpers import exact_quantile, grid, random_frequencies, random_sum, rank_oracle
+from helpers import (
+    exact_quantile,
+    grid,
+    log_uniform,
+    quantile_oracle,
+    random_frequencies,
+    random_sum,
+    rank_oracle,
+)
 
 # the two frequency sets of the flawed-merge walkthrough
 Q1_BUCKETS = {4: 3, 5: 7, 12: 6, 13: 6, 14: 7, 15: 9}
@@ -290,6 +301,114 @@ class TestRepairedCompression:
             assert out.size <= 4 * out.k + 1
             if report.construction_invariant_holds:
                 assert out.size <= 2 * out.k + 1
+
+
+def random_window(rng: random.Random, sigma: int, k: int, cut: int, size: int) -> list[QDigest]:
+    """`size` compatible digests: log-uniform and uniform batches, some of them empty."""
+    window = []
+    for _ in range(size):
+        kind = rng.choice(["log-uniform", "log-uniform", "uniform", "empty"])
+        if kind == "log-uniform":
+            freqs = log_uniform(rng, sigma, rng.randint(1, 400))
+        elif kind == "uniform":
+            freqs = random_frequencies(rng, sigma, max_distinct=120)
+        else:
+            freqs = {}
+        window.append(coarsen(freqs, k, sigma, cut))
+    return window
+
+
+def binary_merge(a: QDigest, b: QDigest) -> QDigest:
+    """The two-digest merge as it was first written: sum, then compress until stable."""
+    return iterative_compress(digest_sum(a, b))
+
+
+class TestWindowMerge:
+    def test_a_window_merge_is_the_left_fold_of_binary_merges(self):
+        rng = random.Random(18)
+        seen = {"coarse": 0, "empty": 0, "bucket-child": 0}
+        for _ in range(320):
+            sigma = rng.choice([8, 64, 512, 4096, 2**16])
+            cut = rng.choice([0, 0, 1, 2, 3])
+            window = random_window(rng, sigma, rng.randint(1, 64), cut, rng.randint(2, 8))
+            merged, folded = merge(*window), reduce(binary_merge, window)
+            assert merged == folded == reduce(merge, window)
+            assert digest_to_bytes(merged) == digest_to_bytes(folded)
+            report = validate(merged)
+            assert report.ok
+            seen["coarse"] += merged.leaf_width > 1
+            seen["empty"] += any(d.n == 0 for d in window)
+            seen["bucket-child"] += not report.construction_invariant_holds
+        assert min(seen.values()) >= 30, seen
+
+    def test_an_incompatible_digest_is_refused_with_the_pairwise_message(self, s1):
+        a, b = build_from_frequencies(s1, 4, 8), build_from_frequencies(s1, 4, 8)
+        for bad in (build_from_frequencies(s1, 5, 8), build_from_frequencies(s1, 4, 16), coarsen(s1, 4, 16, 1)):
+            with pytest.raises(ValueError) as expected:
+                check_compatible(a, bad)
+            for args in ((a, bad), (a, b, bad), (a, bad, b)):
+                with pytest.raises(ValueError) as refused:
+                    merge(*args)
+                assert str(refused.value) == str(expected.value)
+
+
+class TestQueryIndex:
+    """The bisected queries against linear scans, on digests whose buckets may have bucket children."""
+
+    @staticmethod
+    def digests():
+        rng = random.Random(81)
+        for _ in range(60):
+            sigma = rng.choice([8, 32, 128, 256])
+            cut = rng.choice([0, 1, 2, 3])  # leaf widths 1 to 8
+            window = random_window(rng, sigma, rng.randint(1, 32), cut, rng.randint(1, 5))
+            merged = merge(*window) if len(window) > 1 else window[0]
+            if merged.n:
+                yield merged
+
+    def test_quantile_rank_and_range_match_the_linear_oracles(self):
+        rng = random.Random(5)
+        widths, with_children = set(), 0
+        for q in self.digests():
+            widths.add(q.leaf_width)
+            with_children += not validate(q).construction_invariant_holds
+            sums = [0]
+            for _, cnt in q.post_order_buckets():
+                sums.append(sums[-1] + cnt)
+            # every prefix sum exactly, and just below it, besides the grid
+            fracs = set(grid(21)) | {Fraction(s, q.n) for s in sums}
+            fracs |= {Fraction(2 * s - 1, 2 * q.n) for s in sums[1:]}
+            for frac in fracs:
+                answer = quantile_query(q, frac)
+                assert answer == quantile_oracle(q, frac)
+                stop = counted_prefix(q.post_order_buckets(), frac * q.n)[-1][0]
+                assert answer == range_top(stop, q.sigma, q.leaf_width)
+            dom = q.domain_size
+            for x in range(1, dom + 1):
+                assert rank_query(q, x) == rank_oracle(q, x)
+            for _ in range(20):
+                lo = rng.randint(1, dom)
+                hi = rng.randint(lo, dom)
+                assert range_query(q, lo, hi) == rank_oracle(q, hi + 1) - rank_oracle(q, lo)
+        assert widths == {1, 2, 4, 8}
+        assert with_children >= 10
+
+    @staticmethod
+    def answers(q):
+        ranks = [rank_query(q, x) for x in range(1, q.domain_size + 1)]
+        return [quantile_query(q, frac) for frac in grid(11)], ranks
+
+    def test_mutating_the_post_order_list_changes_no_later_answer(self):
+        for q in self.digests():
+            listed = q.post_order_buckets()  # the first call builds the index
+            kept = list(listed)
+            answers = self.answers(q)
+            listed.reverse()
+            listed[0] = (1, 10**6)
+            listed.append((1, 1))
+            assert q.post_order_buckets() == kept
+            assert q.post_order_buckets() is not q.post_order_buckets()
+            assert self.answers(q) == answers
 
 
 class TestQueries:

@@ -7,9 +7,12 @@ import pytest
 
 from qdigest_auth.commitment import (
     COMMIT_MAX_SIGMA,
+    combine,
     commit_digest,
+    fold_ranges,
     initialize,
     insert,
+    inverse,
     sha256_calls,
     subtree_commitment,
     subtree_commitments,
@@ -375,6 +378,22 @@ def test_golden_verdicts_with_a_tampered_precommitment(e2):
     # a stop inside the tampered subtree never reads its precommitment
     stats = qqv_accelerated(aqq(q, Fraction(1, 2)), c, pre, n, 8)
     assert (stats.accepted, stats.reason, stats.insert_ops) == (True, "ok", 5)
+
+
+def test_a_remainder_solved_for_an_altered_prefix_passes_only_the_literal_verifiers(e2):
+    # The claims 10:5 and 11:5 inside subtree 2 keep the prefix sum at n; the remainder
+    # C - fold(claimed prefix up to the stop) makes the literal fold land on C.
+    q, c, n = e2
+    honest = aqq(q, 1)
+    counted = _with_counts(honest, {10: 5, 11: 5}).counted
+    fold = fold_ranges(prefix_ranges(counted[-1][0], 8), dict(counted))
+    forged = QuantileProof(honest.q, n, honest.answer, counted, combine(c, inverse(fold)))
+    as_triple = lambda s: (s.accepted, s.reason, s.insert_ops)  # noqa: E731
+    assert as_triple(qqv(forged, c, n, 8)) == (True, "ok", 15)
+    assert as_triple(qqv_fast(forged, c, n, 8)) == (True, "ok", 10)
+    # the precommitment of subtree 2 still pins the claims inside it
+    pre = {2: subtree_commitment(q, 2)}
+    assert as_triple(qqv_accelerated(forged, c, pre, n, 8)) == (False, "commitment-mismatch", 4)
 
 
 @pytest.mark.parametrize("frac", [Fraction(1, 2), Fraction(1)])

@@ -1,11 +1,12 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from qdigest_auth.commitment import sha256_calls
-from qdigest_auth.digest import QDigest, build_from_frequencies, validate
+from qdigest_auth.digest import QDigest, build_from_frequencies, digest_sum, iterative_compress, validate
 from qdigest_auth.scenario import (
     CumulativeState,
     ResponderBehavior,
@@ -21,7 +22,7 @@ from qdigest_auth.scenario import (
 )
 from qdigest_auth.serialize import digest_to_bytes
 
-from helpers import exact_quantile, grid, random_frequencies
+from helpers import exact_quantile, grid, log_uniform, random_frequencies
 
 QUERIES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -256,6 +257,21 @@ class TestCumulative:
             state = cumulative_update(state, q)
             assert state.current.n == sum(per_digest[-w:])
         assert state.current.n <= w * max(per_digest)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 8])
+    def test_each_window_is_the_left_fold_of_binary_merges(self, width):
+        rng = random.Random(width)
+        state = CumulativeState(width=width)
+        stream = []
+        for _ in range(3 * width + 4):
+            freqs = log_uniform(rng, 4096, rng.randint(1, 300)) if rng.random() < 0.8 else {}
+            q = build_from_frequencies(freqs, 16, 4096)
+            stream.append(q)
+            state = cumulative_update(state, q)
+            assert state.window == tuple(stream[-width:])
+            assert state.current == reduce(lambda a, b: iterative_compress(digest_sum(a, b)), state.window)
+        if width == 1:
+            assert state.current is stream[-1]  # a window of one is kept, not merged
 
     @pytest.mark.parametrize("width", [0, 1])  # a width-1 window never merges, so only the check refuses
     def test_incompatible_digest_refused(self, s1, width):

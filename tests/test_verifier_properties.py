@@ -100,6 +100,9 @@ def test_verifiers_are_total_and_agree_on_mutated_proofs(data):
     accelerated = qqv_accelerated(proof, c, good, d.n, d.sigma)
     results = [literal, fast, accelerated, qqv_accelerated(proof, c, bad, d.n, d.sigma)]
     assert all(isinstance(stats, VerificationStats) for stats in results)
+    # Agreement holds only for mutations that leave the remainder unsolved: one solved for an
+    # altered prefix inside the precommitted subtree passes qqv but not qqv_accelerated
+    # (tests/test_kvcqa.py, test_a_remainder_solved_for_an_altered_prefix_...).
     for stats in (fast, accelerated):
         assert (stats.accepted, stats.reason) == (literal.accepted, literal.reason)
     if literal.accepted:
