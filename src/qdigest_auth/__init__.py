@@ -25,7 +25,6 @@ from .digest import (
     ValidityReport,
     build_from_frequencies,
     coarsen,
-    compress_iterations,
     compress_one_pass,
     digest_sum,
     iterative_compress,
@@ -39,6 +38,7 @@ from .digest import (
     validate,
 )
 from .kvcqa import (
+    KvcAuthInfo,
     QuantileProof,
     VerificationStats,
     aqq,
@@ -64,6 +64,7 @@ from .wda import WdaAuthInfo, WdaVerdict, wda_authinfo, wda_verify
 __all__ = [
     "Commitment",
     "CumulativeState",
+    "KvcAuthInfo",
     "PrivacyProfile",
     "QDigest",
     "QuantileProof",
@@ -80,7 +81,6 @@ __all__ = [
     "combine",
     "commit_digest",
     "commit_records",
-    "compress_iterations",
     "compress_one_pass",
     "cumulative_update",
     "digest_from_bytes",

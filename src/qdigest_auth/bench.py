@@ -46,7 +46,7 @@ class BenchRow:
 
 def _bench_frequencies(rng: random.Random, sigma: int) -> dict[int, int]:
     """Random data spread over the whole domain; the top value is always present."""
-    distinct = max(2, min(sigma, 64))
+    distinct = min(sigma, 64)
     values = rng.sample(range(1, sigma + 1), distinct)
     freqs = {v: rng.randint(1, 50) for v in values}
     freqs[sigma] = freqs.get(sigma, 0) + rng.randint(1, 50)
@@ -74,17 +74,17 @@ def run_bench(sigmas, ks, qs, seed: int = 0) -> list[BenchRow]:
                 prove_seconds = time.perf_counter() - t0
                 prover_calls = sha256_calls() - calls
                 t0 = time.perf_counter()
-                stats = qqv(proof, trusted_c, digest.n, sigma)
+                stats = qqv(proof, trusted_c, digest.n, digest.sigma)
                 verify_seconds = time.perf_counter() - t0
                 rows.append(
                     BenchRow(
-                        sigma=sigma,
+                        sigma=digest.sigma,
                         k=k,
                         q=frac,
                         digest_size=digest.size,
                         prover_sha256_calls=prover_calls,
                         verifier_insert_ops=stats.insert_ops,
-                        fast_verifier_sha256_calls=qqv_fast(proof, trusted_c, digest.n, sigma).insert_ops,
+                        fast_verifier_sha256_calls=qqv_fast(proof, trusted_c, digest.n, digest.sigma).insert_ops,
                         proof_bytes=len(proof_to_text(proof).encode("ascii")),
                         wda_bytes=len(payload),
                         prove_seconds=prove_seconds,

@@ -15,18 +15,17 @@ from .bench import format_bench_table, run_bench
 from .digest import coarsen, merge, quantile_query, validate
 from .kvcqa import (
     REASON_MALFORMED,
+    KvcAuthInfo,
     aqq,
-    dump_proof,
-    kvc_auth_from_text,
-    kvc_auth_to_text,
-    load_proof,
+    proof_from_text,
+    proof_to_text,
     publish_kvc_auth,
     qqv_accelerated,
     qqv_fast,
 )
 from .scenario import parse_scenario, run_scenario
-from .serialize import dump_digest, load_digest, load_frequencies
-from .wda import dump_authinfo, load_authinfo, wda_authinfo, wda_verify
+from .serialize import dump_digest, load_digest, load_frequencies, read_text, write_text
+from .wda import WdaAuthInfo, wda_authinfo, wda_verify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -139,18 +138,17 @@ def cmd_query(args) -> int:
 def cmd_auth(args) -> int:
     digest = load_digest(args.digest_file)
     wda_auth = wda_authinfo(digest)
-    commitment, subtrees = publish_kvc_auth(digest)
-    dump_authinfo(wda_auth, args.wda_out)
-    with open(args.kvc_out, "w", encoding="ascii", newline="") as fh:
-        fh.write(kvc_auth_to_text(digest, commitment, subtrees))
-    print(f"wda={args.wda_out} kvc={args.kvc_out} subtrees={','.join(map(str, subtrees)) or '-'}")
+    kvc_auth = publish_kvc_auth(digest)
+    write_text(args.wda_out, wda_auth.encode())
+    write_text(args.kvc_out, kvc_auth.encode())
+    print(f"wda={args.wda_out} kvc={args.kvc_out} subtrees={','.join(map(str, kvc_auth.subtrees)) or '-'}")
     return EXIT_OK
 
 
 def cmd_prove(args) -> int:
     digest = load_digest(args.digest_file)
     proof = aqq(digest, args.q)
-    dump_proof(proof, args.output)
+    write_text(args.output, proof_to_text(proof))
     print(f"answer={proof.answer} counted={len(proof.counted)}")
     return EXIT_OK
 
@@ -159,14 +157,10 @@ def cmd_verify(args) -> int:
     if (args.proof is None) == (args.digest is None):
         raise ValueError("pass exactly one of --proof (KVC) or --digest (WDA)")
     wda = args.proof is None
-    if wda:  # the trusted file is read first, so that its parse errors stay usage errors
-        auth = load_authinfo(args.auth)
-    else:
-        with open(args.auth, "r", encoding="ascii", newline="") as fh:
-            fields, commitment, subtrees = kvc_auth_from_text(fh.read())
-        trusted = fields["n"], fields["sigma"], fields["leafwidth"]
+    # the trusted file is read first, so that its parse errors stay usage errors
+    auth = (WdaAuthInfo if wda else KvcAuthInfo).parse(read_text(args.auth))
     try:  # the responder's file: bytes that do not parse are a malformed response, not a usage error
-        received = load_digest(args.digest) if wda else load_proof(args.proof)
+        received = load_digest(args.digest) if wda else proof_from_text(read_text(args.proof))
     except ValueError as exc:
         print(f"accepted=0 reason={REASON_MALFORMED}{'' if wda else ' insert_ops=0'} detail={exc}")
         return EXIT_REJECT
@@ -175,16 +169,15 @@ def cmd_verify(args) -> int:
         print(f"accepted={int(verdict.accepted)} reason={verdict.reason}")
         return EXIT_OK if verdict.accepted else EXIT_REJECT
     if args.accelerated:
-        stats = qqv_accelerated(received, commitment, subtrees, *trusted)
+        stats = qqv_accelerated(received, auth.commitment, auth.subtrees, auth.n, auth.sigma, auth.leaf_width)
     else:
-        stats = qqv_fast(received, commitment, *trusted)
+        stats = qqv_fast(received, auth.commitment, auth.n, auth.sigma, auth.leaf_width)
     print(f"accepted={int(stats.accepted)} reason={stats.reason} insert_ops={stats.insert_ops}")
     return EXIT_OK if stats.accepted else EXIT_REJECT
 
 
 def cmd_simulate(args) -> int:
-    with open(args.scenario_file, "r", encoding="ascii") as fh:
-        scenario = parse_scenario(fh.read())
+    scenario = parse_scenario(read_text(args.scenario_file))
     freqs = load_frequencies(args.freq_file)
     for line in run_scenario(scenario, freqs, args.k, args.sigma):
         print(line)

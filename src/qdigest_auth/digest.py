@@ -279,12 +279,10 @@ def compress_one_pass(q: QDigest) -> QDigest:
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
-def _compress_until_stable(counts: dict[int, int], threshold: int, sigma: int) -> int:
-    """Sweep counts in place until a pass performs no merge; returns the pass count."""
-    passes = 1
+def _compress_until_stable(counts: dict[int, int], threshold: int, sigma: int) -> None:
+    """Sweep counts in place until a pass performs no merge."""
     while _one_pass(counts, threshold, sigma):
-        passes += 1
-    return passes
+        pass
 
 
 def iterative_compress(q: QDigest) -> QDigest:
@@ -292,11 +290,6 @@ def iterative_compress(q: QDigest) -> QDigest:
     counts = dict(q._counts)
     _compress_until_stable(counts, q.threshold, q.sigma)
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
-
-
-def compress_iterations(q: QDigest) -> int:
-    """Number of sweeps `iterative_compress` runs, final no-op pass included."""
-    return _compress_until_stable(dict(q._counts), q.threshold, q.sigma)
 
 
 def recursive_compress(q: QDigest) -> QDigest:

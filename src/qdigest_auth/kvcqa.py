@@ -40,8 +40,9 @@ key-value commitment without a public inverse.
 All q*n comparisons use exact rational arithmetic so prover and verifier
 can never disagree on a boundary.
 
-The text formats of proofs and of the source's KVC auth files live here
-too, with `publish_kvc_auth`, the source side of the scheme.
+The text formats of proofs and of the source's KVC auth files
+(`KvcAuthInfo`) live here too, with `publish_kvc_auth`, the source side
+of the scheme.
 """
 
 from dataclasses import dataclass
@@ -187,14 +188,13 @@ def _verdict(matches: bool, ops: int) -> VerificationStats:
     return VerificationStats(matches, REASON_OK if matches else REASON_COMMITMENT_MISMATCH, ops)
 
 
-def _fold_to_stop(proof: QuantileProof, start: Commitment, sigma: int, skip=None) -> tuple[Commitment, int]:
-    """Fold one insertion per node up to the stop, less skip's subtree, into start; also returns how many.
+def _fold_to_stop(proof: QuantileProof, start: Commitment, sigma: int, skip=None) -> Commitment:
+    """Fold one insertion per node up to the stop, less skip's subtree, into start.
 
     The nodes go range by range rather than in post-order; insertion
     commutes, so the fold is the same group element.
     """
-    ranges = prefix_ranges(proof.counted[-1][0], sigma, skip)
-    return combine(start, fold_ranges(ranges, dict(proof.counted))), sum(map(len, ranges))
+    return combine(start, fold_ranges(prefix_ranges(proof.counted[-1][0], sigma, skip), dict(proof.counted)))
 
 
 def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
@@ -210,8 +210,8 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
     rejected = _precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
         return rejected
-    fold, ops = _fold_to_stop(proof, proof.remainder, sigma)
-    return _verdict(fold == c, ops)
+    before = sha256_calls()
+    return _verdict(_fold_to_stop(proof, proof.remainder, sigma) == c, sha256_calls() - before)
 
 
 def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
@@ -273,8 +273,7 @@ def qqv_accelerated(
     if best is not None and commit_subtrees(sigma, [best], inside) != precomputed[best]:
         return _verdict(False, sha256_calls() - before)
     start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
-    fold, _ = _fold_to_stop(proof, start, sigma, skip=best)
-    return _verdict(fold == c, sha256_calls() - before)
+    return _verdict(_fold_to_stop(proof, start, sigma, skip=best) == c, sha256_calls() - before)
 
 
 def proof_to_text(proof: QuantileProof) -> str:
@@ -306,64 +305,57 @@ def proof_from_text(text: str) -> QuantileProof:
     return proof
 
 
-def publish_kvc_auth(q: QDigest) -> tuple[Commitment, dict[int, Commitment]]:
+@dataclass(frozen=True)
+class KvcAuthInfo:
+    """The source's KVC auth file: the digest's parameters, its commitment and the precommitted subtrees."""
+
+    sigma: int
+    k: int
+    leaf_width: int
+    n: int
+    commitment: Commitment
+    subtrees: dict[int, Commitment]
+
+    def encode(self) -> str:
+        lines = [
+            f"kvcauth v1 sigma={self.sigma} k={self.k} leafwidth={self.leaf_width} n={self.n}",
+            f"commitment={self.commitment.encode()}",
+        ]
+        lines.extend(f"subtree={root}:{c.encode()}" for root, c in sorted(self.subtrees.items()))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def parse(cls, text: str) -> "KvcAuthInfo":
+        """Refuses, naming the field, a sigma that is not a power of two up to
+        the commitment limit 2**20, k below 1, a leaf width that is not a
+        power of two, a negative n and a subtree root outside the tree.
+        """
+        header, *body = text.splitlines() or [""]
+        sigma, k, leaf_width, n = map(int, header_fields(header, "kvcauth v1", ("sigma", "k", "leafwidth", "n")))
+        if not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA:
+            raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, {COMMIT_MAX_SIGMA}]")
+        if k < 1:
+            raise ValueError(f"KVC auth field k={k} is below 1")
+        if not is_power_of_two(leaf_width):
+            raise ValueError(f"KVC auth field leafwidth={leaf_width} is not a positive power of two")
+        if n < 0:
+            raise ValueError(f"KVC auth field n={n} is negative")
+        if not body:
+            raise ValueError("KVC auth file must carry the whole-digest commitment")
+        commitment = Commitment.parse(body[0].removeprefix("commitment="))
+        subtrees = {}
+        for line in body[1:]:
+            root_text, _, ctext = line.removeprefix("subtree=").partition(":")
+            root = int(root_text)
+            if not 1 <= root <= 2 * sigma - 1:
+                raise ValueError(f"KVC auth field subtree={root} is outside the tree [1, {2 * sigma - 1}]")
+            subtrees[root] = Commitment.parse(ctext)
+        auth = cls(sigma, k, leaf_width, n, commitment, subtrees)
+        require_canonical(text, auth.encode(), "KVC auth file")
+        return auth
+
+
+def publish_kvc_auth(q: QDigest) -> KvcAuthInfo:
     """The source's KVC auth info: the whole-digest commitment and subtree 2 precommitted."""
-    return commit_digest(q), subtree_commitments(q, [2] if q.sigma > 1 else [])
-
-
-_KVC_HEADER = ("sigma", "k", "leafwidth", "n")
-
-
-def kvc_auth_to_text(q: QDigest, commitment: Commitment, subtrees: dict[int, Commitment]) -> str:
-    return _kvc_auth_text(dict(zip(_KVC_HEADER, (q.sigma, q.k, q.leaf_width, q.n))), commitment, subtrees)
-
-
-def _kvc_auth_text(fields: dict[str, int], commitment: Commitment, subtrees: dict[int, Commitment]) -> str:
-    lines = [
-        "kvcauth v1 " + " ".join(f"{key}={fields[key]}" for key in _KVC_HEADER),
-        f"commitment={commitment.encode()}",
-    ]
-    lines.extend(f"subtree={root}:{c.encode()}" for root, c in sorted(subtrees.items()))
-    return "\n".join(lines) + "\n"
-
-
-def kvc_auth_from_text(text: str) -> tuple[dict[str, int], Commitment, dict[int, Commitment]]:
-    """Header fields (sigma, k, leafwidth, n), the commitment and the precommitted subtrees.
-
-    Refuses, naming the field, a sigma that is not a power of two up to
-    the commitment limit 2**20, k below 1, a leaf width that is not a
-    power of two, a negative n and a subtree root outside the tree.
-    """
-    header, *body = text.splitlines() or [""]
-    fields = dict(zip(_KVC_HEADER, map(int, header_fields(header, "kvcauth v1", _KVC_HEADER))))
-    sigma = fields["sigma"]
-    if not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA:
-        raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, {COMMIT_MAX_SIGMA}]")
-    if fields["k"] < 1:
-        raise ValueError(f"KVC auth field k={fields['k']} is below 1")
-    if not is_power_of_two(fields["leafwidth"]):
-        raise ValueError(f"KVC auth field leafwidth={fields['leafwidth']} is not a positive power of two")
-    if fields["n"] < 0:
-        raise ValueError(f"KVC auth field n={fields['n']} is negative")
-    if not body:
-        raise ValueError("KVC auth file must carry the whole-digest commitment")
-    commitment = Commitment.parse(body[0].removeprefix("commitment="))
-    subtrees = {}
-    for line in body[1:]:
-        root_text, _, ctext = line.removeprefix("subtree=").partition(":")
-        root = int(root_text)
-        if not 1 <= root <= 2 * sigma - 1:
-            raise ValueError(f"KVC auth field subtree={root} is outside the tree [1, {2 * sigma - 1}]")
-        subtrees[root] = Commitment.parse(ctext)
-    require_canonical(text, _kvc_auth_text(fields, commitment, subtrees), "KVC auth file")
-    return fields, commitment, subtrees
-
-
-def dump_proof(proof: QuantileProof, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(proof_to_text(proof))
-
-
-def load_proof(path) -> QuantileProof:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return proof_from_text(fh.read())
+    subtrees = [2] if q.sigma > 1 else []
+    return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, commit_digest(q), subtree_commitments(q, subtrees))

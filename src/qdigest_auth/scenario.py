@@ -143,8 +143,7 @@ def run_session(scenario: Scenario, source_digest: QDigest) -> list[QueryRecord]
             for q in scenario.queries
         ]
 
-    trusted_c, precomputed = publish_kvc_auth(source_digest)
-    trusted = (source_digest.n, source_digest.sigma, source_digest.leaf_width)
+    auth = publish_kvc_auth(source_digest)
     records = []
     for q in scenario.queries:
         if behavior.kind == "omit_left":
@@ -152,9 +151,9 @@ def run_session(scenario: Scenario, source_digest: QDigest) -> list[QueryRecord]
         else:
             proof = aqq(responder_digest, q)
         if scenario.scheme == "kvc_qa":
-            stats = qqv(proof, trusted_c, *trusted)
+            stats = qqv(proof, auth.commitment, auth.n, auth.sigma, auth.leaf_width)
         else:
-            stats = qqv_accelerated(proof, trusted_c, precomputed, *trusted)
+            stats = qqv_accelerated(proof, auth.commitment, auth.subtrees, auth.n, auth.sigma, auth.leaf_width)
         size = len(proof_to_text(proof))
         records.append(QueryRecord(q, proof.answer, stats.accepted, stats.insert_ops, size, stats.reason))
     return records

@@ -1,4 +1,4 @@
-"""Canonical text formats, and the one rule every wire-format parser keeps.
+"""Canonical text formats, the one rule every wire-format parser keeps, and file I/O.
 
 A parser reads its fields leniently, builds the value, and then refuses
 the input unless the writer's output for that value is identical
@@ -11,6 +11,10 @@ The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
 line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.
+
+Every file the package reads or writes is opened here.  Text files are
+ASCII with no newline translation (`read_text`, `write_text`), so a stray
+"\r" reaches the parser's canonical check; digest files are bytes.
 """
 
 from .commitment import MAX_SIGMA, VALUE_LIMIT
@@ -99,11 +103,18 @@ def parse_frequency_text(text: str) -> dict[int, int]:
 
 
 def load_frequencies(path) -> dict[int, int]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_frequency_text(fh.read())
+    return parse_frequency_text(read_text(path))
 
 
 def dump_frequencies(freqs, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for value in sorted(freqs):
-            fh.write(f"{value}\t{freqs[value]}\n")
+    write_text(path, "".join(f"{value}\t{freqs[value]}\n" for value in sorted(freqs)))
+
+
+def read_text(path) -> str:
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)

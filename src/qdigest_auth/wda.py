@@ -11,7 +11,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from .digest import QDigest, ValidityReport, validate
+from .digest import QDigest, validate
 from .serialize import digest_to_bytes, header_fields, require_canonical
 
 
@@ -21,17 +21,22 @@ def hash_digest_bytes(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class WdaAuthInfo:
+    """The source's WDA auth file: one line, its final "\n" included."""
+
     digest_hash: bytes
     sigma: int
     k: int
 
     def encode(self) -> str:
-        return f"wda1:{self.digest_hash.hex()} sigma={self.sigma} k={self.k}"
+        return f"wda1:{self.digest_hash.hex()} sigma={self.sigma} k={self.k}\n"
 
     @classmethod
     def parse(cls, text: str) -> "WdaAuthInfo":
-        tag = text.partition(" ")[0]
-        sigma, k = map(int, header_fields(text, tag, ("sigma", "k")))
+        if not text.endswith("\n"):
+            raise ValueError("WDA auth file must end with a newline")
+        line = text[:-1]
+        tag = line.partition(" ")[0]
+        sigma, k = map(int, header_fields(line, tag, ("sigma", "k")))
         digest_hash = bytes.fromhex(tag.removeprefix("wda1:"))
         if len(digest_hash) != 32:
             raise ValueError("WDA hash must be 32 bytes")
@@ -44,7 +49,6 @@ class WdaAuthInfo:
 class WdaVerdict:
     accepted: bool
     reason: str
-    report: ValidityReport
 
 
 def wda_authinfo(q: QDigest) -> WdaAuthInfo:
@@ -52,26 +56,13 @@ def wda_authinfo(q: QDigest) -> WdaAuthInfo:
 
 
 def wda_verify(received: QDigest, auth: WdaAuthInfo) -> WdaVerdict:
-    """Accept iff parameters echo, the hash matches, and the digest validates."""
-    report = validate(received)
+    """Accept iff parameters echo, the hash matches, and the digest validates, checked in that order."""
     if (received.sigma, received.k) != (auth.sigma, auth.k):
-        return WdaVerdict(False, "parameter-mismatch", report)
+        return WdaVerdict(False, "parameter-mismatch")
     actual = hash_digest_bytes(digest_to_bytes(received))
     if not hmac.compare_digest(actual, auth.digest_hash):
-        return WdaVerdict(False, "hash-mismatch", report)
+        return WdaVerdict(False, "hash-mismatch")
+    report = validate(received)
     if not report.ok or not report.size_bound_ok:
-        return WdaVerdict(False, "invalid-structure", report)
-    return WdaVerdict(True, "ok", report)
-
-
-def dump_authinfo(auth: WdaAuthInfo, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(auth.encode() + "\n")
-
-
-def load_authinfo(path) -> WdaAuthInfo:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise ValueError("WDA auth file must end with a newline")
-    return WdaAuthInfo.parse(text[:-1])
+        return WdaVerdict(False, "invalid-structure")
+    return WdaVerdict(True, "ok")

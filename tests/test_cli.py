@@ -10,8 +10,8 @@ import pytest
 from qdigest_auth.cli import build_parser, main
 from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
-from qdigest_auth.kvcqa import load_proof
-from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest
+from qdigest_auth.kvcqa import proof_from_text
+from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest, read_text
 from qdigest_auth.tree import is_in_subtree
 
 from helpers import random_frequencies
@@ -182,7 +182,7 @@ def test_a_raised_first_count_is_rejected_before_the_accelerated_fold(tmp_path, 
     header, first, *rest = proof.read_text().splitlines(keepends=True)
     node, _, cnt = first.partition(":")
     proof.write_text(header + f"{node}:{int(cnt) + 1}\n" + "".join(rest))
-    inside = sum(is_in_subtree(node, 2, 4096) for node, _ in load_proof(proof).counted)
+    inside = sum(is_in_subtree(node, 2, 4096) for node, _ in proof_from_text(read_text(proof)).counted)
     capsys.readouterr()
     before = sha256_calls()
     assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]) == 1
@@ -347,11 +347,19 @@ def test_simulate_a_cumulative_session_over_an_empty_stream(tmp_path, session, c
     ]
 
 
-def test_bench_table(capsys):
-    assert main(["bench", "--sigmas", "8,16", "--ks", "2", "--qs", "1/2", "--seed", "1"]) == 0
+@pytest.mark.parametrize(
+    "sigmas, ks, reported",
+    [("8,16", "2", ["8", "16"]), ("3,100", "4", ["4", "128"]), ("1", "4", ["1"])],
+    ids=["powers-of-two", "padded", "single-value"],
+)
+def test_bench_table(capsys, sigmas, ks, reported):
+    """A row is verified and reported at the digest's tree sigma, the requested one padded to a power of two."""
+    assert main(["bench", "--sigmas", sigmas, "--ks", ks, "--qs", "1/2", "--seed", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3  # header + one row per sigma
+    assert len(out) == 1 + len(reported)  # header + one row per sigma
     assert out[0].lstrip().startswith("sigma")
+    assert [row.split()[0] for row in out[1:]] == reported
+    assert all(row.split()[-1] == "1" for row in out[1:])  # every honest proof verifies
 
 
 def test_cli_outputs_are_deterministic(tmp_path, s1_file):

@@ -14,7 +14,6 @@ from qdigest_auth.digest import (
     coarsen,
     counted_prefix,
     check_compatible,
-    compress_iterations,
     compress_one_pass,
     digest_sum,
     iterative_compress,
@@ -96,8 +95,10 @@ class TestConstruction:
         assert q1.size <= 2 * 4 + 1
 
     def test_fresh_build_compresses_in_two_iterations(self, s1):
-        leaf_only = QDigest(8, 4, {8 + v - 1: m for v, m in s1.items()})
-        assert compress_iterations(leaf_only) == 2
+        leaf_only = {8 + v - 1: m for v, m in s1.items()}
+        threshold = QDigest(8, 4, leaf_only).threshold
+        assert _one_pass(leaf_only, threshold, 8)  # the first pass merges
+        assert not _one_pass(leaf_only, threshold, 8)  # the second merges nothing
 
 
 class TestNabla:

@@ -19,20 +19,18 @@ from qdigest_auth.commitment import (
 )
 from qdigest_auth.digest import QDigest, build_from_frequencies, counted_prefix, quantile_query, range_top
 from qdigest_auth.kvcqa import (
+    KvcAuthInfo,
     QuantileProof,
     aqq,
-    kvc_auth_from_text,
-    kvc_auth_to_text,
     publish_kvc_auth,
-    load_proof,
     malicious_aqq_omit_left,
     proof_from_text,
     proof_to_text,
     qqv,
     qqv_accelerated,
     qqv_fast,
-    dump_proof,
 )
+from qdigest_auth.serialize import read_text, write_text
 from qdigest_auth.tree import post_order_rank, prefix_ranges
 
 from helpers import grid, random_digest
@@ -306,8 +304,8 @@ class TestProofFiles:
         q, _, _ = e2
         proof = aqq(q, Fraction(2, 3))
         path = tmp_path / "proof.aqq"
-        dump_proof(proof, path)
-        assert load_proof(path) == proof
+        write_text(path, proof_to_text(proof))
+        assert proof_from_text(read_text(path)) == proof
 
     @pytest.mark.parametrize(
         "text",
@@ -423,7 +421,8 @@ HOSTILE_FIELDS = [
 @pytest.mark.parametrize("fields", [case[1] for case in HOSTILE_FIELDS], ids=[case[0] for case in HOSTILE_FIELDS])
 def test_hostile_proof_objects_are_malformed(fields):
     q = HOSTILE_DIGEST
-    c, pre = publish_kvc_auth(q)
+    auth = publish_kvc_auth(q)
+    c, pre = auth.commitment, auth.subtrees
     bad = replace(aqq(q, Fraction(3, 4)), **fields)
     for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
@@ -446,7 +445,8 @@ def _with_entry(proof, at, entry):
 @pytest.mark.parametrize("make", [case[1] for case in SHAPE_BREAKS], ids=[case[0] for case in SHAPE_BREAKS])
 def test_counted_entries_that_break_the_shape_are_malformed(make):
     q = HOSTILE_DIGEST
-    c, pre = publish_kvc_auth(q)
+    auth = publish_kvc_auth(q)
+    c, pre = auth.commitment, auth.subtrees
     bad = make(q)
     for stats in (qqv(bad, c, q.n, 8), qqv_accelerated(bad, c, pre, q.n, 8), qqv_fast(bad, c, q.n, 8)):
         assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
@@ -459,14 +459,16 @@ def test_counted_entries_that_break_the_shape_are_malformed(make):
 )
 def test_hostile_precommitments_are_malformed(make_pre):
     q = HOSTILE_DIGEST
-    c, pre = publish_kvc_auth(q)
+    auth = publish_kvc_auth(q)
+    c, pre = auth.commitment, auth.subtrees
     stats = qqv_accelerated(aqq(q, Fraction(3, 4)), c, make_pre(pre), q.n, 8)
     assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
 
 
 def test_a_counted_sum_above_n_is_malformed_before_any_fold():
     q = HOSTILE_DIGEST
-    c, pre = publish_kvc_auth(q)
+    auth = publish_kvc_auth(q)
+    c, pre = auth.commitment, auth.subtrees
     proof = aqq(q, Fraction(1, 2))
     (stop, cnt), total = proof.counted[-1], sum(cnt for _, cnt in proof.counted)
     bad = _with_counts(proof, {stop: cnt + 24 - total})  # the prefix sums to 24, n is 15
@@ -515,7 +517,8 @@ def test_seeded_query_path_corpus_is_unchanged():
         sigma = 2 ** rng.randint(0, 8)
         freqs = {rng.randint(1, sigma): rng.randint(1, 9) for _ in range(rng.randint(1, 60))}
         d = build_from_frequencies(freqs, rng.randint(1, 64), sigma)
-        c, pre = publish_kvc_auth(d)
+        auth = publish_kvc_auth(d)
+        c, pre = auth.commitment, auth.subtrees
         many = subtree_commitments(d, rng.sample(range(1, 2 * sigma), min(4, 2 * sigma - 1)))
         for i in range(17):
             frac = Fraction(i, 16)
@@ -538,14 +541,12 @@ def test_seeded_query_path_corpus_is_unchanged():
 class TestKvcAuthFiles:
     def test_round_trip_precommits_subtree_2(self, e2):
         q, c, n = e2
-        commitment, subtrees = publish_kvc_auth(q)
-        assert commitment == c and subtrees == {2: subtree_commitment(q, 2)}
-        fields, parsed_c, parsed_subtrees = kvc_auth_from_text(kvc_auth_to_text(q, commitment, subtrees))
-        assert fields == {"sigma": 8, "k": 5, "leafwidth": 1, "n": n}
-        assert parsed_c == c and parsed_subtrees == subtrees
+        auth = publish_kvc_auth(q)
+        assert auth == KvcAuthInfo(8, 5, 1, n, c, {2: subtree_commitment(q, 2)})
+        assert KvcAuthInfo.parse(auth.encode()) == auth
 
     def test_single_node_domain_precommits_nothing(self):
-        assert publish_kvc_auth(QDigest(1, 2, {1: 7}))[1] == {}
+        assert publish_kvc_auth(QDigest(1, 2, {1: 7})).subtrees == {}
 
     @pytest.mark.parametrize(
         "sigma, ok",
@@ -553,9 +554,9 @@ class TestKvcAuthFiles:
     )
     def test_sigma_limit(self, e2, sigma, ok):
         q, c, _ = e2
-        text = kvc_auth_to_text(q, c, {}).replace("sigma=8", f"sigma={sigma}")
+        text = KvcAuthInfo(8, 5, 1, q.n, c, {}).encode().replace("sigma=8", f"sigma={sigma}")
         if ok:
-            assert kvc_auth_from_text(text)[0]["sigma"] == sigma
+            assert KvcAuthInfo.parse(text).sigma == sigma
         else:
             with pytest.raises(ValueError, match=f"field sigma={sigma} is not a power of two in \\[1, {COMMIT_MAX_SIGMA}\\]"):
-                kvc_auth_from_text(text)
+                KvcAuthInfo.parse(text)

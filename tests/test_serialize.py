@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import qdigest_auth
 from qdigest_auth.digest import QDigest, build_from_frequencies
 from qdigest_auth.serialize import (
     digest_from_bytes,
@@ -84,3 +87,20 @@ def test_largest_encodable_sigma_and_count_load():
     data = b"qdigest v1 sigma=%d k=4 leafwidth=1\n1:%d\n" % (2**63, 2**128 - 1)
     q = digest_from_bytes(data)
     assert q.sigma == 2**63 and q.n == 2**128 - 1
+
+
+def test_only_serialize_opens_files():
+    """Every file is opened in `serialize`, so each file rule has one home."""
+    calls = {}
+    for path in sorted(Path(qdigest_auth.__file__).parent.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        lines = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+        ]
+        if lines:
+            calls[path.name] = lines
+    assert calls == {}

@@ -90,7 +90,8 @@ def bad_precommitments(draw, sigma, good):
 @given(st.data())
 def test_verifiers_are_total_and_agree_on_mutated_proofs(data):
     d = data.draw(digests())
-    c, good = publish_kvc_auth(d)
+    auth = publish_kvc_auth(d)
+    c, good = auth.commitment, auth.subtrees
     honest = aqq(d, data.draw(st.fractions(0, 1, max_denominator=64)))
     proof = data.draw(mutated(d, honest))
     bad = data.draw(bad_precommitments(d.sigma, good))

@@ -3,14 +3,8 @@ import random
 import pytest
 
 from qdigest_auth.digest import QDigest
-from qdigest_auth.serialize import digest_to_bytes
-from qdigest_auth.wda import (
-    WdaAuthInfo,
-    dump_authinfo,
-    load_authinfo,
-    wda_authinfo,
-    wda_verify,
-)
+from qdigest_auth.serialize import digest_to_bytes, read_text, write_text
+from qdigest_auth.wda import WdaAuthInfo, wda_authinfo, wda_verify
 
 from helpers import random_digest
 
@@ -74,30 +68,30 @@ def test_random_round_trips():
 def test_authinfo_text_round_trip(tmp_path, example2_digest):
     auth = wda_authinfo(example2_digest)
     text = auth.encode()
-    assert text == f"wda1:{EXAMPLE2_HASH} sigma=8 k=5"
+    assert text == f"wda1:{EXAMPLE2_HASH} sigma=8 k=5\n"
     assert WdaAuthInfo.parse(text) == auth
     path = tmp_path / "auth.wda"
-    dump_authinfo(auth, path)
-    assert load_authinfo(path) == auth
+    write_text(path, text)
+    assert WdaAuthInfo.parse(read_text(path)) == auth
 
 
 def test_authinfo_file_without_its_final_newline_is_refused(tmp_path, example2_digest):
     path = tmp_path / "auth.wda"
-    path.write_text(wda_authinfo(example2_digest).encode())
+    path.write_text(wda_authinfo(example2_digest).encode()[:-1])
     with pytest.raises(ValueError, match="must end with a newline"):
-        load_authinfo(path)
+        WdaAuthInfo.parse(read_text(path))
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "wda1:abcd sigma=8 k=5",
-        "wda1:" + "0" * 64,
-        "wda1:" + "0" * 64 + " sigma=8",
-        "x",
-        "wda1:" + "A" * 64 + " sigma=8 k=5",
-        "wda1:" + "0" * 64 + " sigma=08 k=5",
-        " wda1:" + "0" * 64 + " sigma=8 k=5",
+        "wda1:abcd sigma=8 k=5\n",
+        "wda1:" + "0" * 64 + "\n",
+        "wda1:" + "0" * 64 + " sigma=8\n",
+        "x\n",
+        "wda1:" + "A" * 64 + " sigma=8 k=5\n",
+        "wda1:" + "0" * 64 + " sigma=08 k=5\n",
+        " wda1:" + "0" * 64 + " sigma=8 k=5\n",
     ],
 )
 def test_authinfo_parse_rejects_malformed(text):

@@ -1,26 +1,20 @@
 """Properties of the five wire formats: each parser accepts exactly what its writer writes.
 
-For digests, proofs, KVC auth files, WDA auth info and commitments:
+For digests, proofs, KVC auth files, WDA auth files and commitments:
 parsing a writer's output gives the value back, and after any
 single-character edit of that output the parser either raises
 `ValueError` or returns a value whose written form is the edited text.
 No other exception escapes a parser.
 """
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, VALUE_LIMIT, Commitment
 from qdigest_auth.digest import QDigest
-from qdigest_auth.kvcqa import (
-    QuantileProof,
-    kvc_auth_from_text,
-    kvc_auth_to_text,
-    proof_from_text,
-    proof_to_text,
-)
+from qdigest_auth.kvcqa import KvcAuthInfo, QuantileProof, proof_from_text, proof_to_text
 from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
 from qdigest_auth.tree import is_power_of_two
 from qdigest_auth.wda import WdaAuthInfo
@@ -48,16 +42,14 @@ proofs = st.builds(
 @st.composite
 def kvc_auths(draw):
     sigma = 2 ** draw(st.integers(0, COMMIT_MAX_SIGMA.bit_length() - 1))
-    fields = {"sigma": sigma, "k": draw(st.integers(min_value=1)),
-              "leafwidth": 2 ** draw(st.integers(0, 70)), "n": draw(st.integers(min_value=0))}
-    subtrees = draw(st.dictionaries(st.integers(1, 2 * sigma - 1), commitments, max_size=3))
-    return fields, draw(commitments), subtrees
-
-
-def write_kvc_auth(auth):
-    fields, commitment, subtrees = auth
-    header = SimpleNamespace(sigma=fields["sigma"], k=fields["k"], leaf_width=fields["leafwidth"], n=fields["n"])
-    return kvc_auth_to_text(header, commitment, subtrees)
+    return KvcAuthInfo(
+        sigma=sigma,
+        k=draw(st.integers(min_value=1)),
+        leaf_width=2 ** draw(st.integers(0, 70)),
+        n=draw(st.integers(min_value=0)),
+        commitment=draw(commitments),
+        subtrees=draw(st.dictionaries(st.integers(1, 2 * sigma - 1), commitments, max_size=3)),
+    )
 
 
 wda_auths = st.builds(WdaAuthInfo, digest_hash=st.binary(min_size=32, max_size=32), sigma=st.integers(), k=st.integers())
@@ -66,7 +58,7 @@ wda_auths = st.builds(WdaAuthInfo, digest_hash=st.binary(min_size=32, max_size=3
 FORMATS = {
     "digest": (digests(), digest_to_bytes, digest_from_bytes),
     "proof": (proofs, proof_to_text, proof_from_text),
-    "kvc-auth": (kvc_auths(), write_kvc_auth, kvc_auth_from_text),
+    "kvc-auth": (kvc_auths(), KvcAuthInfo.encode, KvcAuthInfo.parse),
     "wda-auth": (wda_auths, WdaAuthInfo.encode, WdaAuthInfo.parse),
     "commitment": (commitments, Commitment.encode, Commitment.parse),
 }
@@ -112,26 +104,26 @@ def test_an_edited_text_is_refused_or_is_what_the_writer_writes(name, data):
         assert write(parsed) == edited
 
 
-# each KVC auth field with values outside its limits
+# each KVC auth field, as the file names it, with its attribute and values outside its limits
 OUT_OF_LIMIT_KVC_FIELDS = {
-    "sigma": st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA),
-    "k": st.integers(max_value=0),
-    "leafwidth": st.integers().filter(lambda width: not is_power_of_two(width)),
-    "n": st.integers(max_value=-1),
+    "sigma": ("sigma", st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA)),
+    "k": ("k", st.integers(max_value=0)),
+    "leafwidth": ("leaf_width", st.integers().filter(lambda width: not is_power_of_two(width))),
+    "n": ("n", st.integers(max_value=-1)),
 }
 
 
 @settings(max_examples=100, deadline=None)
 @given(kvc_auths(), st.sampled_from([*OUT_OF_LIMIT_KVC_FIELDS, "subtree"]), st.data())
 def test_a_kvc_auth_field_out_of_its_limits_is_refused(auth, field, data):
-    fields, commitment, subtrees = auth
     if field == "subtree":
-        outside = st.integers().filter(lambda root: not 1 <= root <= 2 * fields["sigma"] - 1)
-        subtrees = {**subtrees, data.draw(outside): commitment}
+        outside = st.integers().filter(lambda root: not 1 <= root <= 2 * auth.sigma - 1)
+        auth = replace(auth, subtrees={**auth.subtrees, data.draw(outside): auth.commitment})
     else:
-        fields = {**fields, field: data.draw(OUT_OF_LIMIT_KVC_FIELDS[field])}
+        attr, values = OUT_OF_LIMIT_KVC_FIELDS[field]
+        auth = replace(auth, **{attr: data.draw(values)})
     with pytest.raises(ValueError, match=f"field {field}="):
-        kvc_auth_from_text(write_kvc_auth((fields, commitment, subtrees)))
+        KvcAuthInfo.parse(auth.encode())
 
 
 def test_a_refusal_names_the_first_line_that_differs():

@@ -287,7 +287,8 @@ def test_the_accelerated_verifier_reports_every_call_it_makes(sigma, cold_zero_f
     cross-check's zero fold is free.  A verifier that has not published
     folds Z(2) on its first call, and `insert_ops` counts that fold too."""
     q = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6}) if sigma == 8 else seeded_digest(0, sigma)
-    c, precomputed = publish_kvc_auth(q)
+    auth = publish_kvc_auth(q)
+    c, precomputed = auth.commitment, auth.subtrees
     proof = aqq(q, Fraction(1))
     literal = qqv(proof, c, q.n, sigma).insert_ops
     commitment._ZERO_FOLDS.clear()  # as in a fresh verifying process
@@ -321,7 +322,8 @@ def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, 
     when it is not memoized, and no fold to the stop.  The same shift
     between two claims outside it still pays the whole fold."""
     q = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6}) if sigma == 8 else seeded_digest(0, sigma)
-    c, precomputed = publish_kvc_auth(q)  # memoizes Z(2)
+    auth = publish_kvc_auth(q)  # memoizes Z(2)
+    c, precomputed = auth.commitment, auth.subtrees
     proof = aqq(q, Fraction(1))
     counted = dict(proof.counted)
     inside = [node for node in counted if is_in_subtree(node, 2, sigma)]
