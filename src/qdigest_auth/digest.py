@@ -17,7 +17,8 @@ always restore property 2.
 
 Every digest built from values, plain or coarse, comes from `coarsen`:
 one checked pass adds each value into its leaf's count, `_leaf_pass`
-compresses them level by level, and one `QDigest` is made at the end.
+compresses them by descending from the root into the nodes whose subtree
+holds more than floor(n / k) values, and one `QDigest` is made at the end.
 `merge` sums its digests in one map; queries bisect a post-order index.
 """
 
@@ -243,33 +244,38 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
 
 
 def _leaf_pass(counts: Mapping[int, int], threshold: int, sigma: int) -> dict[int, int]:
-    """`_one_pass` on a map holding only leaves, over sorted lists; returns the kept map.
+    """`_one_pass` on a map holding only leaves, as a descent from the root; returns the kept map.
 
-    With no parent present, a family is one node or two adjacent siblings: it
-    moves up as one parent if its sum is at most threshold, else it is kept.
+    With no parent present, a family moves up as one parent when its sum is
+    at most threshold.  So a subtree of mass at most threshold arrives whole
+    at its root: every family inside it sums to no more than that mass, so
+    every one merges.  The descent opens only heavier nodes, at most k a
+    level, reading a subtree's mass from the prefix sums of the sorted leaves.
     """
     keys = sorted(counts)
-    cnts = [counts[i] for i in keys]
+    sums = list(accumulate((counts[i] for i in keys), initial=0))
     kept: dict[int, int] = {}
-    for _ in range(level(sigma)):
-        up_keys, up_cnts, j, m = [], [], 0, len(keys)
-        while j < m:
-            i, c = keys[j], cnts[j]
-            j += 1
-            if j < m and keys[j] == i ^ 1:  # i is even and its sibling follows
-                c2, j = cnts[j], j + 1
-                if c + c2 > threshold:
-                    kept[i], kept[i + 1] = c, c2
-                    continue
-                c += c2
-            elif c > threshold:
-                kept[i] = c
-                continue
-            up_keys.append(i >> 1)  # the family's parent, in ascending order
-            up_cnts.append(c)
-        keys, cnts = up_keys, up_cnts
-    kept.update(zip(keys, cnts))
-    return kept
+    kept[1] = _descend(1, level(sigma), 0, len(keys), keys, sums, threshold, kept)  # what reaches the root stays
+    return {i: c for i, c in kept.items() if c}
+
+
+def _descend(v: int, height: int, lo: int, hi: int, keys, sums, threshold: int, kept: dict[int, int]) -> int:
+    """The mass arriving at node v, whose leaves are keys[lo:hi]; children that do not merge go to kept, even at 0.
+
+    A module function taking its state as arguments, not a closure that calls
+    itself: such a closure is a reference cycle that only the cycle collector frees.
+    """
+    mass = sums[hi] - sums[lo]
+    if mass <= threshold or not height:  # a light subtree arrives whole, a leaf with its count
+        return mass
+    height -= 1
+    mid = bisect_left(keys, (2 * v + 1) << height, lo, hi)  # the right child's first leaf
+    l = _descend(2 * v, height, lo, mid, keys, sums, threshold, kept)
+    r = _descend(2 * v + 1, height, mid, hi, keys, sums, threshold, kept)
+    if l + r > threshold:
+        kept[2 * v], kept[2 * v + 1] = l, r
+        return 0
+    return l + r
 
 
 def compress_one_pass(q: QDigest) -> QDigest:

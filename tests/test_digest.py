@@ -235,6 +235,61 @@ class TestLeafPassAgainstTheSweep:
             assert _leaf_pass(counts, threshold, sigma) == swept
         assert heavy > 500
 
+    @staticmethod
+    def swept(counts, k, sigma):
+        """`_leaf_pass` of a leaf map, asserted equal to `_one_pass`'s result on a copy."""
+        threshold = sum(counts.values()) // k
+        swept = dict(counts)
+        _one_pass(swept, threshold, sigma)
+        kept = _leaf_pass(counts, threshold, sigma)
+        assert kept == swept
+        return kept
+
+    def test_a_kvc_query_sized_build(self):
+        rng = random.Random(5)
+        counts: dict[int, int] = {}
+        for _ in range(50_000):
+            leaf = 2**16 + rng.randrange(2**16)
+            counts[leaf] = counts.get(leaf, 0) + 1
+        assert 34_000 < len(counts) < 36_000
+        assert 80 < len(self.swept(counts, 64, 2**16)) <= 2 * 64 + 1
+
+    def test_wda_stream_shaped_batches(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            counts = {2**16 - 1 + v: c for v, c in log_uniform(rng, 2**16, 2_000).items()}
+            kept = self.swept(counts, 64, 2**16)
+            assert any(i < 2**8 for i in kept) and any(i >= 2**16 for i in kept)  # coarse and fine buckets both
+
+    def test_sparse_leaves_in_huge_domains(self):
+        for sigma in (2**40, 2**63):
+            for seed in range(30):
+                rng = random.Random(seed)
+                counts = {sigma + rng.randrange(sigma): rng.randint(1, 9) for _ in range(rng.randint(1, 6))}
+                self.swept(counts, rng.randint(1, 8), sigma)
+            assert self.swept({sigma: 5, 2 * sigma - 1: 5}, 1, sigma) == {1: 10}
+            assert self.swept({sigma: 5, 2 * sigma - 1: 5}, 2, sigma) == {2: 5, 3: 5}
+
+    def test_k_one_sends_everything_to_the_root(self):
+        for seed in range(50):
+            rng = random.Random(seed)
+            sigma = 2 ** rng.randint(0, 16)
+            counts = {i: rng.randint(1, 50) for i in rng.sample(range(sigma, 2 * sigma), min(sigma, 50))}
+            assert self.swept(counts, 1, sigma) == {1: sum(counts.values())}
+
+    def test_k_above_n_keeps_every_leaf(self):
+        for seed in range(50):
+            rng = random.Random(seed)
+            sigma = 2 ** rng.randint(0, 16)
+            counts = {i: rng.randint(1, 3) for i in rng.sample(range(sigma, 2 * sigma), min(sigma, 50))}
+            assert self.swept(counts, sum(counts.values()) + 1, sigma) == counts
+
+    def test_the_empty_map_and_a_one_leaf_domain(self):
+        for sigma in (1, 2, 2**16, 2**63):
+            assert self.swept({}, 4, sigma) == {}
+        for k in (1, 3, 4):
+            assert self.swept({1: 3}, k, 1) == {1: 3}
+
     def test_coarse_builds_keep_what_the_sweep_keeps(self):
         cut_at_all = 0
         for seed in range(1000):
