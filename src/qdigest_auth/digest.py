@@ -19,7 +19,8 @@ Every digest built from values, plain or coarse, comes from `coarsen`:
 one checked pass adds each value into its leaf's count, `_leaf_pass`
 compresses them by descending from the root into the nodes whose subtree
 holds more than floor(n / k) values, and one `QDigest` is made at the end.
-`merge` sums its digests in one map; queries bisect a post-order index.
+`merge` sums its digests in one map, re-sweeping after each sum's full pass
+only the families whose parent a merge popped; queries bisect a post-order index.
 """
 
 from bisect import bisect_left
@@ -210,20 +211,24 @@ def _add_counts(counts: dict[int, int], q: QDigest) -> None:
     counts.update({i: counts.get(i, 0) + c for i, c in q._counts.items()})
 
 
-def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
-    """One bottom-up sweep merging children into parents in place.
+def _one_pass(counts: dict[int, int], threshold: int, keys: Iterable[int]) -> list[int]:
+    """One bottom-up sweep over the families of keys, nodes present in counts, merging children into parents in place.
 
     Families are visited deepest level first, ascending index within a
     level.  A level's nodes are its slice of the sorted keys plus the
     parents made by merges at the level below, which arrive in ascending
-    order; siblings are then adjacent, so each family is read once.
-    Returns True when at least one family merged.
+    order; siblings are then adjacent, so each family is read once.  The
+    next level is the deepest one holding a key or a made parent, so an
+    empty level costs nothing.  Returns the children its merges popped.
     """
-    keys = sorted(counts)
+    keys = sorted(keys)
     end = len(keys)
     made: list[int] = []
-    merged = False
-    for lvl in range(level(sigma), 0, -1):
+    popped: list[int] = []
+    while made or end:
+        lvl = (made[0] if made else keys[end - 1]).bit_length() - 1  # made parents lie above every key left
+        if not lvl:  # the root has no family above it
+            break
         start = bisect_left(keys, 1 << lvl, 0, end)
         nodes = sorted(keys[start:end] + made) if made else islice(keys, start, end)
         end, made, last = start, [], 0
@@ -236,11 +241,12 @@ def _one_pass(counts: dict[int, int], threshold: int, sigma: int) -> bool:
             total = counts.get(p, 0) + counts.get(l, 0) + counts.get(r, 0)
             if total <= threshold:
                 counts[p] = total
-                counts.pop(l, None)
-                counts.pop(r, None)
+                if counts.pop(l, 0):
+                    popped.append(l)
+                if counts.pop(r, 0):
+                    popped.append(r)
                 made.append(p)
-        merged = merged or bool(made)
-    return merged
+    return popped
 
 
 def _leaf_pass(counts: Mapping[int, int], threshold: int, sigma: int) -> dict[int, int]:
@@ -281,20 +287,34 @@ def _descend(v: int, height: int, lo: int, hi: int, keys, sums, threshold: int, 
 def compress_one_pass(q: QDigest) -> QDigest:
     """The original single-sweep compression; may leave property 2 violated."""
     counts = dict(q._counts)
-    _one_pass(counts, q.threshold, q.sigma)
+    _one_pass(counts, q.threshold, counts)
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
-def _compress_until_stable(counts: dict[int, int], threshold: int, sigma: int) -> None:
-    """Sweep counts in place until a pass performs no merge."""
-    while _one_pass(counts, threshold, sigma):
-        pass
+def _compress_until_stable(counts: dict[int, int], threshold: int) -> None:
+    """Sweep counts in place until the next pass would be given no keys: the first merges nothing, or a later one's pops leave none.
+
+    The first pass sweeps every family.  A family that failed its check can
+    merge at the same threshold only if its parent was popped later in that
+    pass: its children change only by merges below it, which a pass reaches
+    through its made parents.  So each later pass sweeps the still-present
+    children of the nodes the one before popped.
+    """
+    keys: Iterable[int] = counts
+    while keys:
+        keys = [c for i in _one_pass(counts, threshold, keys) for c in (2 * i, 2 * i + 1) if c in counts]
 
 
 def iterative_compress(q: QDigest) -> QDigest:
-    """Repeat the single-sweep compression until a pass performs no merge."""
+    """Repeat the single-sweep compression until a first pass merges nothing or a later one is given no keys.
+
+    A map of leaves alone, which one pass settles (see `coarsen`), takes
+    `_leaf_pass` and is not copied.
+    """
+    if min(q._counts, default=q.sigma) >= q.sigma:
+        return QDigest(q.sigma, q.k, _leaf_pass(q._counts, q.threshold, q.sigma), q.leaf_width)
     counts = dict(q._counts)
-    _compress_until_stable(counts, q.threshold, q.sigma)
+    _compress_until_stable(counts, q.threshold)
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
 
@@ -344,7 +364,7 @@ def merge(q1: QDigest, q2: QDigest, *more: QDigest) -> QDigest:
         check_compatible(q1, q)
         _add_counts(counts, q)
         n += q.n
-        _compress_until_stable(counts, n // q1.k, q1.sigma)
+        _compress_until_stable(counts, n // q1.k)
     return QDigest(q1.sigma, q1.k, counts, q1.leaf_width)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.digest import (
     QDigest,
+    _compress_until_stable,
     _leaf_pass,
     _one_pass,
     build_from_frequencies,
@@ -97,8 +98,8 @@ class TestConstruction:
     def test_fresh_build_compresses_in_two_iterations(self, s1):
         leaf_only = {8 + v - 1: m for v, m in s1.items()}
         threshold = QDigest(8, 4, leaf_only).threshold
-        assert _one_pass(leaf_only, threshold, 8)  # the first pass merges
-        assert not _one_pass(leaf_only, threshold, 8)  # the second merges nothing
+        assert _one_pass(leaf_only, threshold, leaf_only)  # the first pass merges
+        assert not _one_pass(leaf_only, threshold, leaf_only)  # the second merges nothing
 
 
 class TestNabla:
@@ -171,7 +172,7 @@ def assert_passes_match_the_scan(counts: dict[int, int], threshold: int, sigma: 
     mine, ref = dict(counts), dict(counts)
     merged = True
     while merged:
-        merged = _one_pass(mine, threshold, sigma)
+        merged = bool(_one_pass(mine, threshold, mine))
         assert merged == scan_one_pass(ref, threshold, sigma)
         assert list(mine.items()) == list(ref.items())  # same counts, made in the same order
 
@@ -204,6 +205,27 @@ class TestOnePassAgainstTheScan:
         assert flawed >= 10
         assert compress_one_pass(worked).buckets() == ONE_PASS_BUCKETS
 
+    def test_sparse_maps_in_huge_domains_skip_empty_levels(self):
+        for sigma in (2**40, 2**63):
+            for seed in range(40):
+                rng = random.Random(seed)
+                counts: dict[int, int] = {}
+                for _ in range(rng.randint(1, 12)):
+                    leaf = sigma + rng.randrange(sigma)
+                    counts[leaf] = rng.randint(1, 9)
+                    if rng.random() < 0.5:  # an ancestor, up to dozens of levels above
+                        counts[leaf >> rng.randint(1, level(sigma))] = rng.randint(1, 9)
+                    if rng.random() < 0.3:
+                        counts[leaf ^ 1] = rng.randint(1, 9)
+                q = QDigest(sigma, rng.randint(1, 8), counts)
+                assert_passes_match_the_scan(counts, q.threshold, sigma)
+                ref = dict(counts)
+                scan_one_pass(ref, q.threshold, sigma)
+                assert compress_one_pass(q).buckets() == ref
+            pair = {sigma: 5, 2 * sigma - 1: 5}
+            assert_passes_match_the_scan(pair, 10, sigma)
+            assert compress_one_pass(QDigest(sigma, 1, pair)).buckets() == {1: 10}
+
     def test_one_pass_settles_a_fresh_build(self):
         for seed in range(200):
             rng = random.Random(seed)
@@ -213,7 +235,7 @@ class TestOnePassAgainstTheScan:
             cut = min(rng.randint(0, 3), level(next_power_of_two(sigma)))
             q = coarsen(freqs, rng.randint(1, 64), sigma, cut)
             counts = q.buckets()
-            assert not _one_pass(counts, q.threshold, q.sigma)
+            assert not _one_pass(counts, q.threshold, counts)
             assert counts == q.buckets()
 
 
@@ -231,7 +253,7 @@ class TestLeafPassAgainstTheSweep:
             threshold = sum(counts.values()) // k
             heavy += any(c > threshold for c in counts.values())
             swept = dict(counts)
-            _one_pass(swept, threshold, sigma)
+            _one_pass(swept, threshold, swept)
             assert _leaf_pass(counts, threshold, sigma) == swept
         assert heavy > 500
 
@@ -240,7 +262,7 @@ class TestLeafPassAgainstTheSweep:
         """`_leaf_pass` of a leaf map, asserted equal to `_one_pass`'s result on a copy."""
         threshold = sum(counts.values()) // k
         swept = dict(counts)
-        _one_pass(swept, threshold, sigma)
+        _one_pass(swept, threshold, swept)
         kept = _leaf_pass(counts, threshold, sigma)
         assert kept == swept
         return kept
@@ -305,7 +327,7 @@ class TestLeafPassAgainstTheSweep:
             for v, mult in freqs.items():
                 leaf = leaves - 1 + -(-v // width)  # the leaf covering v
                 counts[leaf] = counts.get(leaf, 0) + mult
-            _one_pass(counts, sum(freqs.values()) // k, leaves)
+            _one_pass(counts, sum(freqs.values()) // k, counts)
             assert coarsen(freqs, k, sigma, cut) == QDigest(leaves, k, counts, width)
         assert cut_at_all > 500
 
@@ -406,6 +428,103 @@ class TestWindowMerge:
                 with pytest.raises(ValueError) as refused:
                     merge(*args)
                 assert str(refused.value) == str(expected.value)
+
+
+def scan_until_stable(counts: dict[int, int], threshold: int, sigma: int) -> dict[int, int]:
+    """`scan_one_pass` in place, pass after pass, until one merges nothing."""
+    while scan_one_pass(counts, threshold, sigma):
+        pass
+    return counts
+
+
+def scan_merge(*window: QDigest) -> QDigest:
+    """The left fold of `digest_sum` and `scan_until_stable`, sharing no compression code with `merge`."""
+
+    def step(a: QDigest, b: QDigest) -> QDigest:
+        s = digest_sum(a, b)
+        return QDigest(s.sigma, s.k, scan_until_stable(s.buckets(), s.threshold, s.sigma), s.leaf_width)
+
+    return reduce(step, window)
+
+
+def sparse_window(rng: random.Random, sigma: int, k: int, size: int) -> list[QDigest]:
+    """`size` digests of at most 30 values each, spread over a huge domain; some empty."""
+    return [
+        build_from_frequencies({rng.randint(1, sigma): rng.randint(1, 9) for _ in range(rng.randint(0, 30))}, k, sigma)
+        for _ in range(size)
+    ]
+
+
+class TestStabilizationAgainstTheScan:
+    """The re-sweeps of only the disturbed families settle a map as the full per-level scan does."""
+
+    def test_window_merges_match_the_scan_merge(self):
+        rng = random.Random(21)
+        seen = {"coarse": 0, "empty": 0, "bucket-child": 0}
+        for _ in range(320):
+            sigma = rng.choice([8, 64, 512, 4096, 2**16])
+            cut = min(rng.choice([0, 0, 1, 2, 3]), level(sigma))
+            window = random_window(rng, sigma, rng.randint(1, 64), cut, rng.randint(2, 8))
+            merged = merge(*window)
+            assert merged == scan_merge(*window)
+            seen["coarse"] += merged.leaf_width > 1
+            seen["empty"] += any(d.n == 0 for d in window)
+            seen["bucket-child"] += not validate(merged).construction_invariant_holds
+        assert min(seen.values()) >= 30, seen
+
+    def test_sparse_window_merges_in_huge_domains(self):
+        for sigma in (2**40, 2**63):
+            rng = random.Random(sigma)
+            for _ in range(40):
+                window = sparse_window(rng, sigma, rng.randint(1, 8), rng.randint(2, 6))
+                assert merge(*window) == scan_merge(*window)
+
+    def test_maps_with_interior_counts(self):
+        interior = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            sigma = 2 ** rng.randint(0, 12)
+            nodes = rng.sample(range(1, 2 * sigma), rng.randint(0, min(2 * sigma - 1, 300)))
+            counts = {i: rng.randint(1, 50) for i in nodes}
+            interior += any(i < sigma for i in counts)
+            threshold = sum(counts.values()) // rng.randint(1, 40) if seed % 10 else 0
+            mine = dict(counts)
+            _compress_until_stable(mine, threshold)
+            assert mine == scan_until_stable(counts, threshold, sigma)
+        assert interior > 250
+
+    def test_edge_maps(self):
+        for counts, threshold, sigma in (
+            ({}, 0, 8),
+            ({}, 5, 1),
+            ({1: 3}, 0, 1),
+            ({1: 3}, 3, 1),
+            ({2: 1, 3: 1}, 0, 2),
+            ({2: 1, 3: 1}, 2, 2),
+            ({1: 1, 4: 1, 9: 1, 15: 2}, 0, 8),
+        ):
+            mine = dict(counts)
+            _compress_until_stable(mine, threshold)
+            assert mine == scan_until_stable(dict(counts), threshold, sigma)
+
+    def test_iterative_compress_of_leaves_alone_matches_the_scan(self):
+        rng = random.Random(7)
+        cases = [({}, 4, 8), ({1: 3}, 2, 1)]
+        for _ in range(200):
+            sigma = 2 ** rng.randint(0, 12)
+            leaves = rng.sample(range(sigma, 2 * sigma), rng.randint(0, min(sigma, 300)))
+            cases.append(({i: rng.randint(1, 50) for i in leaves}, rng.randint(1, 64), sigma))
+        big: dict[int, int] = {}
+        for _ in range(50_000):
+            leaf = 2**16 + rng.randrange(2**16)
+            big[leaf] = big.get(leaf, 0) + 1
+        cases.append((big, 64, 2**16))
+        for counts, k, sigma in cases:
+            q = QDigest(sigma, k, counts, 4)
+            swept = scan_until_stable(dict(counts), q.threshold, sigma)
+            assert iterative_compress(q) == QDigest(sigma, k, swept, 4)
+            if k > 1:
+                assert recompress(q, k - 1) == QDigest(sigma, k - 1, scan_until_stable(dict(counts), q.n // (k - 1), sigma), 4)
 
 
 class TestQueryIndex:
