@@ -306,13 +306,7 @@ def _compress_until_stable(counts: dict[int, int], threshold: int) -> None:
 
 
 def iterative_compress(q: QDigest) -> QDigest:
-    """Repeat the single-sweep compression until a first pass merges nothing or a later one is given no keys.
-
-    A map of leaves alone, which one pass settles (see `coarsen`), takes
-    `_leaf_pass` and is not copied.
-    """
-    if min(q._counts, default=q.sigma) >= q.sigma:
-        return QDigest(q.sigma, q.k, _leaf_pass(q._counts, q.threshold, q.sigma), q.leaf_width)
+    """Repeat the single-sweep compression until a first pass merges nothing or a later one is given no keys."""
     counts = dict(q._counts)
     _compress_until_stable(counts, q.threshold)
     return QDigest(q.sigma, q.k, counts, q.leaf_width)
