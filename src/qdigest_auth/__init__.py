@@ -49,7 +49,6 @@ from .kvcqa import (
 )
 from .scenario import (
     CumulativeState,
-    PrivacyProfile,
     ResponderBehavior,
     Scenario,
     build_privacy_profile,
@@ -65,7 +64,6 @@ __all__ = [
     "Commitment",
     "CumulativeState",
     "KvcAuthInfo",
-    "PrivacyProfile",
     "QDigest",
     "QuantileProof",
     "ResponderBehavior",

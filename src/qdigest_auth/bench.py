@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .commitment import commit_digest, sha256_calls
-from .digest import build_from_frequencies
+from .digest import build_from_frequencies, quantile_fraction
 from .kvcqa import aqq, proof_to_text, qqv, qqv_fast
 from .serialize import digest_to_bytes
 from .wda import hash_digest_bytes
@@ -67,7 +67,7 @@ def run_bench(sigmas, ks, qs, seed: int = 0) -> list[BenchRow]:
             wda_seconds = time.perf_counter() - t0
 
             for q in qs:
-                frac = Fraction(q)
+                frac = quantile_fraction(q)
                 calls = sha256_calls()
                 t0 = time.perf_counter()
                 proof = aqq(digest, frac)

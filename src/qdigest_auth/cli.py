@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success or an accepted verification, 1 when a
 verification rejects, also on a responder file that does not parse, 2 on
-usage, parse, or domain errors.  Quantiles are passed as exact fractions
-(`--q 1/2`) so the command line never loses the exact-comparison guarantee.
+usage, parse, or domain errors.  Quantiles are exact rationals (`--q 1/2`
+or `--q 0.5`), read as the library reads them, never as floats.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .bench import format_bench_table, run_bench
-from .digest import coarsen, merge, quantile_query, validate
+from .digest import coarsen, merge, quantile_fraction, quantile_query, validate
 from .kvcqa import (
     REASON_MALFORMED,
     KvcAuthInfo,
@@ -32,14 +32,12 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 
 
-def _fraction(text: str) -> Fraction:
-    num, slash, den = text.partition("/")
+def _quantile(text: str) -> Fraction:
+    """`quantile_fraction` as an argparse type: a refused value exits 2 with the library's reason."""
     try:
-        if slash:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a fraction like 1/2, got {text!r}") from None
+        return quantile_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a quantile like 1/2 or 0.5: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -47,10 +45,6 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part]
 
 
 @functools.cache
@@ -77,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run a plain quantile query on a digest file")
     p.add_argument("digest_file")
-    p.add_argument("--q", type=_fraction, required=True)
+    p.add_argument("--q", type=_quantile, required=True)
 
     p = sub.add_parser("auth", help="emit WDA and KVC authentication info (subtree 2 precommitted)")
     p.add_argument("digest_file")
@@ -86,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="produce an authenticated quantile query proof")
     p.add_argument("digest_file")
-    p.add_argument("--q", type=_fraction, required=True)
+    p.add_argument("--q", type=_quantile, required=True)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("verify", help="verify a proof (KVC) or a digest (WDA) against auth info")
@@ -104,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep (sigma, k, q) and print a cost table")
     p.add_argument("--sigmas", type=_int_list, default=[64, 256, 1024])
     p.add_argument("--ks", type=_int_list, default=[4, 16])
-    p.add_argument("--qs", type=_fraction_list, default=_fraction_list("0/1,1/2,1/1"))
+    p.add_argument("--qs", default="0,1/2,1", type=lambda text: [_quantile(part) for part in text.split(",") if part])
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -156,6 +150,8 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     if (args.proof is None) == (args.digest is None):
         raise ValueError("pass exactly one of --proof (KVC) or --digest (WDA)")
+    if args.accelerated and args.proof is None:
+        raise ValueError("--accelerated applies only to --proof (KVC) verification")
     wda = args.proof is None
     # the trusted file is read first, so that its parse errors stay usage errors
     auth = (WdaAuthInfo if wda else KvcAuthInfo).parse(read_text(args.auth))

@@ -322,33 +322,35 @@ def recursive_compress(q: QDigest) -> QDigest:
     effect.
     """
     counts = dict(q._counts)
-    thr = q.threshold
-    sigma = q.sigma
     below: dict[int, int] = {}
     for i, c in counts.items():
         j = i // 2
         while j >= 1:
             below[j] = below.get(j, 0) + c
             j //= 2
+    _compress_subtree(1, counts, below, q.threshold, q.sigma)
+    return QDigest(q.sigma, q.k, counts, q.leaf_width)
 
-    def rec(b: int) -> None:
-        if b >= sigma or below.get(b, 0) == 0:
-            return
-        l, r = 2 * b, 2 * b + 1
-        rec(l)
-        rec(r)
-        lc = counts.get(l, 0)
-        rc = counts.get(r, 0)
-        if (lc or rc) and counts.get(b, 0) + lc + rc <= thr:
-            counts[b] = counts.get(b, 0) + lc + rc
-            counts.pop(l, None)
-            counts.pop(r, None)
-            below[b] -= lc + rc
-            rec(l)
-            rec(r)
 
-    rec(1)
-    return QDigest(sigma, q.k, counts, q.leaf_width)
+def _compress_subtree(b: int, counts: dict[int, int], below: dict[int, int], thr: int, sigma: int) -> None:
+    """`recursive_compress` below node b, in place; below[v] is the mass strictly under v.
+
+    A module function taking its state as arguments, like `_descend`, so it leaves no reference cycle.
+    """
+    if b >= sigma or below.get(b, 0) == 0:
+        return
+    l, r = 2 * b, 2 * b + 1
+    _compress_subtree(l, counts, below, thr, sigma)
+    _compress_subtree(r, counts, below, thr, sigma)
+    lc = counts.get(l, 0)
+    rc = counts.get(r, 0)
+    if (lc or rc) and counts.get(b, 0) + lc + rc <= thr:
+        counts[b] = counts.get(b, 0) + lc + rc
+        counts.pop(l, None)
+        counts.pop(r, None)
+        below[b] -= lc + rc
+        _compress_subtree(l, counts, below, thr, sigma)
+        _compress_subtree(r, counts, below, thr, sigma)
 
 
 def merge(q1: QDigest, q2: QDigest, *more: QDigest) -> QDigest:
@@ -432,8 +434,8 @@ def quantile_query(q: QDigest, fraction) -> int:
     arithmetic, so prover and verifier can never disagree on a boundary.
     """
     frac = query_fraction(q, fraction)
-    buckets, _, sums = q._post_order_index()
-    return range_top(buckets[_stop_position(sums, frac * q.n)][0], q.sigma, q.leaf_width)
+    _, tops, sums = q._post_order_index()
+    return tops[_stop_position(sums, frac * q.n)]
 
 
 def quantile_fraction(value) -> Fraction:

@@ -62,7 +62,7 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import header_fields, index_count, require_canonical
+from .serialize import check_auth_parameters, header_fields, index_count, require_canonical
 from .tree import (
     is_in_subtree,
     is_power_of_two,
@@ -332,10 +332,7 @@ class KvcAuthInfo:
         """
         header, *body = text.splitlines() or [""]
         sigma, k, leaf_width, n = map(int, header_fields(header, "kvcauth v1", ("sigma", "k", "leafwidth", "n")))
-        if not is_power_of_two(sigma) or sigma > COMMIT_MAX_SIGMA:
-            raise ValueError(f"KVC auth field sigma={sigma} is not a power of two in [1, {COMMIT_MAX_SIGMA}]")
-        if k < 1:
-            raise ValueError(f"KVC auth field k={k} is below 1")
+        check_auth_parameters("KVC", sigma, k, COMMIT_MAX_SIGMA)
         if not is_power_of_two(leaf_width):
             raise ValueError(f"KVC auth field leafwidth={leaf_width} is not a positive power of two")
         if n < 0:

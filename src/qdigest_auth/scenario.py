@@ -15,7 +15,7 @@ parameters and optionally coarser leaves.  A scenario file is the only
 place a run's settings come from, and one `Scenario` record checks them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .digest import (
@@ -202,20 +202,13 @@ def mean_bucket_depth(q: QDigest) -> float:
 # Privacy profiles
 
 
-@dataclass(frozen=True)
-class PrivacyProfile:
-    """One digest per privilege level, most privileged first."""
-
-    levels: tuple[tuple[str, int, int], ...]
-    digests: dict[str, QDigest] = field(hash=False)
-
-
-def build_privacy_profile(freqs, sigma: int, levels) -> PrivacyProfile:
-    """Build per-privilege digests from `(name, k, cut)` triples.
+def build_privacy_profile(freqs, sigma: int, levels) -> dict[str, QDigest]:
+    """Build per-privilege digests from `(name, k, cut)` triples: a name -> digest dict, most privileged first.
 
     Lower privilege means a strictly smaller k (more compression, less
     precision) and a nondecreasing number of tree levels cut away (wider
-    leaves, a hard floor on precision).
+    leaves, a hard floor on precision).  Each digest carries its level's k,
+    and its leaf width is 2**cut.
     """
     levels = tuple((str(name), int(k), int(cut)) for name, k, cut in levels)
     if not levels:
@@ -228,13 +221,10 @@ def build_privacy_profile(freqs, sigma: int, levels) -> PrivacyProfile:
         raise ValueError("k values must be strictly decreasing with decreasing privilege")
     if any(a > b for a, b in zip(cuts, cuts[1:])):
         raise ValueError("coarse levels must be nondecreasing with decreasing privilege")
-    digests = {}
-    for name, k, cut in levels:
-        q = coarsen(freqs, k, sigma, cut)
-        report = validate(q)
-        assert report.ok, f"level {name} produced an invalid digest"
-        digests[name] = q
-    return PrivacyProfile(levels=levels, digests=digests)
+    digests = {name: coarsen(freqs, k, sigma, cut) for name, k, cut in levels}
+    for name, q in digests.items():
+        assert validate(q).ok, f"level {name} produced an invalid digest"
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +301,13 @@ def _split_stream(freqs, updates: int) -> list[dict[int, int]]:
 
 
 def run_scenario(scenario: Scenario, freqs, k: int, sigma: int) -> list[str]:
-    """Run a scenario file against a frequency set; returns transcript lines, one session per digest."""
+    """Run a scenario file against a frequency set; returns transcript lines, one session per digest.
+
+    A privilege level's header gives the k and size its own digest carries; `k` serves the other runs.
+    """
     if scenario.levels:
         profile = build_privacy_profile(freqs, sigma, scenario.levels)
-        sessions = [
-            (f"# level={name} k={level_k} size={profile.digests[name].size}", profile.digests[name])
-            for name, level_k, _ in profile.levels
-        ]
+        sessions = [(f"# level={name} k={q.k} size={q.size}", q) for name, q in profile.items()]
     elif scenario.updates > 1 or scenario.window:
         state = CumulativeState(width=scenario.window)
         # an empty stream is one empty update, so the session sees an empty digest as the plain path does

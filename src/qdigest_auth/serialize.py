@@ -19,6 +19,7 @@ ASCII with no newline translation (`read_text`, `write_text`), so a stray
 
 from .commitment import MAX_SIGMA, VALUE_LIMIT
 from .digest import QDigest
+from .tree import is_power_of_two
 
 
 def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:
@@ -27,6 +28,14 @@ def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:
     if not line.startswith(magic + " ") or set(fields) != set(keys):
         raise ValueError(f"expected a {magic!r} header with {', '.join(keys)}, got {line!r}")
     return [fields[key] for key in keys]
+
+
+def check_auth_parameters(name: str, sigma: int, k: int, max_sigma: int) -> None:
+    """Refuse, naming the field in `name`'s auth file, a sigma not a power of two up to max_sigma, or k below 1."""
+    if not is_power_of_two(sigma) or sigma > max_sigma:
+        raise ValueError(f"{name} auth field sigma={sigma} is not a power of two in [1, {max_sigma}]")
+    if k < 1:
+        raise ValueError(f"{name} auth field k={k} is below 1")
 
 
 def index_count(line: str) -> tuple[int, int]:
@@ -51,7 +60,7 @@ def require_canonical(text: str | bytes, written: str | bytes, what: str) -> Non
 def digest_to_bytes(q: QDigest) -> bytes:
     if q.sigma > MAX_SIGMA:
         raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
-    buckets = sorted(q.buckets().items())
+    buckets = q.buckets().items()  # in ascending index order
     if any(cnt >= VALUE_LIMIT for _, cnt in buckets):
         raise ValueError("a count does not fit the 2**128 limit")
     lines = [f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"]

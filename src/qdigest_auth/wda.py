@@ -11,8 +11,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
+from .commitment import MAX_SIGMA
 from .digest import QDigest, validate
-from .serialize import digest_to_bytes, header_fields, require_canonical
+from .serialize import check_auth_parameters, digest_to_bytes, header_fields, require_canonical
 
 
 def hash_digest_bytes(data: bytes) -> bytes:
@@ -32,11 +33,13 @@ class WdaAuthInfo:
 
     @classmethod
     def parse(cls, text: str) -> "WdaAuthInfo":
+        """Refuses, naming the field, a sigma that is not a power of two up to 2**63 and k below 1."""
         if not text.endswith("\n"):
             raise ValueError("WDA auth file must end with a newline")
         line = text[:-1]
         tag = line.partition(" ")[0]
         sigma, k = map(int, header_fields(line, tag, ("sigma", "k")))
+        check_auth_parameters("WDA", sigma, k, MAX_SIGMA)
         digest_hash = bytes.fromhex(tag.removeprefix("wda1:"))
         if len(digest_hash) != 32:
             raise ValueError("WDA hash must be 32 bytes")

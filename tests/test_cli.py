@@ -271,6 +271,62 @@ def test_an_unreadable_option_value_exits_2_through_argparse(argv, capsys):
     assert "expected " in capsys.readouterr().err
 
 
+def test_a_decimal_quantile_reads_as_its_fraction(tmp_path, s1_file, capsys):
+    digest = tmp_path / "q.qd"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    outputs, proofs = [], []
+    for q in ("0.5", "1/2"):
+        capsys.readouterr()
+        proof = tmp_path / f"{q.replace('/', '_')}.proof"
+        assert main(["query", str(digest), "--q", q]) == 0
+        assert main(["prove", str(digest), "--q", q, "--output", str(proof)]) == 0
+        outputs.append(capsys.readouterr().out)
+        proofs.append(proof.read_bytes())
+    assert outputs[0] == outputs[1] and proofs[0] == proofs[1]
+    assert proofs[0].startswith(b"aqqproof v1 q=1/2 ")
+
+
+def test_decimal_bench_quantiles_give_the_fraction_rows(capsys):
+    rows = []
+    for qs in ("0.25,1/2", "1/4,1/2"):
+        assert main(["bench", "--sigmas", "64", "--ks", "4", "--qs", qs]) == 0
+        # every column but the three timings, which vary from run to run
+        rows.append([line.split()[:9] + line.split()[12:] for line in capsys.readouterr().out.splitlines()])
+    assert rows[0] == rows[1]
+    assert [row[2] for row in rows[0][1:]] == ["1/4", "1/2"]
+
+
+@pytest.mark.parametrize("q, reason", [("3/2", "quantile fraction 3/2 out of [0, 1]"), ("1/0", "zero denominator")])
+def test_a_quantile_the_library_refuses_exits_2_with_its_reason(q, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "q.qd", "--q", q])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --q: expected " in err and reason in err
+
+
+def test_verify_refuses_accelerated_without_a_proof(tmp_path, s1_file, capsys):
+    digest, wda_f = tmp_path / "q.qd", tmp_path / "q.wda"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(wda_f), "--kvc-out", str(tmp_path / "q.kvc")])
+    capsys.readouterr()
+    assert main(["verify", "--digest", str(digest), "--auth", str(wda_f), "--accelerated"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--accelerated" in captured.err and "--proof" in captured.err
+
+
+@pytest.mark.parametrize("old, new", [("sigma=8", "sigma=3"), ("sigma=8", "sigma=0"), ("k=4", "k=0"), ("k=4", "k=-1")])
+def test_verify_names_the_out_of_limit_wda_auth_field(tmp_path, s1_file, old, new, capsys):
+    digest, wda_f = tmp_path / "q.qd", tmp_path / "q.wda"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(wda_f), "--kvc-out", str(tmp_path / "q.kvc")])
+    wda_f.write_text(wda_f.read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", "--digest", str(digest), "--auth", str(wda_f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: WDA auth field {new} " in captured.err
+
+
 @pytest.mark.parametrize(
     "option, message",
     [

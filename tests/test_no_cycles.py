@@ -3,7 +3,18 @@
 import gc
 import random
 
-from qdigest_auth.digest import build_from_frequencies, merge, quantile_query, range_query, rank_query
+from qdigest_auth.digest import (
+    build_from_frequencies,
+    compress_one_pass,
+    digest_sum,
+    iterative_compress,
+    merge,
+    quantile_query,
+    range_query,
+    rank_query,
+    recompress,
+    recursive_compress,
+)
 from qdigest_auth.kvcqa import aqq, publish_kvc_auth, qqv_accelerated
 from qdigest_auth.scenario import CumulativeState, cumulative_update
 from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
@@ -27,6 +38,12 @@ def test_hot_paths_make_no_cyclic_garbage():
         for q in window:
             state = cumulative_update(state, q)
         assert gc.collect() == 0, "cumulative_update"
+        summed = digest_sum(window[0], window[1])
+        for compress in (compress_one_pass, recursive_compress, iterative_compress):
+            compress(summed)
+            assert gc.collect() == 0, compress.__name__
+        recompress(merged, k // 2)
+        assert gc.collect() == 0, "recompress"
         quantile_query(merged, "1/2")
         rank_query(merged, 500)
         range_query(merged, 10, 5_000)

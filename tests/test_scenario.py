@@ -302,17 +302,18 @@ class TestCumulative:
 class TestPrivacyProfile:
     def test_k_one_level_collapses_to_root(self, s1):
         profile = build_privacy_profile(s1, 8, [("p1", 64, 0), ("p2", 8, 0), ("p3", 1, 0)])
-        assert profile.digests["p3"].buckets() == {1: 38}
+        assert list(profile) == ["p1", "p2", "p3"]  # privilege order
+        assert profile["p3"].buckets() == {1: 38}
 
     def test_each_level_validates_and_sizes_shrink(self):
         rng = random.Random(21)
         freqs = random_frequencies(rng, 256, max_distinct=120)
         profile = build_privacy_profile(freqs, 256, [("p1", 64, 0), ("p2", 8, 0), ("p3", 1, 0)])
-        sizes = [profile.digests[name].size for name, _, _ in profile.levels]
-        for name, k, _ in profile.levels:
-            q = profile.digests[name]
+        assert [(name, q.k) for name, q in profile.items()] == [("p1", 64), ("p2", 8), ("p3", 1)]
+        sizes = [q.size for q in profile.values()]
+        for q in profile.values():
             assert validate(q).ok
-            assert q.size <= 4 * k + 1
+            assert q.size <= 4 * q.k + 1
         assert sizes[0] >= sizes[1] >= sizes[2]
 
     def test_error_grows_as_privilege_drops(self):
@@ -327,7 +328,7 @@ class TestPrivacyProfile:
                 abs(exact_quantile(freqs, frac) - quantile_query(q, frac)) for frac in grid(21)
             ) / 21
 
-        errors = [mean_error(profile.digests[name]) for name, _, _ in profile.levels]
+        errors = [mean_error(q) for q in profile.values()]
         assert errors[0] <= errors[1] <= errors[2]
 
     def test_non_monotone_parameters_refused(self, s1):
@@ -340,7 +341,7 @@ class TestPrivacyProfile:
 
     def test_coarse_levels_floor_precision(self, s1):
         profile = build_privacy_profile(s1, 8, [("p1", 8, 0), ("p2", 4, 1)])
-        assert profile.digests["p2"].leaf_width == 2
+        assert profile["p2"].leaf_width == 2
 
 
 class TestScenarioFiles:

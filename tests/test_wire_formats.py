@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, VALUE_LIMIT, Commitment
+from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, MAX_SIGMA, VALUE_LIMIT, Commitment
 from qdigest_auth.digest import QDigest
 from qdigest_auth.kvcqa import KvcAuthInfo, QuantileProof, proof_from_text, proof_to_text
 from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
@@ -52,7 +52,12 @@ def kvc_auths(draw):
     )
 
 
-wda_auths = st.builds(WdaAuthInfo, digest_hash=st.binary(min_size=32, max_size=32), sigma=st.integers(), k=st.integers())
+wda_auths = st.builds(
+    WdaAuthInfo,
+    digest_hash=st.binary(min_size=32, max_size=32),
+    sigma=st.integers(0, MAX_SIGMA.bit_length() - 1).map(lambda exp: 2**exp),
+    k=st.integers(min_value=1),
+)
 
 # name: (values, writer, parser)
 FORMATS = {
@@ -124,6 +129,21 @@ def test_a_kvc_auth_field_out_of_its_limits_is_refused(auth, field, data):
         auth = replace(auth, **{attr: data.draw(values)})
     with pytest.raises(ValueError, match=f"field {field}="):
         KvcAuthInfo.parse(auth.encode())
+
+
+# each WDA auth field with values outside its limits
+OUT_OF_LIMIT_WDA_FIELDS = {
+    "sigma": st.integers().filter(lambda sigma: not is_power_of_two(sigma) or sigma > MAX_SIGMA),
+    "k": st.integers(max_value=0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(wda_auths, st.sampled_from(list(OUT_OF_LIMIT_WDA_FIELDS)), st.data())
+def test_a_wda_auth_field_out_of_its_limits_is_refused(auth, field, data):
+    auth = replace(auth, **{field: data.draw(OUT_OF_LIMIT_WDA_FIELDS[field])})
+    with pytest.raises(ValueError, match=f"^WDA auth field {field}="):
+        WdaAuthInfo.parse(auth.encode())
 
 
 def test_a_refusal_names_the_first_line_that_differs():
