@@ -16,9 +16,9 @@ repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
 
 Every digest built from values, plain or coarse, comes from `coarsen`:
-one checked pass adds each value into its leaf's count, `_leaf_pass`
-compresses them by descending from the root into the nodes whose subtree
-holds more than floor(n / k) values, and one `QDigest` is made at the end.
+it checks the input in bulk, sorts the values once, and `_descend` goes
+from the root into the nodes whose subtree holds more than floor(n / k)
+values, reading masses from the prefix sums of the sorted multiplicities.
 `merge` sums its digests in one map, re-sweeping after each sum's full pass
 only the families whose parent a merge popped; queries bisect a post-order index.
 """
@@ -26,7 +26,7 @@ only the families whose parent a merge popped; queries bisect a post-order index
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import ceil
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +57,7 @@ class QDigest:
     leaf aggregates, and query answers are scaled back by it.
     """
 
-    __slots__ = ("sigma", "k", "leaf_width", "_counts", "_n", "_index")
+    __slots__ = ("sigma", "k", "leaf_width", "_counts", "_n", "_index", "_bytes")
 
     def __init__(self, sigma: int, k: int, counts: Mapping[int, int] | None = None, leaf_width: int = 1):
         check_sigma(sigma)
@@ -70,7 +70,11 @@ class QDigest:
         top = 2 * sigma - 1
         items: dict[int, int] = {}
         if counts:
-            for i in sorted(counts):
+            try:
+                keys = sorted(counts)
+            except TypeError:  # keys that do not compare, so not all are integers: the first such is refused below
+                keys = [next(i for i in counts if not isinstance(i, int))]
+            for i in keys:
                 c = counts[i]
                 if not isinstance(i, int) or not 1 <= i <= top:
                     raise ValueError(f"node index {i!r} out of range [1, {top}]")
@@ -80,6 +84,7 @@ class QDigest:
         self._counts = items
         self._n = sum(items.values())
         self._index = None  # see _post_order_index
+        self._bytes = None  # the canonical encoding, set whole by serialize.digest_to_bytes
 
     @property
     def n(self) -> int:
@@ -249,35 +254,25 @@ def _one_pass(counts: dict[int, int], threshold: int, keys: Iterable[int]) -> li
     return popped
 
 
-def _leaf_pass(counts: Mapping[int, int], threshold: int, sigma: int) -> dict[int, int]:
-    """`_one_pass` on a map holding only leaves, as a descent from the root; returns the kept map.
+def _descend(v: int, height: int, lo: int, hi: int, values, sums, threshold: int, kept: dict, cut: int, base: int) -> int:
+    """The mass arriving at node v, whose values are values[lo:hi]; children that do not merge go to kept, even at 0.
 
-    With no parent present, a family moves up as one parent when its sum is
-    at most threshold.  So a subtree of mass at most threshold arrives whole
-    at its root: every family inside it sums to no more than that mass, so
-    every one merges.  The descent opens only heavier nodes, at most k a
-    level, reading a subtree's mass from the prefix sums of the sorted leaves.
-    """
-    keys = sorted(counts)
-    sums = list(accumulate((counts[i] for i in keys), initial=0))
-    kept: dict[int, int] = {}
-    kept[1] = _descend(1, level(sigma), 0, len(keys), keys, sums, threshold, kept)  # what reaches the root stays
-    return {i: c for i, c in kept.items() if c}
-
-
-def _descend(v: int, height: int, lo: int, hi: int, keys, sums, threshold: int, kept: dict[int, int]) -> int:
-    """The mass arriving at node v, whose leaves are keys[lo:hi]; children that do not merge go to kept, even at 0.
+    `_one_pass` on a leaf-only map: with no parent present, a family moves up as
+    one parent when its sum is at most threshold, so a subtree that light arrives
+    whole at its root, and only heavier nodes open, at most k a level.  sums are
+    the prefix sums of the ascending values' multiplicities; v is `height` levels
+    above the full tree's leaves (leaf base + x holds value x), the build's `cut` above those.
 
     A module function taking its state as arguments, not a closure that calls
     itself: such a closure is a reference cycle that only the cycle collector frees.
     """
     mass = sums[hi] - sums[lo]
-    if mass <= threshold or not height:  # a light subtree arrives whole, a leaf with its count
+    if mass <= threshold or height == cut:  # a light subtree arrives whole, a leaf with its count
         return mass
     height -= 1
-    mid = bisect_left(keys, (2 * v + 1) << height, lo, hi)  # the right child's first leaf
-    l = _descend(2 * v, height, lo, mid, keys, sums, threshold, kept)
-    r = _descend(2 * v + 1, height, mid, hi, keys, sums, threshold, kept)
+    mid = bisect_left(values, ((2 * v + 1) << height) - base, lo, hi)  # the right child's first value
+    l = _descend(2 * v, height, lo, mid, values, sums, threshold, kept, cut, base)
+    r = _descend(2 * v + 1, height, mid, hi, values, sums, threshold, kept, cut, base)
     if l + r > threshold:
         kept[2 * v], kept[2 * v + 1] = l, r
         return 0
@@ -389,26 +384,42 @@ def coarsen(
     leaves, each covering 2**levels_cut original values.  Answers are
     scaled back up at query time, so disclosed precision is bounded below
     by the leaf width.
+
+    A map is checked in bulk, pairs one by one, and a refusal names the
+    first bad pair in input order; the values are sorted once, never mapped to leaves.
     """
     if not isinstance(levels_cut, int) or levels_cut < 0:
         raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
     tree_sigma = next_power_of_two(sigma)
-    leaves = tree_sigma >> levels_cut  # 0 when the cut is wider than the domain, refused below
-    counts: dict[int, int] = {}
-    for value, mult in (freqs.items() if isinstance(freqs, Mapping) else freqs):
+    if not isinstance(freqs, Mapping):
+        freqs = _checked_sum(freqs, sigma)
+    typed = all(map(isinstance, freqs, repeat(int))) and all(map(isinstance, freqs.values(), repeat(int)))
+    values = sorted(freqs) if typed and min(freqs.values(), default=1) >= 1 else None  # only integers are compared
+    if values is None or values and not 1 <= values[0] <= values[-1] <= sigma:
+        _checked_sum(freqs.items(), sigma)  # raises at the first bad pair
+    leaves = tree_sigma >> levels_cut
+    if not leaves:
+        raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
+    _check_k(k)
+    sums = list(accumulate(map(freqs.__getitem__, values), initial=0))
+    kept: dict[int, int] = {}
+    # What reaches the root stays.  One descent settles a leaf-only map: a family that does
+    # not merge keeps an empty parent, so a second `_one_pass` would repeat its failed check.
+    threshold, base = sums[-1] // k, tree_sigma - 1
+    kept[1] = _descend(1, level(tree_sigma), 0, len(values), values, sums, threshold, kept, levels_cut, base)
+    return QDigest(leaves, k, {i: c for i, c in kept.items() if c}, tree_sigma // leaves)
+
+
+def _checked_sum(pairs: Iterable[tuple[int, int]], sigma: int) -> dict[int, int]:
+    """Each value's summed multiplicity; refuses the first pair, in input order, with a bad value or multiplicity."""
+    freqs: dict[int, int] = {}
+    for value, mult in pairs:
         if not isinstance(value, int) or not 1 <= value <= sigma:
             raise ValueError(f"value {value!r} out of domain [1, {sigma}]")
         if not isinstance(mult, int) or mult < 1:
             raise ValueError(f"multiplicity for value {value} must be a positive integer")
-        leaf = leaves + ((value - 1) >> levels_cut)
-        counts[leaf] = counts.get(leaf, 0) + mult
-    if not leaves:
-        raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
-    _check_k(k)
-    # `_one_pass` on leaf-only counts, which one pass settles: a family that does not
-    # merge keeps an empty parent, so a second pass would repeat its failed check.
-    kept = _leaf_pass(counts, sum(counts.values()) // k, leaves)
-    return QDigest(leaves, k, kept, tree_sigma // leaves)
+        freqs[value] = freqs.get(value, 0) + mult
+    return freqs
 
 
 def recompress(q: QDigest, k_new: int) -> QDigest:

@@ -10,7 +10,8 @@ encoding limits, so such a digest file is neither written nor parsed.
 The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
 line, then one `index:count` pair per line in strictly ascending index
-order, "\n" line endings, no trailing whitespace.
+order, "\n" line endings, no trailing whitespace.  It is made once and kept
+on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray
@@ -58,14 +59,17 @@ def require_canonical(text: str | bytes, written: str | bytes, what: str) -> Non
 
 
 def digest_to_bytes(q: QDigest) -> bytes:
-    if q.sigma > MAX_SIGMA:
-        raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
-    buckets = q.buckets().items()  # in ascending index order
-    if any(cnt >= VALUE_LIMIT for _, cnt in buckets):
-        raise ValueError("a count does not fit the 2**128 limit")
-    lines = [f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"]
-    lines.extend(f"{i}:{c}" for i, c in buckets)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """The canonical bytes of q, made on the first call and kept on q; a refused digest raises on every call."""
+    if q._bytes is None:
+        if q.sigma > MAX_SIGMA:
+            raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
+        buckets = q._counts.items()  # in ascending index order
+        if any(cnt >= VALUE_LIMIT for _, cnt in buckets):
+            raise ValueError("a count does not fit the 2**128 limit")
+        lines = [f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"]
+        lines.extend(f"{i}:{c}" for i, c in buckets)
+        q._bytes = ("\n".join(lines) + "\n").encode("ascii")
+    return q._bytes
 
 
 def digest_from_bytes(data: bytes) -> QDigest:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qdigest_auth.digest import (
     QDigest,
     _compress_until_stable,
-    _leaf_pass,
     _one_pass,
     build_from_frequencies,
     coarsen,
@@ -88,6 +87,12 @@ class TestConstruction:
             QDigest(8, 4, {4: 0})
         with pytest.raises(ValueError):
             QDigest(8, 4, {16: 1})
+
+    @pytest.mark.parametrize("counts, bad", [({"a": 1, 2: 1}, "'a'"), ({2: 1, "a": 1}, "'a'"), ({3: 1, None: 2}, "None")])
+    def test_a_key_of_another_type_is_refused_as_out_of_range(self, counts, bad):
+        with pytest.raises(ValueError) as exc:
+            QDigest(8, 4, counts)
+        assert str(exc.value) == f"node index {bad} out of range [1, 15]"
 
     def test_construction_invariant_and_tight_bound(self, s1):
         q1 = build_from_frequencies(s1, 4, 8)
@@ -239,8 +244,25 @@ class TestOnePassAgainstTheScan:
             assert counts == q.buckets()
 
 
+def swept_build(pairs, k, sigma, cut):
+    """The build's oracle: each value added into its leaf, then one `_one_pass` over the leaf map."""
+    tree_sigma = next_power_of_two(sigma)
+    leaves = tree_sigma >> cut
+    counts: dict[int, int] = {}
+    for v, mult in pairs:
+        leaf = leaves + ((v - 1) >> cut)
+        counts[leaf] = counts.get(leaf, 0) + mult
+    _one_pass(counts, sum(counts.values()) // k, counts)
+    return QDigest(leaves, k, counts, 1 << cut)
+
+
+def build_of_leaves(counts, k, sigma):
+    """`build_from_frequencies` of the values whose leaves hold counts, as a map."""
+    return build_from_frequencies({i - sigma + 1: c for i, c in counts.items()}, k, sigma).buckets()
+
+
 class TestLeafPassAgainstTheSweep:
-    """The build's leaf pass keeps what `_one_pass` leaves of the same leaves-only map."""
+    """The build's descent over sorted values keeps what `_one_pass` leaves of the same leaves-only map."""
 
     def test_random_leaf_maps(self):
         heavy = 0
@@ -254,16 +276,16 @@ class TestLeafPassAgainstTheSweep:
             heavy += any(c > threshold for c in counts.values())
             swept = dict(counts)
             _one_pass(swept, threshold, swept)
-            assert _leaf_pass(counts, threshold, sigma) == swept
+            assert build_of_leaves(counts, k, sigma) == swept
         assert heavy > 500
 
     @staticmethod
     def swept(counts, k, sigma):
-        """`_leaf_pass` of a leaf map, asserted equal to `_one_pass`'s result on a copy."""
+        """The build of a leaf map, asserted equal to `_one_pass`'s result on a copy."""
         threshold = sum(counts.values()) // k
         swept = dict(counts)
         _one_pass(swept, threshold, swept)
-        kept = _leaf_pass(counts, threshold, sigma)
+        kept = build_of_leaves(counts, k, sigma)
         assert kept == swept
         return kept
 
@@ -330,6 +352,67 @@ class TestLeafPassAgainstTheSweep:
             _one_pass(counts, sum(freqs.values()) // k, counts)
             assert coarsen(freqs, k, sigma, cut) == QDigest(leaves, k, counts, width)
         assert cut_at_all > 500
+
+    @staticmethod
+    def assert_forms_match(pairs, k, sigma, cut):
+        want = swept_build(pairs, k, sigma, cut)
+        assert coarsen(pairs, k, sigma, cut) == want
+        assert coarsen(iter(pairs), k, sigma, cut) == want
+        summed: dict[int, int] = {}
+        for v, mult in pairs:
+            summed[v] = summed.get(v, 0) + mult
+        assert coarsen(summed, k, sigma, cut) == want
+
+    def test_random_inputs_at_every_cut(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            sigma = rng.choice([1, 2, 3, 7, 8, 100, 1024, 4096, 2**16, rng.randint(1, 2**20)])
+            values = [rng.randint(1, sigma) for _ in range(rng.randint(0, 300))]
+            if rng.random() < 0.3:
+                values += [1, sigma]  # both ends of the domain
+            pairs = [(v, rng.randint(1, 9)) for v in values]  # repeated values add up
+            n = sum(m for _, m in pairs)
+            k = rng.choice([1, rng.randint(1, 64), n + 1, n + rng.randint(2, 10**6)])
+            cut = rng.randint(0, level(next_power_of_two(sigma)))
+            self.assert_forms_match(pairs, k, sigma, cut)
+            self.assert_forms_match(list(dict(pairs).items()), k, sigma, cut)
+
+    def test_every_cut_of_one_input(self):
+        rng = random.Random(7)
+        pairs = [(rng.randint(1, 1000), rng.randint(1, 5)) for _ in range(400)] + [(1, 3), (1000, 2), (1, 1)]
+        for cut in range(level(1024) + 1):
+            for k in (1, 2, 16, 10**6):
+                self.assert_forms_match(pairs, k, 1000, cut)
+
+    def test_the_empty_input_and_a_one_value_domain(self):
+        for sigma in (1, 2, 5, 2**40):
+            for cut in (0, level(next_power_of_two(sigma))):
+                assert coarsen({}, 3, sigma, cut) == swept_build([], 3, sigma, cut) == QDigest(
+                    next_power_of_two(sigma) >> cut, 3, {}, 1 << cut)
+                assert coarsen([], 3, sigma, cut).n == 0
+        for k in (1, 3, 4):
+            self.assert_forms_match([(1, 3)], k, 1, 0)
+            self.assert_forms_match([(1, 3), (1, 2)], k, 1, 0)
+
+    def test_values_at_both_ends_of_the_domain(self):
+        for sigma in (2, 3, 8, 1000, 2**16):
+            for k in (1, 2, 3):
+                for cut in range(level(next_power_of_two(sigma)) + 1):
+                    self.assert_forms_match([(1, 5), (sigma, 5)], k, sigma, cut)
+                    self.assert_forms_match([(sigma, 1), (1, 1), (sigma, 2)], k, sigma, cut)
+
+    def test_sparse_maps_in_a_huge_domain(self):
+        sigma = 2**40
+        for seed in range(40):
+            rng = random.Random(seed)
+            pairs = [(rng.randint(1, sigma), rng.randint(1, 9)) for _ in range(rng.randint(1, 30))]
+            pairs += rng.sample(pairs, min(3, len(pairs)))  # some values repeat
+            cut = rng.choice([0, 1, rng.randint(0, 40), 40])
+            self.assert_forms_match(pairs, rng.choice([1, 2, rng.randint(1, 16), 10**6]), sigma, cut)
+
+    def test_bool_values_and_multiplicities_count_as_the_integers_they_are(self):
+        assert coarsen({True: 2, 5: True}, 4, 8, 0) == coarsen({1: 2, 5: 1}, 4, 8, 0)
+        assert coarsen([(True, 2), (1, 3)], 4, 8, 1) == coarsen({1: 5}, 4, 8, 1)
 
 
 class TestRepairedCompression:
@@ -870,3 +953,28 @@ class TestBuildPath:
             coarsen({9: 1}, 0, 8, 4)
         with pytest.raises(ValueError, match="cannot cut 4 levels"):
             coarsen({1: 1}, 0, 8, 4)
+
+    @pytest.mark.parametrize(
+        "freqs, cut, k, message",
+        [
+            ({1: 1, 2: 1, 9: 1}, 0, 4, "value 9 out of domain [1, 8]"),
+            ([(1, 1), (2, 1), (9, 1)], 0, 4, "value 9 out of domain [1, 8]"),
+            ({1: 1, "a": 1}, 0, 4, "value 'a' out of domain [1, 8]"),
+            ({"a": 1, 1: 1, 2.5: 1}, 1, 4, "value 'a' out of domain [1, 8]"),
+            ({3: 1, 1.0: 1}, 0, 4, "value 1.0 out of domain [1, 8]"),
+            ({True: 1, False: 1}, 0, 4, "value False out of domain [1, 8]"),
+            ({1: 1, 2: 1.5}, 0, 4, "multiplicity for value 2 must be a positive integer"),
+            ({1: 1, 2: None}, 0, 4, "multiplicity for value 2 must be a positive integer"),
+            ([(3, 0), (3, 2)], 0, 4, "multiplicity for value 3 must be a positive integer"),
+            ({2: 0, 9: 1}, 0, 4, "multiplicity for value 2 must be a positive integer"),
+            ({9: 1, 2: 0}, 0, 4, "value 9 out of domain [1, 8]"),
+            ([(2, -1), (9, 1)], 0, 4, "multiplicity for value 2 must be a positive integer"),
+            ({1: 1, 9: 1}, 4, 4, "value 9 out of domain [1, 8]"),
+            ([(1, 1), (0, 1)], 4, 0, "value 0 out of domain [1, 8]"),
+            ({1: 0}, 4, 0, "multiplicity for value 1 must be a positive integer"),
+        ],
+    )
+    def test_refusals_keep_their_precedence_and_messages(self, freqs, cut, k, message):
+        with pytest.raises(ValueError) as exc:
+            coarsen(freqs, k, 8, cut)
+        assert str(exc.value) == message

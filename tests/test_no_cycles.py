@@ -48,8 +48,12 @@ def test_hot_paths_make_no_cyclic_garbage():
         rank_query(merged, 500)
         range_query(merged, 10, 5_000)
         assert gc.collect() == 0, "queries"
-        assert wda_verify(digest_from_bytes(digest_to_bytes(merged)), wda_authinfo(merged)).accepted
-        assert gc.collect() == 0, "WDA round trip"
+        auth = wda_authinfo(merged)
+        assert gc.collect() == 0, "WDA auth"
+        received = digest_from_bytes(digest_to_bytes(merged))
+        assert gc.collect() == 0, "decode"
+        assert wda_verify(received, auth).accepted
+        assert gc.collect() == 0, "WDA verify of the decoded digest"
         auth = publish_kvc_auth(merged)
         for q in ("0", "1/3", "3/4", "1"):
             stats = qqv_accelerated(aqq(merged, q), auth.commitment, auth.subtrees, merged.n, sigma)

@@ -83,6 +83,34 @@ def test_frequency_file_round_trip(tmp_path):
     assert load_frequencies(path) == {5: 2, 1: 9}
 
 
+def test_a_digest_is_encoded_once():
+    q = build_from_frequencies({1: 2, 5: 1, 8: 4}, 4, 8)
+    assert digest_to_bytes(q) is digest_to_bytes(q)
+
+
+def test_a_decoded_digest_keeps_the_bytes_it_was_decoded_from():
+    rng = random.Random(4)
+    for _ in range(50):
+        data = digest_to_bytes(random_digest(rng))
+        q = digest_from_bytes(data)
+        assert q._bytes == data  # the canonical check's encoding, kept
+        assert digest_to_bytes(q) is digest_to_bytes(q)
+        assert digest_to_bytes(q) == data
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [(QDigest(2**64, 4), "sigma 18446744073709551616 exceeds the node-key limit 2**63"),
+     (QDigest(8, 4, {1: 2**128}), "a count does not fit the 2**128 limit")],
+)
+def test_a_refused_digest_raises_on_every_call(q, message):
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            digest_to_bytes(q)
+        assert str(exc.value) == message
+    assert q._bytes is None
+
+
 def test_largest_encodable_sigma_and_count_load():
     data = b"qdigest v1 sigma=%d k=4 leafwidth=1\n1:%d\n" % (2**63, 2**128 - 1)
     q = digest_from_bytes(data)

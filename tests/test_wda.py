@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from qdigest_auth.digest import QDigest
-from qdigest_auth.serialize import digest_to_bytes, read_text, write_text
+from qdigest_auth.digest import QDigest, build_from_frequencies
+from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes, read_text, write_text
 from qdigest_auth.wda import WdaAuthInfo, wda_authinfo, wda_verify
 
 from helpers import random_digest
@@ -30,6 +31,17 @@ def test_same_buckets_different_k_hash_differently(example2_digest):
 def test_round_trip_accepts(example2_digest):
     verdict = wda_verify(example2_digest, wda_authinfo(example2_digest))
     assert verdict.accepted and verdict.reason == "ok"
+
+
+def test_verify_hashes_a_decoded_digest_once(monkeypatch):
+    q = build_from_frequencies({v: v % 7 + 1 for v in range(1, 200, 3)}, 8, 256)
+    auth = wda_authinfo(q)
+    received = digest_from_bytes(digest_to_bytes(q))
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(args) or sha256(*args))
+    assert wda_verify(received, auth).accepted
+    assert calls == [(digest_to_bytes(q),)]
 
 
 def test_single_count_change_rejected(example2_digest):
