@@ -28,13 +28,15 @@ of node indices that each lie within one tree level: a short subtree of
 `_zero_fold` comes as one range per level, and a literal verifier's
 prefix as one range per level of each `tree.prefix_roots` subtree (up
 to 17 roots at sigma 2^16).  It makes one SHA-256 call per node;
-`_RECORD` is the one layout of an insertion's bytes.
+`_RECORD` is the one layout of an insertion's bytes, in `serialize`'s widths.
 
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
-search, and no formal security proof is claimed here.  The functions
-below only assume the interface (Initialize / Insert plus homomorphic
-combination), so a production key-value commitment can be slotted in.
+search, and no formal security proof is claimed here.  Nor can a sound
+commitment be slotted in behind these calls: the prover's remainder uses
+`inverse`, and `commit_subtrees` and `qqv_fast` rely on additive zero folds,
+the public inverse that lets a forged remainder verify (`kvcqa`).  A sound
+scheme needs its own proof format.
 """
 
 import hashlib
@@ -43,27 +45,19 @@ import struct
 from dataclasses import dataclass
 
 from .digest import QDigest
+from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
 from .tree import check_node, is_in_subtree, level, subtree_ranges
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
 
 _DOMAIN_TAG = b"qdigest-kvc-v1"
-_KEY_BYTES = 8
-_VALUE_BYTES = 16
 _ENCODED_BYTES = 32
 _PREFIX = "kvc1:"
 
-# The bytes one insertion hashes: the domain tag, then the key and the value, big-endian.
-_RECORD = struct.Struct(f">{len(_DOMAIN_TAG)}sQ{_VALUE_BYTES}s")
-_ZERO_VALUE = bytes(_VALUE_BYTES)
-
-# Exclusive upper bounds of an insertion's fixed-width key and value: node
-# indices stay below 2**64, so a domain holds at most 2**63 values, and
-# counts stay below 2**128.
-KEY_LIMIT = 1 << (8 * _KEY_BYTES)
-VALUE_LIMIT = 1 << (8 * _VALUE_BYTES)
-MAX_SIGMA = KEY_LIMIT // 2
+# The bytes one insertion hashes: the domain tag, then the key (`Q`, KEY_BYTES = 8) and the value, big-endian.
+_RECORD = struct.Struct(f">{len(_DOMAIN_TAG)}sQ{VALUE_BYTES}s")
+_ZERO_VALUE = bytes(VALUE_BYTES)
 
 # The largest domain a commitment covers: the first commitment at a sigma makes
 # 2*sigma - 1 zero insertions (about 6 s at 2**20); a larger sigma is refused.
@@ -95,8 +89,6 @@ class Commitment:
 
     @classmethod
     def parse(cls, text: str) -> "Commitment":
-        from .serialize import require_canonical  # serialize imports this module's limits
-
         c = cls(int(text.removeprefix(_PREFIX), 16))
         require_canonical(text, c.encode(), "commitment")
         return c
@@ -133,7 +125,7 @@ def _contribution(key: int, value: int) -> int:
     if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
     _sha256_calls += 1
-    material = _RECORD.pack(_DOMAIN_TAG, key, value.to_bytes(_VALUE_BYTES, "big"))
+    material = _RECORD.pack(_DOMAIN_TAG, key, value.to_bytes(VALUE_BYTES, "big"))
     return int.from_bytes(hashlib.sha256(material).digest(), "big") % GROUP_PRIME
 
 
@@ -167,7 +159,7 @@ def fold_ranges(ranges, counted: dict[int, int]) -> Commitment:
     """
     global _sha256_calls
     sha256, from_bytes, pack, tag = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG
-    value_of = {node: cnt.to_bytes(_VALUE_BYTES, "big") for node, cnt in counted.items()}.get
+    value_of = {node: cnt.to_bytes(VALUE_BYTES, "big") for node, cnt in counted.items()}.get
     total = 0
     for nodes in ranges:
         for node in nodes:

@@ -45,12 +45,11 @@ The text formats of proofs and of the source's KVC auth files
 of the scheme.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .commitment import (
     COMMIT_MAX_SIGMA,
-    VALUE_LIMIT,
     Commitment,
     combine,
     commit_digest,
@@ -62,7 +61,7 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import check_auth_parameters, header_fields, index_count, require_canonical
+from .serialize import VALUE_LIMIT, check_auth_parameters, header_fields, index_count, require_canonical
 from .tree import (
     is_in_subtree,
     is_power_of_two,
@@ -120,11 +119,12 @@ def malicious_aqq_omit_left(q: QDigest, fraction, omit) -> QuantileProof:
     # The kept stop ranks at or after the honest one, so kept's tail is every bucket after it;
     # if the omitted mass made q*n unreachable, the last bucket is claimed anyway.
     kept = [(node, cnt) for node, cnt in ordered if node not in omit]
-    return _respond(q, frac, kept, hidden=omit)
+    proof = _respond(q, frac, kept)
+    return replace(proof, remainder=combine(proof.remainder, commit_records((node, q.count(node)) for node in omit)))
 
 
-def _respond(q: QDigest, frac: Fraction, buckets, hidden=frozenset()) -> QuantileProof:
-    """The proof counting `buckets`, a post-order list, up to q*n; the rest and `hidden` go to the remainder.
+def _respond(q: QDigest, frac: Fraction, buckets) -> QuantileProof:
+    """The proof counting `buckets`, a post-order list, up to q*n; the rest go to the remainder.
 
     The remainder is the whole tree holding the buckets after the stop,
     less the zero fold of the post-order prefix up to the stop.
@@ -133,7 +133,7 @@ def _respond(q: QDigest, frac: Fraction, buckets, hidden=frozenset()) -> Quantil
     stop = counted[-1][0]
     after = commit_subtrees(q.sigma, [1], buckets[len(counted):])
     prefix = commit_subtrees(q.sigma, prefix_roots(stop, q.sigma), ())
-    remainder = combine(combine(after, inverse(prefix)), commit_records((node, q.count(node)) for node in hidden))
+    remainder = combine(after, inverse(prefix))
     answer = range_top(stop, q.sigma, q.leaf_width)
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
 

@@ -4,8 +4,10 @@ A parser reads its fields leniently, builds the value, and then refuses
 the input unless the writer's output for that value is identical
 (`require_canonical`).  So each parser accepts exactly the texts its
 writer produces: digest, proof, KVC auth, WDA auth and commitment text
-alike.  The digest writer refuses a digest outside the fixed-width
-encoding limits, so such a digest file is neither written nor parsed.
+alike.  The fixed-width encoding limits are defined here, for both schemes:
+the digest writer refuses a digest outside them, so such a digest file is
+neither written nor parsed, and the key-value commitment inserts no key or
+value outside them.
 
 The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
@@ -18,9 +20,16 @@ ASCII with no newline translation (`read_text`, `write_text`), so a stray
 "\r" reaches the parser's canonical check; digest files are bytes.
 """
 
-from .commitment import MAX_SIGMA, VALUE_LIMIT
 from .digest import QDigest
 from .tree import is_power_of_two
+
+# The encoding's widths and exclusive bounds: node keys below 2**64, so a
+# domain holds at most 2**63 values, and counts below 2**128.
+KEY_BYTES = 8
+VALUE_BYTES = 16
+KEY_LIMIT = 1 << (8 * KEY_BYTES)
+VALUE_LIMIT = 1 << (8 * VALUE_BYTES)
+MAX_SIGMA = KEY_LIMIT // 2
 
 
 def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:

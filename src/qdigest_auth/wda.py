@@ -11,9 +11,8 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from .commitment import MAX_SIGMA
 from .digest import QDigest, validate
-from .serialize import check_auth_parameters, digest_to_bytes, header_fields, require_canonical
+from .serialize import MAX_SIGMA, check_auth_parameters, digest_to_bytes, header_fields, require_canonical
 
 
 def hash_digest_bytes(data: bytes) -> bytes:

@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import random
 from pathlib import Path
 
@@ -132,3 +133,26 @@ def test_only_serialize_opens_files():
         if lines:
             calls[path.name] = lines
     assert calls == {}
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    """Each module imports the package's modules at its top, and no two modules import each other, even through others."""
+    package = Path(qdigest_auth.__file__).parent
+    graph, nested = {}, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .x import y` names module x; `from . import x` names x itself
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                absolute = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                targets = [name.split(".")[1] for name in absolute if name.startswith(package.name + ".")]
+            else:
+                continue
+            graph[path.stem].update(targets)
+            if targets and node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+    assert nested == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle

@@ -12,10 +12,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, MAX_SIGMA, VALUE_LIMIT, Commitment
+from qdigest_auth.commitment import COMMIT_MAX_SIGMA, GROUP_PRIME, Commitment
 from qdigest_auth.digest import QDigest
 from qdigest_auth.kvcqa import KvcAuthInfo, QuantileProof, proof_from_text, proof_to_text
-from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes
+from qdigest_auth.serialize import MAX_SIGMA, VALUE_LIMIT, digest_from_bytes, digest_to_bytes
 from qdigest_auth.tree import is_power_of_two
 from qdigest_auth.wda import WdaAuthInfo
 
