@@ -23,11 +23,12 @@ min(2*sigma - 1, max(sigma/_SHORT - 1, 3)) ints per sigma.  Once it is
 warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets and a
 post-order prefix at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
 
-`fold_ranges` is the loop behind every node-by-node fold, given ranges
-of node indices that each lie within one tree level: a short subtree of
-`_zero_fold` comes as one range per level, and a literal verifier's
-prefix as one range per level of each `tree.prefix_roots` subtree (up
-to 17 roots at sigma 2^16).  It makes one SHA-256 call per node;
+`fold_ranges` is the loop behind every node-by-node fold, given
+sequences of node indices: a short subtree of `_zero_fold` comes as one
+range per level, a literal verifier's prefix as one range per level of
+each `tree.prefix_roots` subtree (up to 17 roots at sigma 2^16), and
+`commit_subtrees`'s corrections as the bucket nodes, folded once at
+their counts and once at zero.  It makes one SHA-256 call per node;
 `_RECORD` is the one layout of an insertion's bytes, in `serialize`'s widths.
 
 This is a reference primitive, not a production one: additive hash
@@ -43,10 +44,11 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 from .digest import QDigest
 from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
-from .tree import check_node, is_in_subtree, level, subtree_ranges
+from .tree import check_node, level, subtree_ranges
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -152,10 +154,10 @@ def fold_ranges(ranges, counted: dict[int, int]) -> Commitment:
     """Fold of one insertion per node of the index ranges, valued counted.get(node, 0).
 
     The loop behind every literal fold, without `_contribution`'s checks:
-    the ranges come from `tree`, so each node fits the key, and the counts
-    must lie in [0, 2**128), as the caller has checked.  It makes one
-    SHA-256 call per node and reduces mod p once at the end, which gives
-    the residue of the sum of reduced contributions.
+    the nodes come from `tree` or lie in checked subtrees, so each fits
+    the key, and the counts must lie in [0, 2**128), as the caller has
+    checked.  It makes one SHA-256 call per node and reduces mod p once at
+    the end, which gives the residue of the sum of reduced contributions.
     """
     global _sha256_calls
     sha256, from_bytes, pack, tag = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG
@@ -208,21 +210,35 @@ def commit_digest(q: QDigest) -> Commitment:
 
 
 def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
-    """Z(r) per root plus H(b, c_b) - H(b, 0) per bucket: disjoint subtrees holding these distinct buckets.
+    """Z(r) per root plus H(b, c_b) - H(b, 0) per bucket: disjoint subtrees holding these buckets.
 
-    Refuses a root outside the tree or a sigma above the limit before any hashing.
+    The buckets must be distinct nodes of those subtrees, as every caller's are.  Refuses
+    a root outside the tree, a sigma above the limit or a count outside [0, 2**128) before
+    any hashing.  The corrections are the buckets' `fold_ranges` at their counts less at zero.
     """
     for root in roots:
         check_node(root, sigma)
     if sigma > COMMIT_MAX_SIGMA:
         raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
-    corrections = sum(_contribution(node, cnt) - _contribution(node, 0) for node, cnt in buckets)
+    counted = dict(buckets)
+    counts = counted.values()
+    typed = all(map(isinstance, counts, repeat(int)))
+    if not typed or min(counts, default=0) < 0 or max(counts, default=0) >= VALUE_LIMIT:
+        bad = next(cnt for cnt in counts if not isinstance(cnt, int) or not 0 <= cnt < VALUE_LIMIT)
+        raise ValueError(f"value {bad!r} does not fit the fixed-width encoding")
+    nodes = [list(counted)]
+    corrections = fold_ranges(nodes, counted).acc - fold_ranges(nodes, {}).acc
     return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)
 
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
-    inside = ((node, cnt) for node, cnt in q.buckets().items() if is_in_subtree(node, root, q.sigma))
+    check_node(root, q.sigma)
+    width = root.bit_length()  # a node is in the subtree iff its top `width` bits spell root
+    inside = [
+        (node, cnt) for node, cnt in q.buckets().items()
+        if node.bit_length() >= width and node >> (node.bit_length() - width) == root
+    ]
     return commit_subtrees(q.sigma, [root], inside)
 
 

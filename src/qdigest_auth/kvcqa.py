@@ -61,7 +61,7 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import VALUE_LIMIT, check_auth_parameters, header_fields, index_count, require_canonical
+from .serialize import VALUE_LIMIT, check_auth_parameters, header_fields, index_counts, require_canonical
 from .tree import (
     is_in_subtree,
     is_power_of_two,
@@ -298,7 +298,7 @@ def proof_from_text(text: str) -> QuantileProof:
         q=Fraction(int(num), int(den)),
         n=int(n),
         answer=int(answer),
-        counted=tuple(index_count(line) for line in body[:-1]),
+        counted=tuple(index_counts(body[:-1])),
         remainder=Commitment.parse(body[-1].removeprefix("remainder=")),
     )
     require_canonical(text, proof_to_text(proof), "proof file")

@@ -15,10 +15,19 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
+`index:count` lines and `dump_frequencies`'s shape are read in bulk, and a
+digest file in the writer's shape is kept as its digest's bytes unencoded;
+any other text is read line by line, to the same value or refusal message.
+
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray
 "\r" reaches the parser's canonical check; digest files are bytes.
 """
+
+import re
+from contextlib import suppress
+from itertools import repeat
+from operator import itemgetter
 
 from .digest import QDigest
 from .tree import is_power_of_two
@@ -30,6 +39,11 @@ VALUE_BYTES = 16
 KEY_LIMIT = 1 << (8 * KEY_BYTES)
 VALUE_LIMIT = 1 << (8 * VALUE_BYTES)
 MAX_SIGMA = KEY_LIMIT // 2
+
+# The writers' line shapes: a digest's `index:count` lines, positive integers
+# in canonical spelling, and `dump_frequencies`'s, multiplicities at least 1.
+_CANONICAL_BODY = re.compile(r"(?:[1-9][0-9]*:[1-9][0-9]*\n)*")
+_FREQUENCY_LINES = re.compile(r"(?:-?[0-9]+\t[1-9][0-9]*\n)*")
 
 
 def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:
@@ -57,6 +71,15 @@ def index_count(line: str) -> tuple[int, int]:
         raise ValueError(f"expected an index:count line, got {line!r}") from None
 
 
+def index_counts(lines: list[str]) -> list[tuple[int, int]]:
+    """`index_count` of each line, in bulk; on a bad line, line by line, so it is named as `index_count` names it."""
+    parts = list(map(str.partition, lines, repeat(":")))
+    try:
+        return list(zip(map(int, map(itemgetter(0), parts)), map(int, map(itemgetter(2), parts))))
+    except ValueError:
+        return [index_count(line) for line in lines]
+
+
 def require_canonical(text: str | bytes, written: str | bytes, what: str) -> None:
     """Refuse `text` (str or bytes) unless it is exactly `written`, the writer's output for its value."""
     if text == written:
@@ -67,25 +90,33 @@ def require_canonical(text: str | bytes, written: str | bytes, what: str) -> Non
     raise ValueError(f"{what} is not in canonical form at line {line + 1}: found {found}")
 
 
+def _header(q: QDigest) -> str:
+    """The header line of q's bytes; refuses a digest outside the encoding limits."""
+    if q.sigma > MAX_SIGMA:
+        raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
+    if max(q._counts.values(), default=0) >= VALUE_LIMIT:
+        raise ValueError("a count does not fit the 2**128 limit")
+    return f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"
+
+
 def digest_to_bytes(q: QDigest) -> bytes:
     """The canonical bytes of q, made on the first call and kept on q; a refused digest raises on every call."""
     if q._bytes is None:
-        if q.sigma > MAX_SIGMA:
-            raise ValueError(f"sigma {q.sigma} exceeds the node-key limit 2**63")
-        buckets = q._counts.items()  # in ascending index order
-        if any(cnt >= VALUE_LIMIT for _, cnt in buckets):
-            raise ValueError("a count does not fit the 2**128 limit")
-        lines = [f"qdigest v1 sigma={q.sigma} k={q.k} leafwidth={q.leaf_width}"]
-        lines.extend(f"{i}:{c}" for i, c in buckets)
+        lines = [_header(q)]
+        lines.extend(f"{i}:{c}" for i, c in q._counts.items())  # in ascending index order
         q._bytes = ("\n".join(lines) + "\n").encode("ascii")
     return q._bytes
 
 
 def digest_from_bytes(data: bytes) -> QDigest:
     # latin-1 decodes any byte, so every input reaches the canonical check
-    header, _, body = data.decode("latin-1").partition("\n")
+    header, newline, body = data.decode("latin-1").partition("\n")
     sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
-    q = QDigest(sigma, k, dict(index_count(line) for line in body.splitlines()), leaf_width)
+    buckets = index_counts(body.splitlines())
+    q = QDigest(sigma, k, dict(buckets), leaf_width)
+    # Canonical integers in ascending index order under q's header are q's bytes, so they need no encoding.
+    if _CANONICAL_BODY.fullmatch(body) and list(q._counts.items()) == buckets and newline and header == _header(q):
+        q._bytes = bytes(data)
     require_canonical(data, digest_to_bytes(q), "digest file")
     return q
 
@@ -104,9 +135,16 @@ def load_digest(path) -> QDigest:
 def parse_frequency_text(text: str) -> dict[int, int]:
     """Parse `value<TAB>multiplicity` lines; `#` comments and blank lines ignored.
 
-    Repeated values accumulate.
+    Repeated values accumulate.  `dump_frequencies`'s shape with distinct
+    values is read in bulk, any other text line by line, to the same result.
     """
-    freqs: dict[int, int] = {}
+    if _FREQUENCY_LINES.fullmatch(text):
+        with suppress(ValueError):  # a number with more digits than int() reads: the loop names its line
+            numbers = list(map(int, text.split()))
+            freqs = dict(zip(numbers[::2], numbers[1::2]))
+            if 2 * len(freqs) == len(numbers):  # a repeated value accumulates in the loop
+                return freqs
+    freqs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from qdigest_auth.commitment import (
     insert,
     inverse,
     member,
+    sha256_calls,
     subtree_commitment,
     subtree_commitments,
 )
@@ -162,6 +164,14 @@ def test_commit_subtrees_accepts_sigma_at_the_limit():
     assert commit_subtrees(1 << 20, [], ()) == Commitment(0)  # no root, nothing hashed
     with pytest.raises(ValueError, match="exceeds the commitment limit"):
         commit_subtrees(1 << 21, [], ())
+
+
+@pytest.mark.parametrize("bad", [2**128, -1, 1.5])
+def test_a_bucket_count_outside_the_encoding_is_refused_before_any_hashing(bad):
+    before = sha256_calls()
+    with pytest.raises(ValueError, match=f"^value {re.escape(repr(bad))} does not fit the fixed-width encoding$"):
+        commit_subtrees(8, [1], [(8, 1), (9, 2), (10, bad)])
+    assert sha256_calls() == before
 
 
 def test_permutation_invariance_at_ten_thousand_insertions():

@@ -2,21 +2,29 @@ import ast
 import graphlib
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdigest_auth
+from qdigest_auth import kvcqa
 from qdigest_auth.digest import QDigest, build_from_frequencies
+from qdigest_auth.kvcqa import proof_from_text, proof_to_text
 from qdigest_auth.serialize import (
     digest_from_bytes,
     digest_to_bytes,
     dump_digest,
+    header_fields,
+    index_count,
     load_digest,
     load_frequencies,
     parse_frequency_text,
+    require_canonical,
 )
 
 from helpers import random_digest
+from test_wire_formats import digests, proofs, single_edits
 
 
 def test_canonical_bytes_layout(example2_digest):
@@ -67,8 +75,8 @@ def test_strict_parsing_rejects_non_canonical_input(data):
         digest_from_bytes(data)
 
 
-def test_frequency_parsing():
-    text = "# a comment\n1\t3\n\n2\t4\n1\t2\n"
+@pytest.mark.parametrize("text", ["# a comment\n1\t3\n\n2\t4\n1\t2\n", "1\t3\n2\t4\n1\t2\n"])
+def test_frequency_parsing(text):
     assert parse_frequency_text(text) == {1: 5, 2: 4}
 
 
@@ -94,7 +102,7 @@ def test_a_decoded_digest_keeps_the_bytes_it_was_decoded_from():
     for _ in range(50):
         data = digest_to_bytes(random_digest(rng))
         q = digest_from_bytes(data)
-        assert q._bytes == data  # the canonical check's encoding, kept
+        assert q._bytes is data  # the input itself, in the writer's shape, with no second encoding
         assert digest_to_bytes(q) is digest_to_bytes(q)
         assert digest_to_bytes(q) == data
 
@@ -110,6 +118,96 @@ def test_a_refused_digest_raises_on_every_call(q, message):
             digest_to_bytes(q)
         assert str(exc.value) == message
     assert q._bytes is None
+
+
+def outcome(parse, text):
+    """What parse makes of text: its value, a dict as its items in order, or the message it refuses text with."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return f"refused: {exc}"
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+def frequencies_line_by_line(text: str) -> dict[int, int]:
+    """The frequency reader's line loop alone: the oracle of its bulk path."""
+    freqs: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected value<TAB>multiplicity, got {raw!r}")
+        try:
+            value, mult = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+        if mult < 1:
+            raise ValueError(f"line {lineno}: multiplicity must be positive, got {mult}")
+        freqs[value] = freqs.get(value, 0) + mult
+    return freqs
+
+
+def digest_line_by_line(data: bytes) -> QDigest:
+    """`digest_from_bytes` reading one `index:count` line at a time and always encoding the digest to compare."""
+    header, _, body = data.decode("latin-1").partition("\n")
+    sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
+    q = QDigest(sigma, k, dict(index_count(line) for line in body.splitlines()), leaf_width)
+    require_canonical(data, digest_to_bytes(q), "digest file")
+    return q
+
+
+def proof_line_by_line(text: str):
+    """`proof_from_text` reading one `index:count` line at a time."""
+    with mock.patch.object(kvcqa, "index_counts", lambda lines: [index_count(line) for line in lines]):
+        return proof_from_text(text)
+
+
+# few values, so that lines repeat them
+frequency_values = st.integers(-3, 20)
+dumped_lines = st.builds("{}\t{}\n".format, frequency_values, st.integers(1, 10**30))
+other_frequency_lines = st.one_of(
+    st.sampled_from(["# a comment\n", "\n", " \t \n", "#\t1\n"]),
+    st.builds(" {}\t{}  \n".format, frequency_values, st.integers(1, 9)),  # padded fields
+    st.builds("+{}\t1_{}\n".format, st.integers(0, 20), st.integers(0, 9)),  # spellings int() accepts
+    st.builds("{}\t{}\r\n".format, frequency_values, st.integers(1, 9)),
+    st.builds("{}\t{}\n".format, frequency_values, st.integers(-2, 0)),  # multiplicities below 1
+    st.builds("0{}\t0{}\n".format, st.integers(0, 9), st.integers(1, 9)),  # leading zeros
+    st.sampled_from(["1 3\n", "1\t3\t4\n", "1\tx\n", "x\t1\n", "\t\n", "1\t\n", "1:3\n", "-\t1\n"]),
+)
+
+
+@st.composite
+def frequency_texts(draw):
+    """`dump_frequencies`-shaped lines with up to two others among them, the last newline sometimes cut."""
+    lines = draw(st.lists(dumped_lines, max_size=10))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(other_frequency_lines))
+    text = "".join(lines)
+    return text[:-1] if draw(st.integers(0, 3)) == 0 else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(frequency_texts())
+def test_bulk_frequency_reading_matches_the_line_loop(text):
+    assert outcome(parse_frequency_text, text) == outcome(frequencies_line_by_line, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digests(), st.data())
+def test_digest_reading_matches_the_line_loop_on_single_edits(q, data):
+    written = digest_to_bytes(q)
+    for text in [written, *(data.draw(single_edits(written)) for _ in range(10))]:
+        assert outcome(digest_from_bytes, text) == outcome(digest_line_by_line, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(proofs, st.data())
+def test_proof_reading_matches_the_line_loop_on_single_edits(proof, data):
+    written = proof_to_text(proof)
+    for text in [written, *(data.draw(single_edits(written)) for _ in range(10))]:
+        assert outcome(proof_from_text, text) == outcome(proof_line_by_line, text)
 
 
 def test_largest_encodable_sigma_and_count_load():
