@@ -31,6 +31,16 @@ each `tree.prefix_roots` subtree (up to 17 roots at sigma 2^16), and
 their counts and once at zero.  It makes one SHA-256 call per node;
 `_RECORD` is the one layout of an insertion's bytes, in `serialize`'s widths.
 
+A fold of 2^13 nodes or more (`_SPLIT_NODES`) is cut at half its
+nodes: a helper process, forked on first use and reaped at exit, is sent
+one half as pickled ranges through a pipe and sums it while the caller
+sums the other; addition commutes, so the sum is the same.  Below that
+size a round trip (about 50 us on a 2-vCPU VM, and a few ms for the fork)
+costs more than it saves.  The fold stays in-process without `os.fork`,
+with fewer than two usable CPUs or a second thread, and in a forked
+child, which closes its copies of the pipes; if the fork fails or the
+helper dies or errs, the caller folds its half and drops the helper.
+
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
 search, and no formal security proof is claimed here.  Nor can a sound
@@ -40,15 +50,19 @@ the public inverse that lets a forged remainder verify (`kvcqa`).  A sound
 scheme needs its own proof format.
 """
 
+import atexit
+import contextlib
 import hashlib
 import hmac
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 
 from .digest import QDigest
 from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
-from .tree import check_node, level, subtree_ranges
+from .tree import check_node, level, subtree_ranges, subtree_test
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -71,6 +85,11 @@ _SHORT = 64
 _ZERO_FOLDS: dict[int, dict[int, int]] = {}
 
 _sha256_calls = 0
+
+# A fold of at least this many nodes is split with the helper process,
+# once forked (the forking pid, its pid, the request pipe, the reply pipe).
+_SPLIT_NODES = 1 << 13
+_helper = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +132,12 @@ def initialize() -> Commitment:
 
 
 def sha256_calls() -> int:
-    """How many SHA-256 calls insertions have made in this process so far.
+    """How many SHA-256 calls insertions have made for this process so far.
 
-    Not locked: calls made by several threads at once may be undercounted.
+    The calls the helper process makes for this process's folds are
+    included, so a `hashlib` wrapper installed here sees only this
+    process's share of a fold of 2^13 nodes or more.  Not locked: calls
+    made by several threads at once may be undercounted.
     """
     return _sha256_calls
 
@@ -150,24 +172,110 @@ def commit_records(records) -> Commitment:
     return Commitment(sum(_contribution(key, value) for key, value in records) % GROUP_PRIME)
 
 
-def fold_ranges(ranges, counted: dict[int, int]) -> Commitment:
-    """Fold of one insertion per node of the index ranges, valued counted.get(node, 0).
+def fold_ranges(ranges: list, counted: dict[int, int]) -> Commitment:
+    """Fold of one insertion per node of a list of index ranges, valued counted.get(node, 0).
 
     The loop behind every literal fold, without `_contribution`'s checks:
     the nodes come from `tree` or lie in checked subtrees, so each fits
     the key, and the counts must lie in [0, 2**128), as the caller has
     checked.  It makes one SHA-256 call per node and reduces mod p once at
     the end, which gives the residue of the sum of reduced contributions.
+    A fold of `_SPLIT_NODES` or more is shared with the helper process.
     """
     global _sha256_calls
-    sha256, from_bytes, pack, tag = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG
-    value_of = {node: cnt.to_bytes(VALUE_BYTES, "big") for node, cnt in counted.items()}.get
-    total = 0
+    values = {node: cnt.to_bytes(VALUE_BYTES, "big") for node, cnt in counted.items()}
+    nodes = sum(map(len, ranges))
+    pipes = _helper_pipes() if nodes >= _SPLIT_NODES else None
+    total, calls = _fold_part(ranges, values) if pipes is None else _fold_in_two(ranges, values, nodes // 2, *pipes)
+    _sha256_calls += calls
+    return Commitment(total % GROUP_PRIME)
+
+
+def _fold_part(ranges, values: dict[int, bytes]) -> tuple[int, int]:
+    """The unreduced sum of the ranges' nodes' contributions at their encoded values, and the node count."""
+    sha256, from_bytes, pack, tag, value_of = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG, values.get
+    total = calls = 0
     for nodes in ranges:
         for node in nodes:
             total += from_bytes(sha256(pack(tag, node, value_of(node, _ZERO_VALUE))).digest(), "big")
-        _sha256_calls += len(nodes)
-    return Commitment(total % GROUP_PRIME)
+        calls += len(nodes)
+    return total, calls
+
+
+def _fold_in_two(ranges, values, cut, requests, replies) -> tuple[int, int]:
+    """`_fold_part` of the first `cut` nodes here and of the rest in the helper, or here if the helper fails."""
+    import pickle  # here and in the helper only: a process that never splits a fold does not load it
+    for at, nodes in enumerate(ranges):
+        if cut < len(nodes):
+            break
+        cut -= len(nodes)
+    ours, theirs = [*ranges[:at], nodes[:cut]], [nodes[cut:], *ranges[at + 1:]]
+    total = None
+    try:
+        pickle.dump((theirs, values), requests)
+        requests.flush()
+        total, calls = _fold_part(ours, values)
+        their_total, their_calls = pickle.load(replies)
+    except BaseException as exc:
+        _stop_helper()  # an exchange cut short would leave part of a message in a pipe
+        if not isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
+            raise
+        if total is None:  # the request did not reach the helper
+            return _fold_part(ranges, values)
+        their_total, their_calls = _fold_part(theirs, values)
+    return total + their_total, calls + their_calls
+
+
+def _helper_pipes():
+    """The helper's request and reply pipes, forking it on first use; None where a fold stays in this process."""
+    global _helper
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    if not usable or threading.active_count() > 1:
+        return None
+    if _helper is None:
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        request_in, request_out, reply_in, reply_out = fds
+        if pid == 0:  # the helper: it must not hold the request pipe's write end, or it never sees end of file
+            try:
+                import pickle
+                os.close(request_out)
+                requests, replies = os.fdopen(request_in, "rb"), os.fdopen(reply_out, "wb")
+                while True:
+                    pickle.dump(_fold_part(*pickle.load(requests)), replies)
+                    replies.flush()
+            finally:
+                os._exit(0)
+        os.close(request_in)
+        os.close(reply_out)
+        _helper = (os.getpid(), pid, os.fdopen(request_out, "wb"), os.fdopen(reply_in, "rb"))
+    return _helper[2:] if _helper[0] == os.getpid() else None
+
+
+def _stop_helper() -> None:
+    """Close this process's ends of the helper's pipes, so it exits at end of file, and reap it if this process forked it."""
+    global _helper
+    if _helper is not None:
+        owner, pid, *pipes = _helper
+        for pipe in pipes:
+            with contextlib.suppress(OSError):
+                pipe.close()
+        if owner == os.getpid():
+            _helper = None
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):  # a forked child keeps the record, so it folds in-process, but not the pipes
+    os.register_at_fork(after_in_child=_stop_helper)
 
 
 def _zero_fold(sigma: int, root: int) -> int:
@@ -233,13 +341,8 @@ def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
-    check_node(root, q.sigma)
-    width = root.bit_length()  # a node is in the subtree iff its top `width` bits spell root
-    inside = [
-        (node, cnt) for node, cnt in q.buckets().items()
-        if node.bit_length() >= width and node >> (node.bit_length() - width) == root
-    ]
-    return commit_subtrees(q.sigma, [root], inside)
+    inside = subtree_test(root, q.sigma)
+    return commit_subtrees(q.sigma, [root], [(node, cnt) for node, cnt in q.buckets().items() if inside(node)])
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:

@@ -63,12 +63,12 @@ from .commitment import (
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import VALUE_LIMIT, check_auth_parameters, header_fields, index_counts, require_canonical
 from .tree import (
-    is_in_subtree,
     is_power_of_two,
     post_order_rank,
     prefix_ranges,
     prefix_roots,
     subtree_size,
+    subtree_test,
 )
 
 REASON_OK = "ok"
@@ -264,7 +264,8 @@ def qqv_accelerated(
         if post_order_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
-        claims = [(node, cnt) for node, cnt in proof.counted if is_in_subtree(node, root, sigma)]
+        holds = subtree_test(root, sigma)
+        claims = [(node, cnt) for node, cnt in proof.counted if holds(node)]
         # skipping saves nothing unless the subtree outsizes its claims' rebuild; the first of equal sizes wins
         if size > 2 * len(claims) and size > best_size:
             best_size, best, inside = size, root, claims

@@ -123,7 +123,7 @@ def prefix_ranges(stop: int, sigma: int, skip: int | None = None) -> list[range]
     ranges = []
     for root in roots:
         levels = subtree_ranges(root, sigma)
-        if skip is not None and is_in_subtree(skip, root, sigma):
+        if skip is not None and subtree_test(root, sigma)(skip):
             head = level(skip) - level(root)
             for whole, sub in zip(levels[head:], subtree_ranges(skip, sigma)):
                 ranges += [range(whole.start, sub.start), range(sub.stop, whole.stop)]
@@ -137,8 +137,8 @@ def subtree_size(root: int, sigma: int) -> int:
     return 2 ** (level(sigma) - level(root) + 1) - 1
 
 
-def is_in_subtree(i: int, root: int, sigma: int) -> bool:
-    check_node(i, sigma)
+def subtree_test(root: int, sigma: int):
+    """Membership in root's subtree for checked nodes: root is checked once, and a node is in iff its top bits spell root."""
     check_node(root, sigma)
-    shift = level(i) - level(root)
-    return shift >= 0 and (i >> shift) == root
+    width = root.bit_length()
+    return lambda i: i.bit_length() >= width and i >> (i.bit_length() - width) == root

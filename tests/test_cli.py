@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from qdigest_auth import commitment
 from qdigest_auth.cli import build_parser, main
 from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
 from qdigest_auth.kvcqa import proof_from_text
 from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest, read_text
-from qdigest_auth.tree import is_in_subtree
+from qdigest_auth.tree import subtree_test
 
 from helpers import random_frequencies
 
@@ -182,7 +183,7 @@ def test_a_raised_first_count_is_rejected_before_the_accelerated_fold(tmp_path, 
     header, first, *rest = proof.read_text().splitlines(keepends=True)
     node, _, cnt = first.partition(":")
     proof.write_text(header + f"{node}:{int(cnt) + 1}\n" + "".join(rest))
-    inside = sum(is_in_subtree(node, 2, 4096) for node, _ in proof_from_text(read_text(proof)).counted)
+    inside = sum(subtree_test(2, 4096)(node) for node, _ in proof_from_text(read_text(proof)).counted)
     capsys.readouterr()
     before = sha256_calls()
     assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]) == 1
@@ -533,14 +534,19 @@ def test_verify_rejects_an_oversized_stop_count(tmp_path, s1_file, extra, capsys
     assert "reason=malformed" in capsys.readouterr().out
 
 
-def test_readme_command_block_in_fresh_processes(tmp_path):
-    """The README's sigma-8 block, each command in a new `python -m qdigest_auth.cli` process."""
+def fresh_cli(argv, cwd=None):
+    """`python -m qdigest_auth.cli` with these arguments in a new process, on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qdigest_auth.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_readme_command_block_in_fresh_processes(tmp_path):
+    """The README's sigma-8 block, each command in a new `python -m qdigest_auth.cli` process."""
 
     def qdigest(*argv):
-        return subprocess.run([sys.executable, "-m", "qdigest_auth.cli", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
+        return fresh_cli(argv, cwd=tmp_path)
 
     (tmp_path / "s1.tsv").write_text("1\t1\n2\t2\n3\t3\n4\t4\n5\t6\n6\t6\n7\t7\n8\t9\n")
     assert qdigest("build", "s1.tsv", "--sigma", "8", "--k", "4", "--output", "q1.qd").returncode == 0
@@ -562,3 +568,21 @@ def test_readme_command_block_in_fresh_processes(tmp_path):
     (tmp_path / "raised.proof").write_text("".join(lines))
     assert qdigest("verify", "--proof", "raised.proof", "--auth", "q1.kvc").returncode == 1
     assert qdigest("query", "q1.qd", "--q", "1/0").returncode == 2
+
+
+def test_a_cold_accelerated_verify_at_sigma_2_16_prints_what_main_prints(tmp_path, capsys, monkeypatch):
+    """At q = 1 the accelerated fold passes 2**13 nodes, so a fresh process may fork the helper;
+    it prints main's line and exits, leaving no process that holds its output open."""
+    freqs = write_freqs(tmp_path / "f.tsv", random_frequencies(random.Random(16), 2**16, max_distinct=5_000))
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", freqs, "--sigma", str(2**16), "--k", "64", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])
+    main(["prove", str(digest), "--q", "1/1", "--output", str(proof)])
+    argv = ["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]
+    capsys.readouterr()
+    monkeypatch.setattr(commitment, "_ZERO_FOLDS", {})  # no zero fold memoized, as in a fresh process
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("accepted=1 reason=ok ")
+    run = fresh_cli(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (0, printed, "")

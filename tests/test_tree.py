@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdigest_auth.tree import (
-    is_in_subtree,
     level,
     node_range,
     post_order_nodes,
@@ -14,6 +13,7 @@ from qdigest_auth.tree import (
     sibling,
     subtree_ranges,
     subtree_size,
+    subtree_test,
 )
 
 # hand enumeration of the post-order visit for sigma = 8
@@ -153,7 +153,8 @@ def test_subtree_interval_matches_membership(sigma, data):
     root = data.draw(st.integers(1, 2 * sigma - 1))
     lo, hi = subtree_rank_interval(root, sigma)
     assert hi - lo + 1 == subtree_size(root, sigma)
-    members = {i for i in range(1, 2 * sigma) if is_in_subtree(i, root, sigma)}
+    inside = subtree_test(root, sigma)
+    members = {i for i in range(1, 2 * sigma) if inside(i)}
     by_rank = {i for i in range(1, 2 * sigma) if lo <= post_order_rank(i, sigma) <= hi}
     assert members == by_rank
 

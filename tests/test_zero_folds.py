@@ -13,12 +13,17 @@ buckets, not on sigma.
 """
 
 import hashlib
+import os
 import random
+import signal
+import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdigest_auth import commitment
 from qdigest_auth.bench import format_bench_table, run_bench
@@ -45,13 +50,13 @@ from qdigest_auth.kvcqa import (
     qqv_fast,
 )
 from qdigest_auth.tree import (
-    is_in_subtree,
     post_order_nodes,
     post_order_rank,
     prefix_ranges,
     prefix_roots,
     subtree_ranges,
     subtree_size,
+    subtree_test,
 )
 
 from helpers import random_frequencies
@@ -183,7 +188,7 @@ def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
     q = build_from_frequencies(freqs, 64, sigma)
     commit_digest(q)  # warms the memo of this sigma
     assert calls_of(commit_digest, q) == 2 * q.size
-    left = sum(1 for node in q.buckets() if is_in_subtree(node, 2, sigma))
+    left = sum(1 for node in q.buckets() if subtree_test(2, sigma)(node))
     assert calls_of(subtree_commitment, q, 2) == 2 * left
     c = commit_digest(q)
     for i in range(65):
@@ -326,8 +331,9 @@ def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, 
     c, precomputed = auth.commitment, auth.subtrees
     proof = aqq(q, Fraction(1))
     counted = dict(proof.counted)
-    inside = [node for node in counted if is_in_subtree(node, 2, sigma)]
-    outside = [node for node in counted if not is_in_subtree(node, 2, sigma)]
+    in_2 = subtree_test(2, sigma)
+    inside = [node for node in counted if in_2(node)]
+    outside = [node for node in counted if not in_2(node)]
     stop, first = proof.counted[-1][0], inside[0]
     dropped = {node: cnt for node, cnt in counted.items() if node != first} | {stop: counted[stop] + counted[first]}
     cold = subtree_size(2, sigma) if memo == "cold" else 0
@@ -352,3 +358,133 @@ def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, 
     assert (elsewhere.reason, elsewhere.insert_ops) == ("commitment-mismatch", honest.insert_ops)
     if sigma == 8:
         assert [raised.insert_ops, omitted.insert_ops, honest.insert_ops] == ([4, 2, 12] if memo == "warm" else [11, 9, 19])
+
+
+# Folds of at least SPLIT nodes are shared with the helper process where it can run.
+SPLIT = commitment._SPLIT_NODES
+CAN_SPLIT = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+needs_helper = pytest.mark.skipif(not CAN_SPLIT, reason="the helper needs os.fork and two usable CPUs")
+
+
+def helper_pid():
+    """The pid of the helper this process forked, or None."""
+    helper = commitment._helper
+    return helper[1] if helper and helper[0] == os.getpid() else None
+
+
+@st.composite
+def straddling_folds(draw):
+    """About 2**13 contiguous nodes at sigma 2**14, cut into shuffled ranges and lists with none ending at
+    the midpoint, so the split slices a range; the nodes on both sides of the midpoint are counted."""
+    size = draw(st.sampled_from([SPLIT - 1, SPLIT]) | st.integers(SPLIT - 64, SPLIT + 4096))
+    start = draw(st.integers(1, 2**15 - size))
+    ends = sorted(draw(st.sets(st.integers(1, size - 1).filter(lambda end: end != size // 2), max_size=6)))
+    pieces = [range(start + lo, start + hi) for lo, hi in zip([0, *ends], [*ends, size])]
+    pieces = [list(nodes) if draw(st.booleans()) else nodes for nodes in draw(st.permutations(pieces))]
+    near = [start + size // 2 - 1, start + size // 2, *draw(st.lists(st.integers(1, 2**15 - 1), max_size=8))]
+    return pieces, {node: draw(st.integers(0, 2**128 - 1)) for node in near}
+
+
+@settings(max_examples=25, deadline=None)
+@given(straddling_folds())
+def test_a_fold_split_with_the_helper_is_the_in_process_fold(fold):
+    ranges, counted = fold
+    nodes = [node for piece in ranges for node in piece]
+    before = sha256_calls()
+    folded = fold_ranges(ranges, counted)
+    assert sha256_calls() - before == len(nodes)
+    assert folded == commit_records((node, counted.get(node, 0)) for node in nodes)
+    if CAN_SPLIT and len(nodes) >= SPLIT and threading.active_count() == 1:
+        assert helper_pid() is not None
+
+
+def test_the_verifiers_agree_when_their_folds_are_split(monkeypatch):
+    """At sigma 2**14 the literal folds reach 2**15 - 1 nodes; split or not, every verdict, reason and count is the same."""
+    sigma = 2**14
+    q = seeded_digest(0, sigma)
+    auth = publish_kvc_auth(q)
+    c, precomputed = auth.commitment, auth.subtrees
+    proofs = list(verifier_cases(q, random.Random(0)))
+
+    def verdicts():
+        return [(qqv(proof, c, q.n, sigma), qqv_fast(proof, c, q.n, sigma),
+                 qqv_accelerated(proof, c, precomputed, q.n, sigma)) for proof in proofs]
+
+    split = verdicts()
+    for (literal, fast, accelerated), proof in zip(split, proofs):
+        assert (fast.accepted, fast.reason) == (literal.accepted, literal.reason), proof
+        assert (accelerated.accepted, accelerated.reason) == (literal.accepted, literal.reason), proof
+    assert max(literal.insert_ops for literal, _, _ in split) >= SPLIT
+    if CAN_SPLIT and threading.active_count() == 1:
+        assert helper_pid() is not None
+    monkeypatch.setattr(commitment, "_SPLIT_NODES", 2 * sigma)  # every fold in this process
+    assert verdicts() == split
+
+
+def whole_tree(sigma):
+    """Every node of the tree at sigma as one range per level, and two counted buckets."""
+    return subtree_ranges(1, sigma), {5: 3, sigma + 7: 2**128 - 1}
+
+
+@needs_helper
+def test_a_killed_helper_leaves_the_fold_to_this_process():
+    ranges, counted = whole_tree(2**14)
+    expected = fold_ranges(ranges, counted)
+    pid = helper_pid()
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+    before = sha256_calls()
+    assert fold_ranges(ranges, counted) == expected
+    assert sha256_calls() - before == 2**15 - 1
+    assert helper_pid() is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # the dead helper was reaped
+    assert fold_ranges(ranges, counted) == expected
+    assert helper_pid() not in (None, pid)  # the next large fold forked a new one
+
+
+@needs_helper
+def test_a_helper_that_fails_mid_fold_leaves_the_fold_to_this_process(monkeypatch):
+    ranges, counted = whole_tree(2**14)
+    expected = fold_ranges(ranges, counted)
+    commitment._stop_helper()
+    owner, fold_part = os.getpid(), commitment._fold_part
+
+    def failing_in_the_helper(ranges, values):
+        if os.getpid() != owner:
+            raise RuntimeError("the helper fails")
+        return fold_part(ranges, values)
+
+    monkeypatch.setattr(commitment, "_fold_part", failing_in_the_helper)
+    before = sha256_calls()
+    assert fold_ranges(ranges, counted) == expected  # forks a helper that fails on its half
+    assert sha256_calls() - before == 2**15 - 1
+    assert helper_pid() is None
+
+
+@needs_helper
+def test_a_forked_child_folds_without_its_parents_helper():
+    ranges, counted = whole_tree(2**14)
+    expected = fold_ranges(ranges, counted)
+    helper = commitment._helper
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            before = sha256_calls()
+            folded = fold_ranges(ranges, counted) == expected and sha256_calls() - before == 2**15 - 1
+            # the child's copies of the pipes are closed, and it forked no helper of its own
+            unused = commitment._helper[:2] == helper[:2] and all(pipe.closed for pipe in commitment._helper[2:])
+            status = 0 if folded and unused else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(child, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not done[0]:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    assert done == (child, 0)
+    assert commitment._helper is helper and not any(pipe.closed for pipe in helper[2:])
+    assert fold_ranges(ranges, counted) == expected
+    assert commitment._helper is helper
