@@ -21,9 +21,13 @@ any other text is read line by line, to the same value or refusal message.
 
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray
-"\r" reaches the parser's canonical check; digest files are bytes.
+"\r" reaches the parser's canonical check; digest files are bytes.  Files
+are overwritten in place and a longer old file is cut to the new length, as
+ext4 flushes a file cut to zero when it is closed, and the next write waits
+on that I/O.  Text is encoded first, so refused text leaves the old file.
 """
 
+import os
 import re
 from contextlib import suppress
 from itertools import repeat
@@ -121,10 +125,17 @@ def digest_from_bytes(data: bytes) -> QDigest:
     return q
 
 
-def dump_digest(q: QDigest, path) -> None:
-    data = digest_to_bytes(q)  # a refused digest leaves no file behind
-    with open(path, "wb") as fh:
+def _write_bytes(path, data: bytes) -> None:
+    """Overwrite path with data in place, cutting an old file only where it was longer."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        old_size = os.fstat(fh.fileno()).st_size  # 0 for a character device or FIFO, so /dev/null is never cut
         fh.write(data)
+        if old_size > len(data):
+            fh.truncate(len(data))
+
+
+def dump_digest(q: QDigest, path) -> None:
+    _write_bytes(path, digest_to_bytes(q))  # a refused digest leaves no file behind
 
 
 def load_digest(path) -> QDigest:
@@ -176,5 +187,4 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    _write_bytes(path, text.encode("ascii"))  # refused text leaves the old file as it was

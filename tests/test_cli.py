@@ -97,6 +97,24 @@ def test_merge_with_empty_digest(tmp_path, s1_file, s1, capsys):
     assert load_digest(m) == build_from_frequencies(s1, 4, 8)
 
 
+def test_an_output_written_over_a_longer_file_equals_a_fresh_one(tmp_path, capsys):
+    rng = random.Random(27)
+    large = write_freqs(tmp_path / "large.tsv", {v: rng.randint(1, 50) for v in rng.sample(range(1, 4097), 400)})
+    small = write_freqs(tmp_path / "small.tsv", {7: 3, 9: 1})
+    heavy = write_freqs(tmp_path / "heavy.tsv", {5: 10**6})
+    over, fresh = tmp_path / "over.qd", tmp_path / "fresh.qd"
+    for freqs, out in [(large, over), (small, over), (small, fresh)]:
+        assert main(["build", freqs, "--sigma", "4096", "--k", "64", "--output", str(out)]) == 0
+    assert over.read_bytes() == fresh.read_bytes()
+    a, b, merged = tmp_path / "a.qd", tmp_path / "b.qd", tmp_path / "merged.qd"
+    for freqs, out in [(large, a), (heavy, b)]:
+        assert main(["build", freqs, "--sigma", "4096", "--k", "64", "--output", str(out)]) == 0
+    assert main(["merge", str(a), str(b), "--output", str(merged)]) == 0
+    assert merged.stat().st_size < a.stat().st_size  # the heavy value compresses the merge below a's length
+    assert main(["merge", str(a), str(b), "--output", str(a)]) == 0
+    assert a.read_bytes() == merged.read_bytes()
+
+
 def test_merge_mismatched_sigma(tmp_path, s1_file, capsys):
     a, b = tmp_path / "a.qd", tmp_path / "b.qd"
     main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(a)])

@@ -1,5 +1,6 @@
 import ast
 import graphlib
+import os
 import random
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ from qdigest_auth import kvcqa
 from qdigest_auth.digest import QDigest, build_from_frequencies
 from qdigest_auth.kvcqa import proof_from_text, proof_to_text
 from qdigest_auth.serialize import (
+    _write_bytes,
     digest_from_bytes,
     digest_to_bytes,
     dump_digest,
@@ -21,6 +23,7 @@ from qdigest_auth.serialize import (
     load_frequencies,
     parse_frequency_text,
     require_canonical,
+    write_text,
 )
 
 from helpers import random_digest
@@ -214,6 +217,53 @@ def test_largest_encodable_sigma_and_count_load():
     data = b"qdigest v1 sigma=%d k=4 leafwidth=1\n1:%d\n" % (2**63, 2**128 - 1)
     q = digest_from_bytes(data)
     assert q.sigma == 2**63 and q.n == 2**128 - 1
+
+
+@st.composite
+def old_and_new_bytes(draw):
+    """An old file's bytes and new bytes that are empty, shorter, as long or longer."""
+    old = draw(st.binary(max_size=64))
+    size = draw(st.sampled_from([0, len(old) // 2, len(old), len(old) + 1 + draw(st.integers(0, 64))]))
+    return old, draw(st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(old_and_new_bytes())
+def test_a_file_written_over_holds_exactly_the_new_bytes(tmp_path_factory, old_new):
+    old, new = old_new
+    path = tmp_path_factory.mktemp("over") / "file"
+    path.write_bytes(old)
+    _write_bytes(path, new)
+    assert path.read_bytes() == new
+
+
+def test_a_file_is_written_in_place_through_hard_links_and_symlinks(tmp_path):
+    target, hard, soft = tmp_path / "target.qd", tmp_path / "hard.qd", tmp_path / "soft.qd"
+    target.write_text("an old file, longer than what replaces it\n")
+    inode = target.stat().st_ino
+    os.link(target, hard)
+    soft.symlink_to(target)
+    write_text(hard, "new\n")
+    assert target.read_text() == "new\n" and target.stat().st_ino == inode
+    dump_digest(QDigest(8, 4), soft)
+    assert soft.is_symlink()
+    assert hard.read_bytes() == target.read_bytes() == b"qdigest v1 sigma=8 k=4 leafwidth=1\n"
+    assert target.stat().st_ino == inode
+
+
+def test_writing_to_the_null_device_succeeds():
+    write_text(os.devnull, "1\t2\n")
+    dump_digest(QDigest(8, 4), os.devnull)
+
+
+def test_refused_text_leaves_the_old_file_and_makes_no_new_one(tmp_path):
+    old, absent = tmp_path / "old.txt", tmp_path / "absent.txt"
+    old.write_text("old\n")
+    for path in (old, absent):
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "\u00e9\n")
+    assert old.read_text() == "old\n"
+    assert not absent.exists()
 
 
 def test_only_serialize_opens_files():
