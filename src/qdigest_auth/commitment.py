@@ -17,11 +17,14 @@ post-order prefix up to a proof's stop (`tree.prefix_roots`):
 
     commit(subtrees r) = sum of Z(r) + sum over buckets b in them of (H(b, c_b) - H(b, 0)).
 
-Z depends only on sigma; `_zero_fold` memoizes nodes 1, 2 and 3 and
-every subtree of more than `_SHORT` leaves, at most
+Z depends only on sigma, so `_ZERO_ROOTS` ships Z(2) and Z(3) for each
+power-of-two sigma from 2**11 to `COMMIT_MAX_SIGMA`: a process's first
+commitment there makes 2*|Q| + 1 SHA-256 calls for |Q| buckets, not about
+2*sigma + 2*|Q|.  `_zero_fold` memoizes nodes 1, 2 and 3 and every subtree
+of more than `_SHORT` leaves when first needed, at most
 min(2*sigma - 1, max(sigma/_SHORT - 1, 3)) ints per sigma.  Once it is
-warm, a commitment costs 2*|Q| SHA-256 calls for |Q| buckets and a
-post-order prefix at most 2*|Q| + 4*_SHORT (`sha256_calls` counts them).
+warm, a commitment costs 2*|Q| calls and a post-order prefix at most
+2*|Q| + 4*_SHORT (`sha256_calls` counts them).
 
 `fold_ranges` is the loop behind every node-by-node fold, given
 sequences of node indices: a short subtree of `_zero_fold` comes as one
@@ -75,14 +78,30 @@ _PREFIX = "kvc1:"
 _RECORD = struct.Struct(f">{len(_DOMAIN_TAG)}sQ{VALUE_BYTES}s")
 _ZERO_VALUE = bytes(VALUE_BYTES)
 
-# The largest domain a commitment covers: the first commitment at a sigma makes
-# 2*sigma - 1 zero insertions (about 6 s at 2**20); a larger sigma is refused.
+# The largest domain a commitment covers, and so the extent of _ZERO_ROOTS; a larger
+# sigma is refused.  It still bounds the cold folds of tall prefix roots: a first proof
+# whose stop lies deep in subtree 3 folds up to sigma - 1 nodes (0.8 s at 2**20, 2-vCPU Xeon).
 COMMIT_MAX_SIGMA = 1 << 20
 
 # Subtrees with at most this many leaves are folded node by node; taller
 # ones and nodes 1, 2 and 3 are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
 _SHORT = 64
 _ZERO_FOLDS: dict[int, dict[int, int]] = {}
+
+# Z(2) and Z(3) per power-of-two sigma from 2**11 up, as `_zero_fold` would fold them; at
+# 2**10 and below a first Z(1) folds at most 2,047 nodes.
+_ZERO_ROOTS = {
+    1 << 11: (0xb5fefa60e6a40b689dcbb3897638ae943b54acbaac24ebc098c5e84b7a69327d, 0xe1ff7183868159517dfb7c5266ec7283bfe4835166ac82cebde954d451a5634d),
+    1 << 12: (0x959b17155a275aa0337a28139c33d0c552a3859a479fbc7005fcd2496d0d08cc, 0x74bed2f987be20098dfa1c3df3b72d11edcaa595996c338cba30eecaf1e06756),
+    1 << 13: (0x673015010236f47d3e3ad634b5f1baf23ba32b4015696a62f0cd8ff0dcebb5c6, 0x23c77cc54e71e6a6fefd9e71741d1540cd3a7017f8d256145de46d674143a4a2),
+    1 << 14: (0x9b21bc8bbecc856632c74c94a32b80f9bd38f84e409a1eca30b0bae3fc6cefbb, 0x7e1b5e6310a44cf91a8a7b01d89b630055762171876c01403eaefd0fcff7000c),
+    1 << 15: (0x4a0e0b55585d41efc0a6084fcc1f60a52ad6e5075a88a8df324249e65eeec7af, 0x7eae6d675e766d389016ec7d0b418e33af5639a72f5bd3a453d78babd366fb6a),
+    1 << 16: (0xb4b1e627562d21f4b576e306e8e00668cb7e864acfe6c09c66cb4ff8de5e0a89, 0xf60d2c39a09e0533ed1549c52d93e781a20b2109467ce0bc2a08012186185a12),
+    1 << 17: (0x9cebd49c718c3a90e557b10284dedcbe147d0ac9e5275187e0a938a18ea29401, 0x3e6d13f0195b434c750d16b0c396372c336ada1cee6d899e71fa70f412fef1ed),
+    1 << 18: (0x05318de60cc2ab0fb5842aeca3ab117d3f8e7d9b5bdff3b00bf16259e0f03e12, 0x47a3a93220bbe39209efd8ae25f86e4be1cd5196e71e69f10078b5eef2022dee),
+    1 << 19: (0xb2b930bf1e7f247bf832648d24eb581a0dd0c03406ffaad187384a9c173e3f1f, 0xb3ffde55df304cc2ce42476d010959df05a4e7792eb56775e3e1f15cbadfe333),
+    1 << 20: (0x5adc56b07e5c65a563c9ba4b725eadc2663dafcadaf5659d090107a7b95486f2, 0x02d13fdb7103a6bd68de9a991adf73d47f939cd53735661ba707744c8c1da5b8),
+}
 
 _sha256_calls = 0
 
@@ -281,10 +300,14 @@ if hasattr(os, "register_at_fork"):  # a forked child keeps the record, so it fo
 def _zero_fold(sigma: int, root: int) -> int:
     """Z(root), the sum of H(node, 0) over root's subtree; memoized for roots 1-3 and above _SHORT leaves.
 
-    Subtree 2 is the one `kvcqa.publish_kvc_auth` precommits, so after
-    it the accelerated verifier's cross-check finds Z(2) memoized at any sigma.
+    A sigma's memo starts from its `_ZERO_ROOTS` row, where Z(1) then costs one
+    call; a taller root under 2 or 3 is folded the first time it is needed.
+    Subtree 2 is the one `kvcqa.publish_kvc_auth` precommits, so after it the
+    accelerated verifier's cross-check finds Z(2) memoized at any sigma.
     """
-    memo = _ZERO_FOLDS.setdefault(sigma, {})
+    memo = _ZERO_FOLDS.get(sigma)
+    if memo is None:
+        memo = _ZERO_FOLDS[sigma] = dict(zip((2, 3), _ZERO_ROOTS.get(sigma, ())))
     if root in memo:
         return memo[root]
     if sigma >> level(root) <= _SHORT:

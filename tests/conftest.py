@@ -1,9 +1,18 @@
+import contextlib
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis imports libcst, where it is installed, to explain a failing test, and that import
+# warns DeprecationWarning; under `-W error` the warning would end the session in an INTERNALERROR
+# instead of the falsifying example.  Imported once here with the warning ignored, it is not raised.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import libcst  # noqa: F401
 
 from qdigest_auth.digest import QDigest
 

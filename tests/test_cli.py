@@ -588,6 +588,25 @@ def test_readme_command_block_in_fresh_processes(tmp_path):
     assert qdigest("query", "q1.qd", "--q", "1/0").returncode == 2
 
 
+def test_a_fresh_accelerated_verify_at_sigma_2_12_prints_the_warm_line(tmp_path, capsys):
+    """Z(2) is shipped from sigma 2**11 up, so a fresh process's cross-check folds no zero subtree:
+    with the stop past subtree 2 it prints the line of a warm in-process call, insert_ops included."""
+    sigma = 2**12
+    freqs = write_freqs(tmp_path / "f.tsv", random_frequencies(random.Random(12), sigma, max_distinct=1_000))
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", freqs, "--sigma", str(sigma), "--k", "64", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])  # memoizes Z(2)
+    main(["prove", str(digest), "--q", "3/4", "--output", str(proof)])
+    assert not subtree_test(2, sigma)(proof_from_text(read_text(proof)).counted[-1][0])
+    argv = ["verify", "--proof", str(proof), "--auth", str(kvc_f), "--accelerated"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("accepted=1 reason=ok insert_ops=")
+    run = fresh_cli(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (0, printed, "")
+
+
 def test_a_cold_accelerated_verify_at_sigma_2_16_prints_what_main_prints(tmp_path, capsys, monkeypatch):
     """At q = 1 the accelerated fold passes 2**13 nodes, so a fresh process may fork the helper;
     it prints main's line and exits, leaving no process that holds its output open."""

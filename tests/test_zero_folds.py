@@ -7,7 +7,8 @@ remainder also subtracts the zero fold of the post-order prefix up to its
 stop, and `qqv_fast` adds that prefix back.  They must equal the literal
 fold of one insertion per node.  Nodes
 1, 2 and 3 and subtrees of more than 64 leaves are memoized, so the
-domains below reach sigma = 2**10.
+domains below reach sigma = 2**10; from 2**11 up Z(2) and Z(3) are
+shipped constants, checked here against the literal fold.
 Once the memo of a sigma is warm, the SHA-256 calls depend on the
 buckets, not on sigma.
 """
@@ -20,7 +21,7 @@ import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,12 +182,22 @@ def calls_of(fn, *args):
 SUFFIX_CALLS = 4 * commitment._SHORT
 
 
-@pytest.mark.parametrize("sigma", [2**12, 2**16])
-def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
+def warm(sigma):
+    """Fold every zero subtree `_zero_fold` memoizes at sigma: each root with more than `_SHORT` leaves."""
+    for root in range(1, sigma // commitment._SHORT):
+        commit_subtrees(sigma, [root], ())
+
+
+def wide_digest(sigma):
     rng = random.Random(sigma)
     freqs = {v: rng.randint(1, 50) for v in rng.sample(range(1, sigma + 1), 2000)}
-    q = build_from_frequencies(freqs, 64, sigma)
-    commit_digest(q)  # warms the memo of this sigma
+    return build_from_frequencies(freqs, 64, sigma)
+
+
+@pytest.mark.parametrize("sigma", [2**12, 2**16])
+def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
+    q = wide_digest(sigma)
+    warm(sigma)
     assert calls_of(commit_digest, q) == 2 * q.size
     left = sum(1 for node in q.buckets() if subtree_test(2, sigma)(node))
     assert calls_of(subtree_commitment, q, 2) == 2 * left
@@ -201,6 +212,20 @@ def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
     assert len(commitment._ZERO_FOLDS[sigma]) <= 2 * sigma // 64
 
 
+def test_the_shipped_zero_roots_are_the_literal_zero_folds():
+    """Each tree is the top of the next, so one pass up the largest tree, a level at a time, gives
+    every sigma's Z(2) and Z(3) through `commit_records`, with neither the table nor `_zero_fold`."""
+    z2 = z3 = Commitment(0)
+    folds = {}
+    for depth in range(1, COMMIT_MAX_SIGMA.bit_length()):
+        first, middle, end = 1 << depth, 3 << (depth - 1), 2 << depth  # subtree 2's nodes, then 3's
+        z2 = combine(z2, commit_records(zip(range(first, middle), repeat(0))))
+        z3 = combine(z3, commit_records(zip(range(middle, end), repeat(0))))
+        folds[1 << depth] = (z2.acc, z3.acc)
+    assert list(commitment._ZERO_ROOTS) == [1 << depth for depth in range(11, COMMIT_MAX_SIGMA.bit_length())]
+    assert commitment._ZERO_ROOTS == {sigma: folds[sigma] for sigma in commitment._ZERO_ROOTS}
+
+
 def test_bench_reports_the_counted_prover_calls():
     rows = run_bench([1024], [4], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)
     assert all(0 <= row.prover_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
@@ -208,9 +233,10 @@ def test_bench_reports_the_counted_prover_calls():
 
 
 @pytest.mark.parametrize("sigma", [2**12, 2**16])
-def test_bench_reports_the_counted_fast_verifier_calls(sigma):
-    rows = run_bench([sigma], [64], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)  # commits first: warm
+def test_bench_reports_the_counted_fast_verifier_calls(sigma, cold_zero_folds):
+    rows = run_bench([sigma], [64], [Fraction(0), Fraction(1, 2), Fraction(1)], seed=0)  # proves twice: warm
     assert all(row.accepted and row.fast_verifier_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
+    assert all(row.prover_sha256_calls <= 2 * row.digest_size + SUFFIX_CALLS for row in rows)
     assert format_bench_table(rows).split()[6] == "fst_sha"
 
 
@@ -240,6 +266,13 @@ def cold_zero_folds():
     yield
     commitment._ZERO_FOLDS.clear()
     commitment._ZERO_FOLDS.update(saved)
+
+
+@pytest.mark.parametrize("sigma", [2**16, COMMIT_MAX_SIGMA])
+def test_a_cold_commitment_at_a_shipped_sigma_folds_only_the_buckets_and_the_root(sigma, cold_zero_folds):
+    q = wide_digest(sigma)
+    assert calls_of(commit_digest, q) == 2 * q.size + 1  # Z(1) = Z(2) + Z(3) + H(1, 0)
+    assert commitment._ZERO_FOLDS[sigma].keys() == {1, 2, 3}
 
 
 def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds):
