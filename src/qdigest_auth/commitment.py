@@ -31,18 +31,19 @@ sequences of node indices: a short subtree of `_zero_fold` comes as one
 range per level, a literal verifier's prefix as one range per level of
 each `tree.prefix_roots` subtree (up to 17 roots at sigma 2^16), and
 `commit_subtrees`'s corrections as the bucket nodes, folded once at
-their counts and once at zero.  It makes one SHA-256 call per node;
-`_RECORD` is the one layout of an insertion's bytes, in `serialize`'s widths.
+their counts and once at zero, and `_contribution` as one node.  Only
+`_fold_part` hashes, one SHA-256 call per node, and only `fold_ranges`
+counts, per thread; `_RECORD` is the one layout of an insertion's bytes.
 
-A fold of 2^13 nodes or more (`_SPLIT_NODES`) is cut at half its
-nodes: a helper process, forked on first use and reaped at exit, is sent
-one half as pickled ranges through a pipe and sums it while the caller
-sums the other; addition commutes, so the sum is the same.  Below that
+A fold of 2^13 nodes or more (`_SPLIT_NODES`) is split: a helper process,
+forked on first use and reaped at exit, is sent the second half of every
+range through a pipe and replies with one sum while the caller sums the
+first halves; addition commutes, so the sum is the same.  Below that
 size a round trip (about 50 us on a 2-vCPU VM, and a few ms for the fork)
 costs more than it saves.  The fold stays in-process without `os.fork`,
 with fewer than two usable CPUs or a second thread, and in a forked
 child, which closes its copies of the pipes; if the fork fails or the
-helper dies or errs, the caller folds its half and drops the helper.
+helper dies or errs, the caller folds what it did not return and drops it.
 
 This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
@@ -61,7 +62,6 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 
 from .digest import QDigest
 from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
@@ -103,8 +103,12 @@ _ZERO_ROOTS = {
     1 << 20: (0x5adc56b07e5c65a563c9ba4b725eadc2663dafcadaf5659d090107a7b95486f2, 0x02d13fdb7103a6bd68de9a991adf73d47f939cd53735661ba707744c8c1da5b8),
 }
 
-_sha256_calls = 0
 
+class _Calls(threading.local):
+    made = 0  # the SHA-256 calls `fold_ranges` has counted in this thread
+
+
+_calls = _Calls()
 # A fold of at least this many nodes is split with the helper process,
 # once forked (the forking pid, its pid, the request pipe, the reply pipe).
 _SPLIT_NODES = 1 << 13
@@ -151,25 +155,21 @@ def initialize() -> Commitment:
 
 
 def sha256_calls() -> int:
-    """How many SHA-256 calls insertions have made for this process so far.
+    """How many SHA-256 calls insertions have made for this thread so far.
 
-    The calls the helper process makes for this process's folds are
+    The calls the helper process makes for this thread's folds are
     included, so a `hashlib` wrapper installed here sees only this
-    process's share of a fold of 2^13 nodes or more.  Not locked: calls
-    made by several threads at once may be undercounted.
+    process's share of a fold of 2^13 nodes or more.
     """
-    return _sha256_calls
+    return _calls.made
 
 
 def _contribution(key: int, value: int) -> int:
-    global _sha256_calls
     if not isinstance(key, int) or key < 0 or key >= KEY_LIMIT:
         raise ValueError(f"key {key!r} does not fit the fixed-width encoding")
     if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
-    _sha256_calls += 1
-    material = _RECORD.pack(_DOMAIN_TAG, key, value.to_bytes(VALUE_BYTES, "big"))
-    return int.from_bytes(hashlib.sha256(material).digest(), "big") % GROUP_PRIME
+    return fold_ranges([(key,)], {key: value}).acc
 
 
 def insert(c: Commitment, key: int, value: int) -> Commitment:
@@ -194,55 +194,48 @@ def commit_records(records) -> Commitment:
 def fold_ranges(ranges: list, counted: dict[int, int]) -> Commitment:
     """Fold of one insertion per node of a list of index ranges, valued counted.get(node, 0).
 
-    The loop behind every literal fold, without `_contribution`'s checks:
-    the nodes come from `tree` or lie in checked subtrees, so each fits
-    the key, and the counts must lie in [0, 2**128), as the caller has
-    checked.  It makes one SHA-256 call per node and reduces mod p once at
-    the end, which gives the residue of the sum of reduced contributions.
-    A fold of `_SPLIT_NODES` or more is shared with the helper process.
+    The loop behind every fold, with no checks of its own: `tree`, the
+    callers and `_contribution` ensure that each node fits the key and each
+    count lies in [0, 2**128).  It counts one SHA-256 call per node and
+    reduces mod p once, to the residue of the sum of reduced contributions.
+    From `_SPLIT_NODES` nodes, the helper folds the second half of every range.
     """
-    global _sha256_calls
     values = {node: cnt.to_bytes(VALUE_BYTES, "big") for node, cnt in counted.items()}
     nodes = sum(map(len, ranges))
     pipes = _helper_pipes() if nodes >= _SPLIT_NODES else None
-    total, calls = _fold_part(ranges, values) if pipes is None else _fold_in_two(ranges, values, nodes // 2, *pipes)
-    _sha256_calls += calls
+    total = _fold_part(ranges, values) if pipes is None else _fold_in_two(ranges, values, *pipes)
+    _calls.made += nodes
     return Commitment(total % GROUP_PRIME)
 
 
-def _fold_part(ranges, values: dict[int, bytes]) -> tuple[int, int]:
-    """The unreduced sum of the ranges' nodes' contributions at their encoded values, and the node count."""
+def _fold_part(ranges, values: dict[int, bytes]) -> int:
+    """The unreduced sum of the ranges' nodes' contributions at their encoded values."""
     sha256, from_bytes, pack, tag, value_of = hashlib.sha256, int.from_bytes, _RECORD.pack, _DOMAIN_TAG, values.get
-    total = calls = 0
+    total = 0
     for nodes in ranges:
         for node in nodes:
             total += from_bytes(sha256(pack(tag, node, value_of(node, _ZERO_VALUE))).digest(), "big")
-        calls += len(nodes)
-    return total, calls
+    return total
 
 
-def _fold_in_two(ranges, values, cut, requests, replies) -> tuple[int, int]:
-    """`_fold_part` of the first `cut` nodes here and of the rest in the helper, or here if the helper fails."""
+def _fold_in_two(ranges, values, requests, replies) -> int:
+    """`_fold_part` of the first half of every range here and of the second in the helper, or here what it did not return."""
     import pickle  # here and in the helper only: a process that never splits a fold does not load it
-    for at, nodes in enumerate(ranges):
-        if cut < len(nodes):
-            break
-        cut -= len(nodes)
-    ours, theirs = [*ranges[:at], nodes[:cut]], [nodes[cut:], *ranges[at + 1:]]
+    ours = [nodes[:len(nodes) // 2] for nodes in ranges]
+    theirs = [nodes[len(nodes) // 2:] for nodes in ranges]
     total = None
     try:
         pickle.dump((theirs, values), requests)
         requests.flush()
-        total, calls = _fold_part(ours, values)
-        their_total, their_calls = pickle.load(replies)
+        total = _fold_part(ours, values)
+        return total + pickle.load(replies)
     except BaseException as exc:
         _stop_helper()  # an exchange cut short would leave part of a message in a pipe
         if not isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
             raise
-        if total is None:  # the request did not reach the helper
-            return _fold_part(ranges, values)
-        their_total, their_calls = _fold_part(theirs, values)
-    return total + their_total, calls + their_calls
+    if total is None:  # the request did not reach the helper
+        total = _fold_part(ours, values)
+    return total + _fold_part(theirs, values)
 
 
 def _helper_pipes():
@@ -352,11 +345,9 @@ def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
     if sigma > COMMIT_MAX_SIGMA:
         raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
     counted = dict(buckets)
-    counts = counted.values()
-    typed = all(map(isinstance, counts, repeat(int)))
-    if not typed or min(counts, default=0) < 0 or max(counts, default=0) >= VALUE_LIMIT:
-        bad = next(cnt for cnt in counts if not isinstance(cnt, int) or not 0 <= cnt < VALUE_LIMIT)
-        raise ValueError(f"value {bad!r} does not fit the fixed-width encoding")
+    for cnt in counted.values():
+        if not isinstance(cnt, int) or not 0 <= cnt < VALUE_LIMIT:
+            raise ValueError(f"value {cnt!r} does not fit the fixed-width encoding")
     nodes = [list(counted)]
     corrections = fold_ranges(nodes, counted).acc - fold_ranges(nodes, {}).acc
     return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)

@@ -271,10 +271,9 @@ def qqv_accelerated(
             best_size, best, inside = size, root, claims
     before = sha256_calls()
     # The counted claims inside a skipped subtree must rebuild its precommitment; O(|claims|), so first.
-    if best is not None and commit_subtrees(sigma, [best], inside) != precomputed[best]:
-        return _verdict(False, sha256_calls() - before)
+    rebuilt = best is None or commit_subtrees(sigma, [best], inside) == precomputed[best]
     start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
-    return _verdict(_fold_to_stop(proof, start, sigma, skip=best) == c, sha256_calls() - before)
+    return _verdict(rebuilt and _fold_to_stop(proof, start, sigma, skip=best) == c, sha256_calls() - before)
 
 
 def proof_to_text(proof: QuantileProof) -> str:

@@ -552,12 +552,23 @@ def test_verify_rejects_an_oversized_stop_count(tmp_path, s1_file, extra, capsys
     assert "reason=malformed" in capsys.readouterr().out
 
 
-def fresh_cli(argv, cwd=None):
-    """`python -m qdigest_auth.cli` with these arguments in a new process, on this checkout's src."""
+def fresh_python(args, cwd=None):
+    """`python` with these arguments in a new process, on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "qdigest_auth.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
+def fresh_cli(argv, cwd=None):
+    """`python -m qdigest_auth.cli` with these arguments in a new process."""
+    return fresh_python(["-m", "qdigest_auth.cli", *argv], cwd)
+
+
+def test_importing_the_cli_leaves_pickle_unloaded():
+    """Only a fold split with the helper process imports `pickle`, so a process that never
+    splits one does not pay for it (about 0.4 MB of peak RSS)."""
+    run = fresh_python(["-c", "import sys, qdigest_auth.cli; print('pickle' in sys.modules)"])
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_readme_command_block_in_fresh_processes(tmp_path):

@@ -406,20 +406,23 @@ def helper_pid():
 
 
 @st.composite
-def straddling_folds(draw):
-    """About 2**13 contiguous nodes at sigma 2**14, cut into shuffled ranges and lists with none ending at
-    the midpoint, so the split slices a range; the nodes on both sides of the midpoint are counted."""
+def halved_folds(draw):
+    """About 2**13 contiguous nodes at sigma 2**14, cut into shuffled ranges and lists that always include an
+    empty and a one-node piece, and often more empty and odd-length ones from repeated and free cuts; the
+    split halves every piece, and the nodes on both sides of each piece's half are counted."""
     size = draw(st.sampled_from([SPLIT - 1, SPLIT]) | st.integers(SPLIT - 64, SPLIT + 4096))
     start = draw(st.integers(1, 2**15 - size))
-    ends = sorted(draw(st.sets(st.integers(1, size - 1).filter(lambda end: end != size // 2), max_size=6)))
+    single = draw(st.integers(0, size - 1))
+    ends = sorted([single, single, single + 1, *draw(st.lists(st.integers(0, size), max_size=6))])
     pieces = [range(start + lo, start + hi) for lo, hi in zip([0, *ends], [*ends, size])]
+    near = [node for nodes in pieces for node in nodes[max(len(nodes) // 2 - 1, 0):len(nodes) // 2 + 1]]
     pieces = [list(nodes) if draw(st.booleans()) else nodes for nodes in draw(st.permutations(pieces))]
-    near = [start + size // 2 - 1, start + size // 2, *draw(st.lists(st.integers(1, 2**15 - 1), max_size=8))]
+    near += draw(st.lists(st.integers(1, 2**15 - 1), max_size=8))
     return pieces, {node: draw(st.integers(0, 2**128 - 1)) for node in near}
 
 
 @settings(max_examples=25, deadline=None)
-@given(straddling_folds())
+@given(halved_folds())
 def test_a_fold_split_with_the_helper_is_the_in_process_fold(fold):
     ranges, counted = fold
     nodes = [node for piece in ranges for node in piece]
@@ -521,3 +524,31 @@ def test_a_forked_child_folds_without_its_parents_helper():
     assert commitment._helper is helper and not any(pipe.closed for pipe in helper[2:])
     assert fold_ranges(ranges, counted) == expected
     assert commitment._helper is helper
+
+
+def test_verifiers_in_two_threads_each_count_only_their_own_calls():
+    """Two threads verifying one proof at once each report the single-thread verdicts and `insert_ops`:
+    `sha256_calls` counts per thread.  With a second thread running, every fold stays in-process."""
+    sigma = 2**12
+    q = wide_digest(sigma)
+    auth = publish_kvc_auth(q)
+    c, precomputed = auth.commitment, auth.subtrees
+    proof = aqq(q, Fraction(3, 4))
+    verifiers = [lambda: qqv(proof, c, q.n, sigma), lambda: qqv_fast(proof, c, q.n, sigma),
+                 lambda: qqv_accelerated(proof, c, precomputed, q.n, sigma)]
+    alone = [verify() for verify in verifiers * 2][len(verifiers):]  # the second round: every zero fold memoized
+    assert all(stats.accepted for stats in alone) and alone[0].insert_ops >= SPLIT // 2
+    start = threading.Barrier(2)
+    reported = [[], []]
+
+    def verify_repeatedly(out):
+        start.wait()
+        for _ in range(20):
+            out.extend(verify() for verify in verifiers)
+
+    threads = [threading.Thread(target=verify_repeatedly, args=(out,)) for out in reported]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert reported == [alone * 20] * 2
