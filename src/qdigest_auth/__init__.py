@@ -40,7 +40,6 @@ from .digest import (
 from .kvcqa import (
     KvcAuthInfo,
     QuantileProof,
-    VerificationStats,
     aqq,
     malicious_aqq_omit_left,
     qqv,
@@ -58,7 +57,8 @@ from .scenario import (
 )
 from .serialize import digest_from_bytes, digest_to_bytes, load_digest, load_frequencies
 from .tree import node_range, post_order_nodes, post_order_rank
-from .wda import WdaAuthInfo, WdaVerdict, wda_authinfo, wda_verify
+from .verdict import VerificationStats
+from .wda import WdaAuthInfo, wda_authinfo, wda_verify
 
 __all__ = [
     "Commitment",
@@ -71,7 +71,6 @@ __all__ = [
     "ValidityReport",
     "VerificationStats",
     "WdaAuthInfo",
-    "WdaVerdict",
     "aqq",
     "build_from_frequencies",
     "build_privacy_profile",

@@ -13,18 +13,10 @@ from fractions import Fraction
 
 from .bench import format_bench_table, run_bench
 from .digest import coarsen, merge, quantile_fraction, quantile_query, validate
-from .kvcqa import (
-    REASON_MALFORMED,
-    KvcAuthInfo,
-    aqq,
-    proof_from_text,
-    proof_to_text,
-    publish_kvc_auth,
-    qqv_accelerated,
-    qqv_fast,
-)
+from .kvcqa import KvcAuthInfo, aqq, proof_from_text, proof_to_text, publish_kvc_auth, qqv_accelerated, qqv_fast
 from .scenario import parse_scenario, run_scenario
 from .serialize import dump_digest, load_digest, load_frequencies, read_text, write_text
+from .verdict import REASON_MALFORMED, VerificationStats
 from .wda import WdaAuthInfo, wda_authinfo, wda_verify
 
 EXIT_OK = 0
@@ -155,21 +147,21 @@ def cmd_verify(args) -> int:
     wda = args.proof is None
     # the trusted file is read first, so that its parse errors stay usage errors
     auth = (WdaAuthInfo if wda else KvcAuthInfo).parse(read_text(args.auth))
+    detail = ""
     try:  # the responder's file: bytes that do not parse are a malformed response, not a usage error
         received = load_digest(args.digest) if wda else proof_from_text(read_text(args.proof))
     except ValueError as exc:
-        print(f"accepted=0 reason={REASON_MALFORMED}{'' if wda else ' insert_ops=0'} detail={exc}")
-        return EXIT_REJECT
-    if wda:
-        verdict = wda_verify(received, auth)
-        print(f"accepted={int(verdict.accepted)} reason={verdict.reason}")
-        return EXIT_OK if verdict.accepted else EXIT_REJECT
-    if args.accelerated:
-        stats = qqv_accelerated(received, auth.commitment, auth.subtrees, auth.n, auth.sigma, auth.leaf_width)
+        verdict, detail = VerificationStats(False, REASON_MALFORMED, 0), f" detail={exc}"
     else:
-        stats = qqv_fast(received, auth.commitment, auth.n, auth.sigma, auth.leaf_width)
-    print(f"accepted={int(stats.accepted)} reason={stats.reason} insert_ops={stats.insert_ops}")
-    return EXIT_OK if stats.accepted else EXIT_REJECT
+        if wda:
+            verdict = wda_verify(received, auth)
+        elif args.accelerated:
+            verdict = qqv_accelerated(received, auth.commitment, auth.subtrees, auth.n, auth.sigma, auth.leaf_width)
+        else:
+            verdict = qqv_fast(received, auth.commitment, auth.n, auth.sigma, auth.leaf_width)
+    ops = "" if wda else f" insert_ops={verdict.insert_ops}"
+    print(f"accepted={int(verdict.accepted)} reason={verdict.reason}{ops}{detail}")
+    return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
 def cmd_simulate(args) -> int:

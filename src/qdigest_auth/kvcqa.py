@@ -37,12 +37,11 @@ so remainder = C - fold(claimed prefix) makes any prefix that passes the
 bracket checks verify (README, "Security caveat").  Soundness needs a
 key-value commitment without a public inverse.
 
-All q*n comparisons use exact rational arithmetic so prover and verifier
-can never disagree on a boundary.
-
-The text formats of proofs and of the source's KVC auth files
-(`KvcAuthInfo`) live here too, with `publish_kvc_auth`, the source side
-of the scheme.
+The checks that need no commitment (shape, post-order, the bracket of
+q*n) and the verdict record live in `verdict`; this module adds the
+remainder check and `commitment-mismatch`.  The text formats of proofs
+and of the source's KVC auth files (`KvcAuthInfo`) live here too, with
+`publish_kvc_auth`, the source side of the scheme.
 """
 
 from dataclasses import dataclass, replace
@@ -61,21 +60,11 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import VALUE_LIMIT, check_auth_parameters, header_fields, index_counts, require_canonical
-from .tree import (
-    is_power_of_two,
-    post_order_rank,
-    prefix_ranges,
-    prefix_roots,
-    subtree_size,
-    subtree_test,
-)
+from .serialize import check_auth_parameters, header_fields, index_counts, require_canonical
+from .tree import is_power_of_two, post_order_rank, prefix_ranges, prefix_roots, subtree_size, subtree_test
+from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
 
-REASON_OK = "ok"
-REASON_COUNT_TOO_LOW = "count-too-low"
-REASON_PREFIX_OVERSHOOT = "prefix-overshoot"
 REASON_COMMITMENT_MISMATCH = "commitment-mismatch"
-REASON_MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)
@@ -87,15 +76,6 @@ class QuantileProof:
     answer: int
     counted: tuple[tuple[int, int], ...]
     remainder: Commitment
-
-
-@dataclass(frozen=True)
-class VerificationStats:
-    """A verdict, its reason code and insert_ops: the SHA-256 calls made, 0 for a reject before any commitment work."""
-
-    accepted: bool
-    reason: str
-    insert_ops: int
 
 
 def aqq(q: QDigest, fraction) -> QuantileProof:
@@ -138,50 +118,11 @@ def _respond(q: QDigest, frac: Fraction, buckets) -> QuantileProof:
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
 
 
-def _shape_error(proof: QuantileProof, n: int, sigma: int, leaf_width: int):
-    """Structural checks that need no commitment work; returns a reason or None."""
-    if not isinstance(proof.q, Fraction) or not 0 <= proof.q <= 1:
-        return "quantile out of range"
-    if proof.n != n:
-        return "claimed n disagrees with trusted n"
-    if not isinstance(proof.remainder, Commitment):
-        return "remainder is not a commitment"
-    counted = proof.counted
-    if not isinstance(counted, tuple) or not counted or any(not isinstance(e, tuple) or len(e) != 2 for e in counted):
-        return "counted prefix is not a non-empty tuple of (index, count) pairs"
-    last_rank = 0
-    for node, cnt in counted:
-        if not isinstance(node, int) or not 1 <= node <= 2 * sigma - 1:
-            return f"unknown node index {node!r}"
-        if not isinstance(cnt, int) or not 1 <= cnt < VALUE_LIMIT:
-            return f"count for node {node} outside [1, 2**128)"
-        rank = post_order_rank(node, sigma)
-        if rank <= last_rank:
-            return "counted prefix is not strictly increasing in post-order"
-        last_rank = rank
-    if sum(cnt for _, cnt in counted) > n:
-        return f"counted prefix sums to more than the trusted n={n}"
-    stop = proof.counted[-1][0]
-    if proof.answer != range_top(stop, sigma, leaf_width):
-        return "answer does not match the stop bucket's range"
-    return None
-
-
 def _precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> VerificationStats | None:
-    """The checks before any commitment work: shape, then the bracket of q*n.
-
-    Returns the reject, or None when the commitment fold must decide.
-    """
-    if _shape_error(proof, n, sigma, leaf_width) is not None:
+    """`verdict.precheck`, once the remainder is a commitment: the checks before any commitment work."""
+    if not isinstance(proof.remainder, Commitment):
         return VerificationStats(False, REASON_MALFORMED, 0)
-    # The counts are at least 1, so the prover's stop rule, `counted_prefix`, trims
-    # the prefix iff it overshoots, and returns it whole when it never reaches q*n.
-    target = proof.q * n
-    if len(counted_prefix(proof.counted, target)) < len(proof.counted):
-        return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
-    if sum(cnt for _, cnt in proof.counted) < target:
-        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
-    return None
+    return precheck(proof, n, sigma, leaf_width)
 
 
 def _verdict(matches: bool, ops: int) -> VerificationStats:

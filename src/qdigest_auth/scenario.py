@@ -139,7 +139,7 @@ def run_session(scenario: Scenario, source_digest: QDigest) -> list[QueryRecord]
         size = len(digest_to_bytes(responder_digest))
         verdict = wda_verify(responder_digest, wda_authinfo(source_digest))
         return [
-            QueryRecord(q, quantile_query(responder_digest, q), verdict.accepted, 0, size, verdict.reason)
+            QueryRecord(q, quantile_query(responder_digest, q), verdict.accepted, verdict.insert_ops, size, verdict.reason)
             for q in scenario.queries
         ]
 

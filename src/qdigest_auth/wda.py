@@ -4,7 +4,9 @@ The trusted source publishes the hash of a digest's canonical bytes; a
 user who receives the digest from an untrusted responder recomputes the
 hash and additionally checks that what arrived is structurally a valid
 digest within the size bound, so that even a (hypothetical) hash
-collision would have to be a well-formed digest to be accepted.
+collision would have to be a well-formed digest to be accepted.  The
+verdict is the `verdict.VerificationStats` both schemes report, with
+insert_ops 0: the one SHA-256 call hashes bytes, not a commitment.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 from .digest import QDigest, validate
 from .serialize import MAX_SIGMA, check_auth_parameters, digest_to_bytes, header_fields, require_canonical
+from .verdict import REASON_OK, VerificationStats
 
 
 def hash_digest_bytes(data: bytes) -> bytes:
@@ -47,24 +50,18 @@ class WdaAuthInfo:
         return auth
 
 
-@dataclass(frozen=True)
-class WdaVerdict:
-    accepted: bool
-    reason: str
-
-
 def wda_authinfo(q: QDigest) -> WdaAuthInfo:
     return WdaAuthInfo(digest_hash=hash_digest_bytes(digest_to_bytes(q)), sigma=q.sigma, k=q.k)
 
 
-def wda_verify(received: QDigest, auth: WdaAuthInfo) -> WdaVerdict:
+def wda_verify(received: QDigest, auth: WdaAuthInfo) -> VerificationStats:
     """Accept iff parameters echo, the hash matches, and the digest validates, checked in that order."""
     if (received.sigma, received.k) != (auth.sigma, auth.k):
-        return WdaVerdict(False, "parameter-mismatch")
+        return VerificationStats(False, "parameter-mismatch", 0)
     actual = hash_digest_bytes(digest_to_bytes(received))
     if not hmac.compare_digest(actual, auth.digest_hash):
-        return WdaVerdict(False, "hash-mismatch")
+        return VerificationStats(False, "hash-mismatch", 0)
     report = validate(received)
     if not report.ok or not report.size_bound_ok:
-        return WdaVerdict(False, "invalid-structure")
-    return WdaVerdict(True, "ok")
+        return VerificationStats(False, "invalid-structure", 0)
+    return VerificationStats(True, REASON_OK, 0)

@@ -304,3 +304,11 @@ def test_package_imports_are_module_level_and_acyclic():
                 nested.append(f"{path.name}:{node.lineno}")
     assert nested == []
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
+
+
+def test_the_verdict_module_imports_no_scheme():
+    """`verdict` sits below `commitment`, `wda` and `kvcqa`, so a new scheme takes the answer checks alone."""
+    tree = ast.parse((Path(qdigest_auth.__file__).parent / "verdict.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"dataclasses", "fractions", ".digest", ".serialize", ".tree"}

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from qdigest_auth import VerificationStats
 from qdigest_auth.digest import QDigest, build_from_frequencies
 from qdigest_auth.serialize import digest_from_bytes, digest_to_bytes, read_text, write_text
-from qdigest_auth.wda import WdaAuthInfo, wda_authinfo, wda_verify
+from qdigest_auth.wda import WdaAuthInfo, hash_digest_bytes, wda_authinfo, wda_verify
 
 from helpers import random_digest
 
@@ -68,6 +69,25 @@ def test_structurally_invalid_digest_rejected_even_with_matching_hash():
     forged_auth = WdaAuthInfo(hash_digest_bytes(digest_to_bytes(bogus)), 8, 4)
     verdict = wda_verify(bogus, forged_auth)
     assert not verdict.accepted and verdict.reason == "invalid-structure"
+
+
+def test_every_outcome_is_the_shared_verdict_record_with_no_insert_ops(example2_digest):
+    auth = wda_authinfo(example2_digest)
+    raised = example2_digest.buckets()
+    raised[10] += 1
+    bogus = QDigest(8, 4, {2: 50, 4: 1, 5: 1, 3: 50})
+    outcomes = [
+        wda_verify(example2_digest, auth),
+        wda_verify(QDigest(8, 6, example2_digest.buckets()), auth),
+        wda_verify(QDigest(8, 5, raised), auth),
+        wda_verify(bogus, WdaAuthInfo(hash_digest_bytes(digest_to_bytes(bogus)), 8, 4)),
+    ]
+    assert outcomes == [
+        VerificationStats(True, "ok", 0),
+        VerificationStats(False, "parameter-mismatch", 0),
+        VerificationStats(False, "hash-mismatch", 0),
+        VerificationStats(False, "invalid-structure", 0),
+    ]
 
 
 def test_random_round_trips():
