@@ -1,12 +1,26 @@
 """Shared generators and independent oracles for the test suite."""
 
+import os
 import random
 from fractions import Fraction
 
+import pytest
+
+from qdigest_auth import commitment
 from qdigest_auth.digest import QDigest, build_from_frequencies, digest_sum
 from qdigest_auth.tree import node_range, post_order_rank
 
 SIGMAS = [2**e for e in range(3, 11)]
+
+# Where a fold of `commitment._SPLIT_NODES` nodes or more is shared with the helper process.
+CAN_SPLIT = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+needs_helper = pytest.mark.skipif(not CAN_SPLIT, reason="the helper needs os.fork and two usable CPUs")
+
+
+def helper_pid():
+    """The pid of the helper this process forked, or None."""
+    helper = commitment._helper
+    return helper[1] if helper and helper[0] == os.getpid() else None
 
 
 def random_frequencies(rng: random.Random, sigma: int, max_distinct: int = 200, max_mult: int = 50):

@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import importlib
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdigest_auth import commitment
 from qdigest_auth.commitment import (
     GROUP_PRIME,
     Commitment,
@@ -11,6 +16,7 @@ from qdigest_auth.commitment import (
     commit_digest,
     commit_records,
     commit_subtrees,
+    fold_ranges,
     initialize,
     insert,
     inverse,
@@ -22,7 +28,7 @@ from qdigest_auth.commitment import (
 from qdigest_auth.digest import QDigest
 from qdigest_auth.tree import post_order_nodes
 
-from helpers import random_digest
+from helpers import helper_pid, needs_helper, random_digest
 
 records_strategy = st.lists(
     st.tuples(st.integers(1, 10**6), st.integers(0, 10**9)), max_size=60
@@ -200,3 +206,59 @@ def test_collision_smoke_over_many_distinct_digests():
         c = commit_digest(QDigest(8, 1000, counts)).to_bytes()
         assert c not in seen_commitments, (key, seen_commitments[c])
         seen_commitments[c] = key
+
+
+def hashlib_fold(ranges, counted):
+    """The fold node by node through `hashlib.sha256`, each insertion's bytes spelled out."""
+    total = 0
+    for nodes in ranges:
+        for node in nodes:
+            record = b"qdigest-kvc-v1" + node.to_bytes(8, "big") + counted.get(node, 0).to_bytes(16, "big")
+            total += int.from_bytes(hashlib.sha256(record).digest(), "big")
+    return Commitment(total % GROUP_PRIME)
+
+
+@st.composite
+def cut_folds(draw, sizes):
+    """A block of nodes cut into shuffled pieces (some empty), each a range, list, tuple or reversed range,
+    with counted nodes at, inside and just outside each piece's ends and half, and some anywhere."""
+    size = draw(sizes)
+    start = draw(st.integers(2, 2**14))
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=6)))
+    pieces = [range(start + lo, start + hi) for lo, hi in zip([0, *cuts], [*cuts, size])]
+    near = [node for nodes in pieces for i in (0, len(nodes) // 2, len(nodes)) for node in (nodes.start + i - 1, nodes.start + i)]
+    keys = draw(st.lists(st.sampled_from(near), max_size=12)) + draw(st.lists(st.integers(1, 2**15), max_size=4))
+    counts = st.sampled_from([0, 1, 2**128 - 1]) | st.integers(0, 2**128 - 1)
+    forms = [lambda nodes: nodes, list, tuple, lambda nodes: nodes[::-1]]
+    ranges = [draw(st.sampled_from(forms))(nodes) for nodes in draw(st.permutations(pieces))]
+    return ranges, {key: draw(counts) for key in keys}
+
+
+def check_fold(ranges, counted, sha256):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(commitment, "_sha256", sha256)
+        before = sha256_calls()
+        assert fold_ranges(ranges, counted) == hashlib_fold(ranges, counted)
+        assert sha256_calls() - before == sum(map(len, ranges))
+
+
+@given(cut_folds(st.integers(0, 80)), st.sampled_from([commitment._sha256, hashlib.sha256]))
+def test_fold_ranges_is_the_hashlib_fold_node_by_node(fold, sha256):
+    check_fold(*fold, sha256)
+
+
+@needs_helper
+@settings(max_examples=10, deadline=None)
+@given(cut_folds(st.integers(commitment._SPLIT_NODES, commitment._SPLIT_NODES + 256)))
+def test_a_split_fold_is_the_hashlib_fold_node_by_node(fold):
+    check_fold(*fold, commitment._sha256)
+    if threading.active_count() == 1:
+        assert helper_pid() is not None  # the helper folded half of it
+
+
+def test_the_fold_hashes_with_the_builtin_sha256_where_the_build_has_one():
+    builtins = []
+    for name in ("_sha2", "_sha256"):  # CPython 3.12+ and 3.10-3.11
+        with contextlib.suppress(ImportError):
+            builtins.append(importlib.import_module(name).sha256)
+    assert commitment._sha256 is (builtins[0] if builtins else hashlib.sha256)

@@ -60,7 +60,7 @@ from qdigest_auth.tree import (
     subtree_test,
 )
 
-from helpers import random_frequencies
+from helpers import CAN_SPLIT, helper_pid, needs_helper, random_frequencies
 
 QS = [Fraction(i, 8) for i in range(9)]
 
@@ -276,18 +276,23 @@ def test_a_cold_commitment_at_a_shipped_sigma_folds_only_the_buckets_and_the_roo
 
 
 def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds):
-    """`sha256_calls` agrees with a counter around `hashlib.sha256` and `hashlib.new`.
+    """`sha256_calls` agrees with a counter around `hashlib.sha256`, `hashlib.new` and the fold's `commitment._sha256`.
 
     Such a counter sees no `.copy()` of a hasher, so a fold that copied one
     would make fewer visible calls than it hashes, and this test would fail.
     """
     seen = 0
-    sha256, new = hashlib.sha256, hashlib.new
+    sha256, new, fold_sha256 = hashlib.sha256, hashlib.new, commitment._sha256
 
     def counted_sha256(*args, **kwargs):
         nonlocal seen
         seen += 1
         return sha256(*args, **kwargs)
+
+    def counted_fold_sha256(*args, **kwargs):
+        nonlocal seen
+        seen += 1
+        return fold_sha256(*args, **kwargs)
 
     def counted_new(*args, **kwargs):
         nonlocal seen
@@ -296,6 +301,7 @@ def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds
 
     monkeypatch.setattr(hashlib, "sha256", counted_sha256)
     monkeypatch.setattr(hashlib, "new", counted_new)
+    monkeypatch.setattr(commitment, "_sha256", counted_fold_sha256)
     sigma = 2**10
     q = seeded_digest(0, sigma)
     c, precomputed = commit_digest(q), subtree_commitment(q, 2)
@@ -395,14 +401,6 @@ def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, 
 
 # Folds of at least SPLIT nodes are shared with the helper process where it can run.
 SPLIT = commitment._SPLIT_NODES
-CAN_SPLIT = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-needs_helper = pytest.mark.skipif(not CAN_SPLIT, reason="the helper needs os.fork and two usable CPUs")
-
-
-def helper_pid():
-    """The pid of the helper this process forked, or None."""
-    helper = commitment._helper
-    return helper[1] if helper and helper[0] == os.getpid() else None
 
 
 @st.composite
