@@ -92,11 +92,6 @@ try:  # CPython's own SHA-256, the fold's constructor (see above); the lookup is
 except (AttributeError, ValueError):
     _sha256 = hashlib.sha256
 
-# The largest domain a commitment covers, and so the extent of _ZERO_ROOTS; a larger
-# sigma is refused.  It still bounds the cold folds of tall prefix roots: a first proof
-# whose stop lies deep in subtree 3 folds up to sigma - 1 nodes (0.6 s at 2**20, 2-vCPU Xeon).
-COMMIT_MAX_SIGMA = 1 << 20
-
 # Subtrees with at most this many leaves are folded node by node; taller
 # ones and nodes 1, 2 and 3 are memoized in _ZERO_FOLDS: sigma -> root -> Z(root).
 _SHORT = 64
@@ -116,6 +111,11 @@ _ZERO_ROOTS = {
     1 << 19: (0xb2b930bf1e7f247bf832648d24eb581a0dd0c03406ffaad187384a9c173e3f1f, 0xb3ffde55df304cc2ce42476d010959df05a4e7792eb56775e3e1f15cbadfe333),
     1 << 20: (0x5adc56b07e5c65a563c9ba4b725eadc2663dafcadaf5659d090107a7b95486f2, 0x02d13fdb7103a6bd68de9a991adf73d47f939cd53735661ba707744c8c1da5b8),
 }
+
+# The largest domain a commitment covers, the top of _ZERO_ROOTS; a larger sigma is
+# refused.  It still bounds the cold folds of tall prefix roots: a first proof whose
+# stop lies deep in subtree 3 folds up to sigma - 1 nodes (0.6 s at 2**20, 2-vCPU Xeon).
+COMMIT_MAX_SIGMA = max(_ZERO_ROOTS)
 
 
 class _Calls(threading.local):

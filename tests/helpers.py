@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -7,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from qdigest_auth import commitment
+from qdigest_auth.commitment import GROUP_PRIME, Commitment
 from qdigest_auth.digest import QDigest, build_from_frequencies, digest_sum
 from qdigest_auth.tree import node_range, post_order_rank
 
 SIGMAS = [2**e for e in range(3, 11)]
 
-# Where a fold of `commitment._SPLIT_NODES` nodes or more is shared with the helper process.
+# Folds of at least SPLIT nodes are shared with the helper process where CAN_SPLIT holds.
+SPLIT = commitment._SPLIT_NODES
 CAN_SPLIT = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 needs_helper = pytest.mark.skipif(not CAN_SPLIT, reason="the helper needs os.fork and two usable CPUs")
 
@@ -21,6 +24,21 @@ def helper_pid():
     """The pid of the helper this process forked, or None."""
     helper = commitment._helper
     return helper[1] if helper and helper[0] == os.getpid() else None
+
+
+# Bound at import, so a test that wraps or replaces `hashlib.sha256` leaves the oracle alone.
+_hashlib_sha256 = hashlib.sha256
+
+
+def hashlib_fold(records, counted=None) -> Commitment:
+    """The literal fold, each insertion's bytes spelled out: (node, value) pairs, or with `counted`
+    every node of a list of node sequences, valued counted.get(node, 0)."""
+    if counted is not None:
+        records = ((node, counted.get(node, 0)) for nodes in records for node in nodes)
+    sha256, from_bytes, tag = _hashlib_sha256, int.from_bytes, b"qdigest-kvc-v1"
+    total = sum(from_bytes(sha256(tag + node.to_bytes(8, "big") + value.to_bytes(16, "big")).digest(), "big")
+                for node, value in records)
+    return Commitment(total % GROUP_PRIME)
 
 
 def random_frequencies(rng: random.Random, sigma: int, max_distinct: int = 200, max_mult: int = 50):

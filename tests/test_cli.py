@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -569,6 +570,14 @@ def test_importing_the_cli_leaves_pickle_unloaded():
     splits one does not pay for it (about 0.4 MB of peak RSS)."""
     run = fresh_python(["-c", "import sys, qdigest_auth.cli; print('pickle' in sys.modules)"])
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def test_readme_python_quick_start_runs(capsys):
+    """The README's Python block as a user would run it: it prints the merged median, 6, and its proof verifies."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "6\n"
 
 
 def test_readme_command_block_in_fresh_processes(tmp_path):

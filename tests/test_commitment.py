@@ -22,13 +22,12 @@ from qdigest_auth.commitment import (
     inverse,
     member,
     sha256_calls,
-    subtree_commitment,
     subtree_commitments,
 )
 from qdigest_auth.digest import QDigest
-from qdigest_auth.tree import post_order_nodes
+from qdigest_auth.tree import post_order_rank, prefix_ranges, subtree_ranges
 
-from helpers import helper_pid, needs_helper, random_digest
+from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, random_digest
 
 records_strategy = st.lists(
     st.tuples(st.integers(1, 10**6), st.integers(0, 10**9)), max_size=60
@@ -84,13 +83,6 @@ def test_membership_examples():
     assert member(c2, p2, 10, 0)
 
 
-def test_commit_digest_covers_every_node_once(example2_digest):
-    expected = initialize()
-    for node in range(1, 16):
-        expected = insert(expected, node, example2_digest.count(node))
-    assert commit_digest(example2_digest) == expected
-
-
 def test_commit_digest_distinguishes_single_count_changes(example2_digest):
     other = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 7})
     assert commit_digest(other) != commit_digest(example2_digest)
@@ -99,27 +91,6 @@ def test_commit_digest_distinguishes_single_count_changes(example2_digest):
 def test_empty_digest_commitment_is_not_identity():
     assert commit_digest(QDigest(8, 4)) != initialize()
     assert commit_digest(QDigest(8, 4)) == commit_subtrees(8, [1], ())
-
-
-def test_subtree_partition_reconstructs_whole_commitment(example2_digest):
-    q = example2_digest
-    left = subtree_commitment(q, 2)
-    right = subtree_commitment(q, 3)
-    whole = insert(combine(left, right), 1, q.count(1))
-    assert whole == commit_digest(q)
-
-
-def test_left_subtree_covers_expected_nodes(example2_digest):
-    q = example2_digest
-    assert sorted(post_order_nodes(8, 2)) == [2, 4, 5, 8, 9, 10, 11]
-    expected = commit_records(
-        [(2, 0), (4, 0), (5, 0), (8, 0), (9, 0), (10, 4), (11, 6)]
-    )
-    assert subtree_commitment(q, 2) == expected
-
-
-def test_subtree_at_leaf_is_single_insertion(example2_digest):
-    assert subtree_commitment(example2_digest, 10) == commit_records([(10, 4)])
 
 
 def test_subtree_commitments_validates_roots(example2_digest):
@@ -151,7 +122,8 @@ def test_parse_rejects_malformed(text):
 
 
 def test_oversized_values_are_rejected():
-    insert(initialize(), 2**64 - 1, 2**128 - 1)  # the largest key and value fit the hashed record
+    # the largest key and value fit the hashed record
+    assert insert(initialize(), 2**64 - 1, 2**128 - 1) == hashlib_fold([(2**64 - 1, 2**128 - 1)])
     with pytest.raises(ValueError):
         insert(initialize(), 1, 1 << 128)
     with pytest.raises(ValueError):
@@ -208,30 +180,44 @@ def test_collision_smoke_over_many_distinct_digests():
         seen_commitments[c] = key
 
 
-def hashlib_fold(ranges, counted):
-    """The fold node by node through `hashlib.sha256`, each insertion's bytes spelled out."""
-    total = 0
-    for nodes in ranges:
-        for node in nodes:
-            record = b"qdigest-kvc-v1" + node.to_bytes(8, "big") + counted.get(node, 0).to_bytes(16, "big")
-            total += int.from_bytes(hashlib.sha256(record).digest(), "big")
-    return Commitment(total % GROUP_PRIME)
+COUNTS = st.sampled_from([0, 1, 2**128 - 1]) | st.integers(0, 2**128 - 1)
 
 
 @st.composite
-def cut_folds(draw, sizes):
+def cut_folds(draw, sizes, split=False):
     """A block of nodes cut into shuffled pieces (some empty), each a range, list, tuple or reversed range,
-    with counted nodes at, inside and just outside each piece's ends and half, and some anywhere."""
+    with counted nodes at, inside and just outside each piece's ends and half, and some anywhere.
+
+    With `split`, an empty and a one-node piece are always among them, and both nodes around each
+    piece's half, where the helper's split cuts it, are counted.
+    """
     size = draw(sizes)
-    start = draw(st.integers(2, 2**14))
-    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=6)))
+    start = draw(st.integers(1, 2**14))
+    cuts = draw(st.lists(st.integers(0, size), max_size=6))
+    if split:
+        single = draw(st.integers(0, size - 1))
+        cuts += [single, single, single + 1]
+    cuts.sort()
     pieces = [range(start + lo, start + hi) for lo, hi in zip([0, *cuts], [*cuts, size])]
     near = [node for nodes in pieces for i in (0, len(nodes) // 2, len(nodes)) for node in (nodes.start + i - 1, nodes.start + i)]
-    keys = draw(st.lists(st.sampled_from(near), max_size=12)) + draw(st.lists(st.integers(1, 2**15), max_size=4))
-    counts = st.sampled_from([0, 1, 2**128 - 1]) | st.integers(0, 2**128 - 1)
+    halves = [node for nodes in pieces for node in nodes[max(len(nodes) // 2 - 1, 0):len(nodes) // 2 + 1]] if split else []
+    keys = halves + draw(st.lists(st.sampled_from(near), max_size=12)) + draw(st.lists(st.integers(1, 2**15), max_size=8))
     forms = [lambda nodes: nodes, list, tuple, lambda nodes: nodes[::-1]]
     ranges = [draw(st.sampled_from(forms))(nodes) for nodes in draw(st.permutations(pieces))]
-    return ranges, {key: draw(counts) for key in keys}
+    return ranges, {key: draw(COUNTS) for key in keys}
+
+
+@st.composite
+def tree_folds(draw):
+    """At sigma 2**0 to 2**10, a prefix's ranges with or without a subtree skipped, or a subtree's,
+    with counted nodes anywhere in the tree."""
+    sigma = 2 ** draw(st.integers(0, 10))
+    stop, root = draw(st.integers(1, 2 * sigma - 1)), draw(st.integers(1, 2 * sigma - 1))
+    shapes = [prefix_ranges(stop, sigma), subtree_ranges(root, sigma)]
+    if post_order_rank(root, sigma) < post_order_rank(stop, sigma):
+        shapes.append(prefix_ranges(stop, sigma, skip=root))
+    keys = draw(st.lists(st.integers(1, 2 * sigma - 1), max_size=12))
+    return draw(st.sampled_from(shapes)), {key: draw(COUNTS) for key in keys}
 
 
 def check_fold(ranges, counted, sha256):
@@ -242,17 +228,16 @@ def check_fold(ranges, counted, sha256):
         assert sha256_calls() - before == sum(map(len, ranges))
 
 
-@given(cut_folds(st.integers(0, 80)), st.sampled_from([commitment._sha256, hashlib.sha256]))
+@given(cut_folds(st.integers(0, 80)) | tree_folds(), st.sampled_from([commitment._sha256, hashlib.sha256]))
 def test_fold_ranges_is_the_hashlib_fold_node_by_node(fold, sha256):
     check_fold(*fold, sha256)
 
 
-@needs_helper
-@settings(max_examples=10, deadline=None)
-@given(cut_folds(st.integers(commitment._SPLIT_NODES, commitment._SPLIT_NODES + 256)))
+@settings(max_examples=25, deadline=None)
+@given(cut_folds(st.sampled_from([SPLIT - 1, SPLIT]) | st.integers(SPLIT - 64, SPLIT + 4096), split=True))
 def test_a_split_fold_is_the_hashlib_fold_node_by_node(fold):
     check_fold(*fold, commitment._sha256)
-    if threading.active_count() == 1:
+    if CAN_SPLIT and sum(map(len, fold[0])) >= SPLIT and threading.active_count() == 1:
         assert helper_pid() is not None  # the helper folded half of it
 
 

@@ -21,10 +21,10 @@ import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
+from unittest.mock import Mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qdigest_auth import commitment
 from qdigest_auth.bench import format_bench_table, run_bench
@@ -34,7 +34,6 @@ from qdigest_auth.commitment import (
     Commitment,
     combine,
     commit_digest,
-    commit_records,
     commit_subtrees,
     fold_ranges,
     sha256_calls,
@@ -53,20 +52,19 @@ from qdigest_auth.kvcqa import (
 from qdigest_auth.tree import (
     post_order_nodes,
     post_order_rank,
-    prefix_ranges,
     prefix_roots,
     subtree_ranges,
     subtree_size,
     subtree_test,
 )
 
-from helpers import CAN_SPLIT, helper_pid, needs_helper, random_frequencies
+from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, needs_helper, random_frequencies
 
 QS = [Fraction(i, 8) for i in range(9)]
 
 
 def literal(q, nodes):
-    return commit_records((node, q.count(node)) for node in nodes)
+    return hashlib_fold((node, q.count(node)) for node in nodes)
 
 
 def literal_remainder(q, stop, hidden=()):
@@ -80,16 +78,16 @@ def seeded_digest(seed, sigma):
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 256, 1024])
-def test_commitments_equal_the_literal_fold_at_every_root(sigma):
-    for seed in range(2):
-        q = seeded_digest(seed, sigma)
+def test_commitments_equal_the_literal_fold_at_every_root(sigma, example2_digest):
+    examples = [example2_digest] if sigma == example2_digest.sigma else []
+    for q in [seeded_digest(0, sigma), seeded_digest(1, sigma), *examples]:
         assert commit_digest(q) == literal(q, post_order_nodes(sigma))
         # the literal zero fold of the post-order prefix up to each root, one node at a time
-        prefixes = accumulate((commit_records([(node, 0)]) for node in post_order_nodes(sigma)), combine)
+        prefixes = accumulate((hashlib_fold([(node, 0)]) for node in post_order_nodes(sigma)), combine)
         for root, prefix in zip(post_order_nodes(sigma), prefixes):
             nodes = list(post_order_nodes(sigma, root))
             assert subtree_commitment(q, root) == literal(q, nodes), root
-            assert commit_subtrees(sigma, [root], ()) == commit_records((node, 0) for node in nodes), root
+            assert commit_subtrees(sigma, [root], ()) == hashlib_fold([nodes], {}), root
             assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
     # nodes 1, 2 and 3 and every subtree of more than 64 leaves are memoized, and no other
     assert len(commitment._ZERO_FOLDS[sigma]) == min(2 * sigma - 1, max(sigma // 64 - 1, 3))
@@ -114,7 +112,7 @@ def literal_verifier_fold(proof, sigma):
     """The group element `qqv` compares with C: the remainder plus one insertion per node up to the stop."""
     counted = dict(proof.counted)
     nodes = islice(post_order_nodes(sigma), post_order_rank(proof.counted[-1][0], sigma))
-    return combine(proof.remainder, commit_records((node, counted.get(node, 0)) for node in nodes))
+    return combine(proof.remainder, hashlib_fold([nodes], counted))
 
 
 def verifier_cases(q, rng):
@@ -144,24 +142,6 @@ def test_the_fast_verifier_folds_to_the_literal_group_element(sigma):
             if literal_stats.insert_ops:  # the checks before the fold passed
                 # qqv_fast accepts against a commitment iff its fold is that group element
                 assert qqv_fast(proof, literal_verifier_fold(proof, sigma), q.n, sigma).accepted, proof
-
-
-@pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 1024])
-def test_fold_ranges_is_the_literal_fold_of_its_nodes(sigma):
-    rng = random.Random(f"fold-ranges:{sigma}")
-    for _ in range(25):
-        stop, root = rng.randrange(1, 2 * sigma), rng.randrange(1, 2 * sigma)
-        cases = [prefix_ranges(stop, sigma), subtree_ranges(root, sigma)]
-        if post_order_rank(root, sigma) < post_order_rank(stop, sigma):
-            cases.append(prefix_ranges(stop, sigma, skip=root))
-        values = [0, 1, rng.randrange(2**128), 2**128 - 1]
-        counted = {rng.randrange(1, 2 * sigma): rng.choice(values) for _ in range(rng.randrange(12))}
-        for ranges in cases:
-            nodes = [node for nodes in ranges for node in nodes]
-            before = sha256_calls()
-            fold = fold_ranges(ranges, counted)
-            assert sha256_calls() - before == len(nodes)
-            assert fold == commit_records((node, counted.get(node, 0)) for node in nodes), (stop, root, counted)
 
 
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
@@ -214,13 +194,13 @@ def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
 
 def test_the_shipped_zero_roots_are_the_literal_zero_folds():
     """Each tree is the top of the next, so one pass up the largest tree, a level at a time, gives
-    every sigma's Z(2) and Z(3) through `commit_records`, with neither the table nor `_zero_fold`."""
+    every sigma's Z(2) and Z(3) through the literal fold, with neither the table nor `_zero_fold`."""
     z2 = z3 = Commitment(0)
     folds = {}
     for depth in range(1, COMMIT_MAX_SIGMA.bit_length()):
         first, middle, end = 1 << depth, 3 << (depth - 1), 2 << depth  # subtree 2's nodes, then 3's
-        z2 = combine(z2, commit_records(zip(range(first, middle), repeat(0))))
-        z3 = combine(z3, commit_records(zip(range(middle, end), repeat(0))))
+        z2 = combine(z2, hashlib_fold([range(first, middle)], {}))
+        z3 = combine(z3, hashlib_fold([range(middle, end)], {}))
         folds[1 << depth] = (z2.acc, z3.acc)
     assert list(commitment._ZERO_ROOTS) == [1 << depth for depth in range(11, COMMIT_MAX_SIGMA.bit_length())]
     assert commitment._ZERO_ROOTS == {sigma: folds[sigma] for sigma in commitment._ZERO_ROOTS}
@@ -282,26 +262,16 @@ def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds
     would make fewer visible calls than it hashes, and this test would fail.
     """
     seen = 0
-    sha256, new, fold_sha256 = hashlib.sha256, hashlib.new, commitment._sha256
 
-    def counted_sha256(*args, **kwargs):
-        nonlocal seen
-        seen += 1
-        return sha256(*args, **kwargs)
+    def counted(constructor):
+        def counting(*args, **kwargs):
+            nonlocal seen
+            seen += 1
+            return constructor(*args, **kwargs)
+        return counting
 
-    def counted_fold_sha256(*args, **kwargs):
-        nonlocal seen
-        seen += 1
-        return fold_sha256(*args, **kwargs)
-
-    def counted_new(*args, **kwargs):
-        nonlocal seen
-        seen += 1
-        return new(*args, **kwargs)
-
-    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
-    monkeypatch.setattr(hashlib, "new", counted_new)
-    monkeypatch.setattr(commitment, "_sha256", counted_fold_sha256)
+    for module, name in ((hashlib, "sha256"), (hashlib, "new"), (commitment, "_sha256")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     sigma = 2**10
     q = seeded_digest(0, sigma)
     c, precomputed = commit_digest(q), subtree_commitment(q, 2)
@@ -399,39 +369,6 @@ def test_a_tamper_inside_the_skipped_subtree_is_rejected_before_the_fold(sigma, 
         assert [raised.insert_ops, omitted.insert_ops, honest.insert_ops] == ([4, 2, 12] if memo == "warm" else [11, 9, 19])
 
 
-# Folds of at least SPLIT nodes are shared with the helper process where it can run.
-SPLIT = commitment._SPLIT_NODES
-
-
-@st.composite
-def halved_folds(draw):
-    """About 2**13 contiguous nodes at sigma 2**14, cut into shuffled ranges and lists that always include an
-    empty and a one-node piece, and often more empty and odd-length ones from repeated and free cuts; the
-    split halves every piece, and the nodes on both sides of each piece's half are counted."""
-    size = draw(st.sampled_from([SPLIT - 1, SPLIT]) | st.integers(SPLIT - 64, SPLIT + 4096))
-    start = draw(st.integers(1, 2**15 - size))
-    single = draw(st.integers(0, size - 1))
-    ends = sorted([single, single, single + 1, *draw(st.lists(st.integers(0, size), max_size=6))])
-    pieces = [range(start + lo, start + hi) for lo, hi in zip([0, *ends], [*ends, size])]
-    near = [node for nodes in pieces for node in nodes[max(len(nodes) // 2 - 1, 0):len(nodes) // 2 + 1]]
-    pieces = [list(nodes) if draw(st.booleans()) else nodes for nodes in draw(st.permutations(pieces))]
-    near += draw(st.lists(st.integers(1, 2**15 - 1), max_size=8))
-    return pieces, {node: draw(st.integers(0, 2**128 - 1)) for node in near}
-
-
-@settings(max_examples=25, deadline=None)
-@given(halved_folds())
-def test_a_fold_split_with_the_helper_is_the_in_process_fold(fold):
-    ranges, counted = fold
-    nodes = [node for piece in ranges for node in piece]
-    before = sha256_calls()
-    folded = fold_ranges(ranges, counted)
-    assert sha256_calls() - before == len(nodes)
-    assert folded == commit_records((node, counted.get(node, 0)) for node in nodes)
-    if CAN_SPLIT and len(nodes) >= SPLIT and threading.active_count() == 1:
-        assert helper_pid() is not None
-
-
 def test_the_verifiers_agree_when_their_folds_are_split(monkeypatch):
     """At sigma 2**14 the literal folds reach 2**15 - 1 nodes; split or not, every verdict, reason and count is the same."""
     sigma = 2**14
@@ -455,32 +392,33 @@ def test_the_verifiers_agree_when_their_folds_are_split(monkeypatch):
     assert verdicts() == split
 
 
-def whole_tree(sigma):
-    """Every node of the tree at sigma as one range per level, and two counted buckets."""
-    return subtree_ranges(1, sigma), {5: 3, sigma + 7: 2**128 - 1}
+# Every node of the tree at sigma 2**14, 2**15 - 1 of them, as one range per level, two of them counted.
+TREE, COUNTED = subtree_ranges(1, 2**14), {5: 3, 2**14 + 7: 2**128 - 1}
+TREE_FOLD = hashlib_fold(TREE, COUNTED)
+
+
+def assert_the_tree_folds():
+    before = sha256_calls()
+    assert fold_ranges(TREE, COUNTED) == TREE_FOLD
+    assert sha256_calls() - before == 2**15 - 1
 
 
 @needs_helper
 def test_a_killed_helper_leaves_the_fold_to_this_process():
-    ranges, counted = whole_tree(2**14)
-    expected = fold_ranges(ranges, counted)
+    assert_the_tree_folds()
     pid = helper_pid()
     os.kill(pid, signal.SIGKILL)
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
-    before = sha256_calls()
-    assert fold_ranges(ranges, counted) == expected
-    assert sha256_calls() - before == 2**15 - 1
+    assert_the_tree_folds()
     assert helper_pid() is None
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)  # the dead helper was reaped
-    assert fold_ranges(ranges, counted) == expected
+    assert_the_tree_folds()
     assert helper_pid() not in (None, pid)  # the next large fold forked a new one
 
 
 @needs_helper
 def test_a_helper_that_fails_mid_fold_leaves_the_fold_to_this_process(monkeypatch):
-    ranges, counted = whole_tree(2**14)
-    expected = fold_ranges(ranges, counted)
     commitment._stop_helper()
     owner, fold_part = os.getpid(), commitment._fold_part
 
@@ -490,26 +428,71 @@ def test_a_helper_that_fails_mid_fold_leaves_the_fold_to_this_process(monkeypatc
         return fold_part(ranges, values)
 
     monkeypatch.setattr(commitment, "_fold_part", failing_in_the_helper)
-    before = sha256_calls()
-    assert fold_ranges(ranges, counted) == expected  # forks a helper that fails on its half
-    assert sha256_calls() - before == 2**15 - 1
+    assert_the_tree_folds()  # forks a helper that fails on its half
     assert helper_pid() is None
 
 
 @needs_helper
+def test_an_error_in_the_callers_half_reaps_the_helper_and_propagates(monkeypatch):
+    assert_the_tree_folds()
+    pid, owner, fold_part = helper_pid(), os.getpid(), commitment._fold_part
+    failures = [RuntimeError("the caller's half fails")]
+
+    def failing_here_once(ranges, values):
+        if os.getpid() == owner and failures:
+            raise failures.pop()
+        return fold_part(ranges, values)
+
+    monkeypatch.setattr(commitment, "_fold_part", failing_here_once)
+    with pytest.raises(RuntimeError, match="the caller's half fails"):
+        fold_ranges(TREE, COUNTED)
+    assert helper_pid() is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # the helper was reaped
+    assert_the_tree_folds()
+    assert helper_pid() not in (None, pid)  # the next large fold forked a new one
+
+
+@needs_helper
+def test_a_failed_fork_leaves_the_fold_to_this_process_and_closes_the_pipes(monkeypatch):
+    commitment._stop_helper()
+    pipe, fds = os.pipe, []
+    monkeypatch.setattr(os, "pipe", lambda: fds.extend(pipe()) or tuple(fds[-2:]))
+    monkeypatch.setattr(os, "fork", Mock(side_effect=OSError("no fork")))
+    assert_the_tree_folds()
+    assert commitment._helper is None and len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)  # closed
+
+
+@needs_helper
+def test_a_fold_stays_in_this_process_while_a_second_thread_runs():
+    commitment._stop_helper()
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert_the_tree_folds()
+        assert commitment._helper is None  # no helper was forked
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+
+
+@needs_helper
 def test_a_forked_child_folds_without_its_parents_helper():
-    ranges, counted = whole_tree(2**14)
-    expected = fold_ranges(ranges, counted)
+    assert_the_tree_folds()
     helper = commitment._helper
     child = os.fork()
     if child == 0:
         status = 1
         try:
-            before = sha256_calls()
-            folded = fold_ranges(ranges, counted) == expected and sha256_calls() - before == 2**15 - 1
+            assert_the_tree_folds()
             # the child's copies of the pipes are closed, and it forked no helper of its own
-            unused = commitment._helper[:2] == helper[:2] and all(pipe.closed for pipe in commitment._helper[2:])
-            status = 0 if folded and unused else 1
+            assert commitment._helper[:2] == helper[:2] and all(pipe.closed for pipe in commitment._helper[2:])
+            status = 0
         finally:
             os._exit(status)
     deadline = time.monotonic() + 60
@@ -520,7 +503,7 @@ def test_a_forked_child_folds_without_its_parents_helper():
         os.waitpid(child, 0)
     assert done == (child, 0)
     assert commitment._helper is helper and not any(pipe.closed for pipe in helper[2:])
-    assert fold_ranges(ranges, counted) == expected
+    assert_the_tree_folds()
     assert commitment._helper is helper
 
 
