@@ -22,10 +22,11 @@ from qdigest_auth.commitment import (
     inverse,
     member,
     sha256_calls,
+    subtree_commitment,
     subtree_commitments,
 )
 from qdigest_auth.digest import QDigest
-from qdigest_auth.tree import post_order_rank, prefix_ranges, subtree_ranges
+from qdigest_auth.tree import post_order_nodes, prefix_ranges, subtree_ranges
 
 from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, random_digest
 
@@ -83,6 +84,10 @@ def test_membership_examples():
     assert member(c2, p2, 10, 0)
 
 
+def test_commit_digest_covers_every_node_once(example2_digest):
+    assert commit_digest(example2_digest) == hashlib_fold((node, example2_digest.count(node)) for node in range(1, 16))
+
+
 def test_commit_digest_distinguishes_single_count_changes(example2_digest):
     other = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 7})
     assert commit_digest(other) != commit_digest(example2_digest)
@@ -91,6 +96,21 @@ def test_commit_digest_distinguishes_single_count_changes(example2_digest):
 def test_empty_digest_commitment_is_not_identity():
     assert commit_digest(QDigest(8, 4)) != initialize()
     assert commit_digest(QDigest(8, 4)) == commit_subtrees(8, [1], ())
+
+
+def test_subtree_partition_reconstructs_whole_commitment(example2_digest):
+    q = example2_digest
+    assert insert(combine(subtree_commitment(q, 2), subtree_commitment(q, 3)), 1, q.count(1)) == commit_digest(q)
+
+
+def test_left_subtree_covers_expected_nodes(example2_digest):
+    assert sorted(post_order_nodes(8, 2)) == [2, 4, 5, 8, 9, 10, 11]
+    expected = hashlib_fold([(2, 0), (4, 0), (5, 0), (8, 0), (9, 0), (10, 4), (11, 6)])
+    assert subtree_commitment(example2_digest, 2) == expected
+
+
+def test_subtree_at_leaf_is_single_insertion(example2_digest):
+    assert subtree_commitment(example2_digest, 10) == hashlib_fold([(10, 4)])
 
 
 def test_subtree_commitments_validates_roots(example2_digest):
@@ -208,16 +228,18 @@ def cut_folds(draw, sizes, split=False):
 
 
 @st.composite
-def tree_folds(draw):
-    """At sigma 2**0 to 2**10, a prefix's ranges with or without a subtree skipped, or a subtree's,
-    with counted nodes anywhere in the tree."""
-    sigma = 2 ** draw(st.integers(0, 10))
-    stop, root = draw(st.integers(1, 2 * sigma - 1)), draw(st.integers(1, 2 * sigma - 1))
-    shapes = [prefix_ranges(stop, sigma), subtree_ranges(root, sigma)]
-    if post_order_rank(root, sigma) < post_order_rank(stop, sigma):
-        shapes.append(prefix_ranges(stop, sigma, skip=root))
+def tree_folds(draw, shape):
+    """At sigma 2**0 to 2**10, a subtree's ranges, a prefix's, or (from 2**1) a prefix's with a subtree
+    that precedes its stop skipped, with counted nodes anywhere in the tree."""
+    sigma = 2 ** draw(st.integers(shape == "skip", 10))
+    order = list(post_order_nodes(sigma))
+    if shape == "skip":
+        root, stop = sorted(draw(st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2, unique=True)))
+        ranges = prefix_ranges(order[stop], sigma, skip=order[root])
+    else:
+        ranges = {"prefix": prefix_ranges, "subtree": subtree_ranges}[shape](draw(st.sampled_from(order)), sigma)
     keys = draw(st.lists(st.integers(1, 2 * sigma - 1), max_size=12))
-    return draw(st.sampled_from(shapes)), {key: draw(COUNTS) for key in keys}
+    return ranges, {key: draw(COUNTS) for key in keys}
 
 
 def check_fold(ranges, counted, sha256):
@@ -228,9 +250,14 @@ def check_fold(ranges, counted, sha256):
         assert sha256_calls() - before == sum(map(len, ranges))
 
 
-@given(cut_folds(st.integers(0, 80)) | tree_folds(), st.sampled_from([commitment._sha256, hashlib.sha256]))
-def test_fold_ranges_is_the_hashlib_fold_node_by_node(fold, sha256):
-    check_fold(*fold, sha256)
+# Each input family is its own case, so each gets the full run of examples.
+FOLD_FAMILIES = {"cut": cut_folds(st.integers(0, 80)), **{shape: tree_folds(shape) for shape in ("prefix", "skip", "subtree")}}
+
+
+@pytest.mark.parametrize("family", FOLD_FAMILIES)
+@given(data=st.data(), sha256=st.sampled_from([commitment._sha256, hashlib.sha256]))
+def test_fold_ranges_is_the_hashlib_fold_node_by_node(family, data, sha256):
+    check_fold(*data.draw(FOLD_FAMILIES[family]), sha256)
 
 
 @settings(max_examples=25, deadline=None)
