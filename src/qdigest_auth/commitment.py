@@ -12,15 +12,21 @@ Additivity makes every commitment over part of the tree cheap, in the
 style of Bellare and Micciancio's incremental AdHash.  With H one
 insertion's contribution and Z(r) the sum of H(node, 0) over r's subtree,
 `commit_subtrees` is the one rule, for any disjoint subtrees holding
-given buckets: the whole digest, one subtree, a zero subtree, or the
-post-order prefix up to a proof's stop (`tree.prefix_roots`):
+given buckets: the whole digest, one subtree, or a zero subtree:
 
     commit(subtrees r) = sum of Z(r) + sum over buckets b in them of (H(b, c_b) - H(b, 0)).
+
+`commit_prefix` applies it to the post-order prefix up to a proof's stop,
+the `tree.prefix_roots` subtrees, whose zero fold is also Z(1) less the
+stop's ancestors and the `tree.suffix_roots` subtrees after it; it folds
+whichever side would make fewer SHA-256 calls.
 
 Z depends only on sigma, so `_ZERO_ROOTS` ships Z(2) and Z(3) for each
 power-of-two sigma from 2**11 to `COMMIT_MAX_SIGMA`: a process's first
 commitment there makes 2*|Q| + 1 SHA-256 calls for |Q| buckets, not about
-2*sigma + 2*|Q|.  `_zero_fold` memoizes nodes 1, 2 and 3 and every subtree
+2*sigma + 2*|Q|, and its first prefix at most about sigma/2 + 2*|Q|, none
+beyond 2*|Q| + log2(sigma) + 1 for a stop on the right spine of the tree
+or of subtree 2.  `_zero_fold` memoizes nodes 1, 2 and 3 and every subtree
 of more than `_SHORT` leaves when first needed, at most
 min(2*sigma - 1, max(sigma/_SHORT - 1, 3)) ints per sigma.  Once it is
 warm, a commitment costs 2*|Q| calls and a post-order prefix at most
@@ -55,9 +61,9 @@ This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
 search, and no formal security proof is claimed here.  Nor can a sound
 commitment be slotted in behind these calls: the prover's remainder uses
-`inverse`, and `commit_subtrees` and `qqv_fast` rely on additive zero folds,
-the public inverse that lets a forged remainder verify (`kvcqa`).  A sound
-scheme needs its own proof format.
+`inverse`, and `commit_subtrees`, `commit_prefix` and `qqv_fast` rely on
+additive zero folds, the public inverse that lets a forged remainder
+verify (`kvcqa`).  A sound scheme needs its own proof format.
 """
 
 import atexit
@@ -72,7 +78,7 @@ from dataclasses import dataclass
 
 from .digest import QDigest
 from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
-from .tree import check_node, level, subtree_ranges, subtree_test
+from .tree import check_node, level, prefix_roots, subtree_ranges, subtree_test, suffix_roots
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -113,8 +119,9 @@ _ZERO_ROOTS = {
 }
 
 # The largest domain a commitment covers, the top of _ZERO_ROOTS; a larger sigma is
-# refused.  It still bounds the cold folds of tall prefix roots: a first proof whose
-# stop lies deep in subtree 3 folds up to sigma - 1 nodes (0.6 s at 2**20, 2-vCPU Xeon).
+# refused.  It still bounds the cold zero folds of a first proof, which folds the
+# cheaper side of its stop: up to about sigma/2 nodes, for a stop at node 6 or
+# another whose two sides weigh the same (0.39 s at 2**20, 2-vCPU Xeon VM).
 COMMIT_MAX_SIGMA = max(_ZERO_ROOTS)
 
 
@@ -316,6 +323,14 @@ if hasattr(os, "register_at_fork"):  # a forked child keeps the record, so it fo
     os.register_at_fork(after_in_child=_stop_helper)
 
 
+def _memo(sigma: int) -> dict[int, int]:
+    """The memo of sigma's zero folds, started from its `_ZERO_ROOTS` row."""
+    memo = _ZERO_FOLDS.get(sigma)
+    if memo is None:
+        memo = _ZERO_FOLDS[sigma] = dict(zip((2, 3), _ZERO_ROOTS.get(sigma, ())))
+    return memo
+
+
 def _zero_fold(sigma: int, root: int) -> int:
     """Z(root), the sum of H(node, 0) over root's subtree; memoized for roots 1-3 and above _SHORT leaves.
 
@@ -324,9 +339,7 @@ def _zero_fold(sigma: int, root: int) -> int:
     Subtree 2 is the one `kvcqa.publish_kvc_auth` precommits, so after it the
     accelerated verifier's cross-check finds Z(2) memoized at any sigma.
     """
-    memo = _ZERO_FOLDS.get(sigma)
-    if memo is None:
-        memo = _ZERO_FOLDS[sigma] = dict(zip((2, 3), _ZERO_ROOTS.get(sigma, ())))
+    memo = _memo(sigma)
     if root in memo:
         return memo[root]
     if sigma >> level(root) <= _SHORT:
@@ -337,6 +350,26 @@ def _zero_fold(sigma: int, root: int) -> int:
         z = _zero_fold(sigma, 2 * root) + _zero_fold(sigma, 2 * root + 1) + _contribution(root, 0)
     memo[root] = z % GROUP_PRIME
     return memo[root]
+
+
+def _fold_cost(memo: dict[int, int], sigma: int, roots, folded: set[int]) -> int:
+    """The SHA-256 calls `_zero_fold` would make on these roots in turn, with the memo as it stands.
+
+    folded gathers the roots those folds would memoize, so a later root finds them.
+    """
+    calls = 0
+    for root in roots:
+        if root in memo or root in folded:
+            continue
+        width = sigma >> level(root)
+        if width <= _SHORT:
+            calls += 2 * width - 1
+            if root > 3:
+                continue
+        else:
+            calls += _fold_cost(memo, sigma, (2 * root, 2 * root + 1), folded) + 1
+        folded.add(root)
+    return calls
 
 
 def member(c: Commitment, proof: Commitment, key: int, value: int) -> bool:
@@ -368,6 +401,33 @@ def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
     """
     for root in roots:
         check_node(root, sigma)
+    corrections = _corrections(sigma, buckets)
+    return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)
+
+
+def commit_prefix(sigma: int, stop: int, buckets) -> Commitment:
+    """`commit_subtrees` of `tree.prefix_roots(stop)`, the post-order prefix up to stop, its zero fold from the cheaper side.
+
+    The nodes after stop are its ancestors and the `tree.suffix_roots`
+    subtrees, so the prefix's zero fold is also Z(1) less H(a, 0) per
+    ancestor a less Z per suffix root: by additivity the same group element.
+    Of the two, the one whose `_zero_fold`s would make fewer SHA-256 calls
+    with the memo as it stands is taken, the prefix roots' on a tie.  Refuses
+    what `commit_subtrees` refuses, before any hashing.
+    """
+    roots = prefix_roots(stop, sigma)
+    corrections = _corrections(sigma, buckets)
+    memo, suffix = _memo(sigma), suffix_roots(stop, sigma)
+    ancestors = [stop >> up for up in range(1, level(stop) + 1)]
+    if len(ancestors) + _fold_cost(memo, sigma, [1, *suffix], set()) < _fold_cost(memo, sigma, roots, set()):
+        zeros = _zero_fold(sigma, 1) - fold_ranges([ancestors], {}).acc - sum(_zero_fold(sigma, r) for r in suffix)
+    else:
+        zeros = sum(_zero_fold(sigma, root) for root in roots)
+    return Commitment((zeros + corrections) % GROUP_PRIME)
+
+
+def _corrections(sigma: int, buckets) -> int:
+    """H(b, c_b) - H(b, 0) summed over the buckets, once sigma and every count are checked: their fold at the counts less at zero."""
     if sigma > COMMIT_MAX_SIGMA:
         raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
     counted = dict(buckets)
@@ -375,8 +435,7 @@ def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
         if not isinstance(cnt, int) or not 0 <= cnt < VALUE_LIMIT:
             raise ValueError(f"value {cnt!r} does not fit the fixed-width encoding")
     nodes = [list(counted)]
-    corrections = fold_ranges(nodes, counted).acc - fold_ranges(nodes, {}).acc
-    return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)
+    return fold_ranges(nodes, counted).acc - fold_ranges(nodes, {}).acc
 
 
 def subtree_commitment(q: QDigest, root: int) -> Commitment:

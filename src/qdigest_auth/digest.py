@@ -16,17 +16,20 @@ repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
 
 Every digest built from values, plain or coarse, comes from `coarsen`:
-it checks the input in bulk, sorts the values once, and `_descend` goes
-from the root into the nodes whose subtree holds more than floor(n / k)
-values, reading masses from the prefix sums of the sorted multiplicities.
+it checks the input in bulk, takes the prefix sums of the multiplicities
+in ascending value order once (through a value-indexed array, with no
+sort, when the values cover at least half the domain), and `_descend`
+goes from the root into the nodes whose subtree holds more than
+floor(n / k) values, reading masses from those sums.
 `merge` sums its digests in one map, re-sweeping after each sum's full pass
 only the families whose parent a merge popped; queries bisect a post-order index.
 """
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, starmap
 from math import ceil
 from typing import Iterable, Mapping, Sequence
 
@@ -42,6 +45,8 @@ from .tree import (
 )
 
 FrequencySet = Mapping[int, int]
+# `coarsen` reads a map of at least sigma / _DENSE values into an array indexed by value instead of sorting it.
+_DENSE = 2
 
 
 def _check_k(k: int) -> None:
@@ -386,7 +391,7 @@ def coarsen(
     by the leaf width.
 
     A map is checked in bulk, pairs one by one, and a refusal names the
-    first bad pair in input order; the values are sorted once, never mapped to leaves.
+    first bad pair in input order; `_masses` reads the values, never mapping them to leaves.
     """
     if not isinstance(levels_cut, int) or levels_cut < 0:
         raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
@@ -394,20 +399,45 @@ def coarsen(
     if not isinstance(freqs, Mapping):
         freqs = _checked_sum(freqs, sigma)
     typed = all(map(isinstance, freqs, repeat(int))) and all(map(isinstance, freqs.values(), repeat(int)))
-    values = sorted(freqs) if typed and min(freqs.values(), default=1) >= 1 else None  # only integers are compared
-    if values is None or values and not 1 <= values[0] <= values[-1] <= sigma:
+    masses = _masses(freqs, sigma) if typed and min(freqs.values(), default=1) >= 1 else None
+    if masses is None:
         _checked_sum(freqs.items(), sigma)  # raises at the first bad pair
     leaves = tree_sigma >> levels_cut
     if not leaves:
         raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
     _check_k(k)
-    sums = list(accumulate(map(freqs.__getitem__, values), initial=0))
+    values, sums = masses
     kept: dict[int, int] = {}
     # What reaches the root stays.  One descent settles a leaf-only map: a family that does
     # not merge keeps an empty parent, so a second `_one_pass` would repeat its failed check.
     threshold, base = sums[-1] // k, tree_sigma - 1
     kept[1] = _descend(1, level(tree_sigma), 0, len(values), values, sums, threshold, kept, levels_cut, base)
     return QDigest(leaves, k, {i: c for i, c in kept.items() if c}, tree_sigma // leaves)
+
+
+def _masses(freqs: Mapping[int, int], sigma: int):
+    """The ascending values and sums[j], the mass of the first j; None if a value lies outside [1, sigma].
+
+    A map of at least sigma / _DENSE values is not sorted: its multiplicities
+    go into an array indexed by value, whose prefix sums are taken over all of
+    [1, sigma], most values at multiplicity 0, unless a sum needs 65 bits.
+    The caller has checked that every value and multiplicity is an int and
+    every multiplicity at least 1.
+    """
+    if _DENSE * len(freqs) >= sigma and min(freqs) >= 1:
+        from array import array  # here only: a process that builds no dense map does not load it
+        try:
+            dense = array("Q", [0]) * (sigma + 1)
+            deque(starmap(dense.__setitem__, freqs.items()), maxlen=0)
+            return range(1, sigma + 1), array("Q", accumulate(dense))
+        except IndexError:  # a value above sigma
+            return None
+        except OverflowError:
+            pass
+    values = sorted(freqs)
+    if values and not 1 <= values[0] <= values[-1] <= sigma:
+        return None
+    return values, list(accumulate(map(freqs.__getitem__, values), initial=0))
 
 
 def _checked_sum(pairs: Iterable[tuple[int, int]], sigma: int) -> dict[int, int]:

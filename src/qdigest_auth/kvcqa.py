@@ -14,11 +14,14 @@ of insertions the same.
 
 The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
-Z(1) plus their H(b, c_b) - H(b, 0), less the zero fold of the post-order
-prefix up to the stop, whose nodes are the disjoint subtrees of
-`tree.prefix_roots`; `commitment.commit_subtrees` commits both.  With
-the zero folds of a sigma memoized a proof costs O(|Q|) SHA-256 calls
-for |Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
+Z(1) plus their H(b, c_b) - H(b, 0) (`commitment.commit_subtrees`), less
+the zero fold of the post-order prefix up to the stop
+(`commitment.commit_prefix`).  That zero fold comes from the cheaper
+side: the disjoint subtrees of `tree.prefix_roots`, or Z(1) less the
+stop's ancestors and the `tree.suffix_roots` subtrees, whichever folds
+fewer nodes not yet memoized; the group element is the same.  With the
+zero folds of a sigma memoized a proof costs O(|Q|) SHA-256 calls for
+|Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
 subtrees holding the counted buckets commit to the very group element
 the literal fold reaches.  `qqv` and `qqv_accelerated` keep the paper's one
 insertion per node up to the stop; the accelerated one cuts the
@@ -52,6 +55,7 @@ from .commitment import (
     Commitment,
     combine,
     commit_digest,
+    commit_prefix,
     commit_records,
     commit_subtrees,
     fold_ranges,
@@ -61,7 +65,7 @@ from .commitment import (
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import check_auth_parameters, header_fields, index_counts, require_canonical
-from .tree import is_power_of_two, post_order_rank, prefix_ranges, prefix_roots, subtree_size, subtree_test
+from .tree import is_power_of_two, post_order_rank, prefix_ranges, subtree_size, subtree_test
 from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
 
 REASON_COMMITMENT_MISMATCH = "commitment-mismatch"
@@ -112,7 +116,7 @@ def _respond(q: QDigest, frac: Fraction, buckets) -> QuantileProof:
     counted = counted_prefix(buckets, frac * q.n)
     stop = counted[-1][0]
     after = commit_subtrees(q.sigma, [1], buckets[len(counted):])
-    prefix = commit_subtrees(q.sigma, prefix_roots(stop, q.sigma), ())
+    prefix = commit_prefix(q.sigma, stop, ())
     remainder = combine(after, inverse(prefix))
     answer = range_top(stop, q.sigma, q.leaf_width)
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
@@ -169,7 +173,7 @@ def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width
     if rejected is not None:
         return rejected
     before = sha256_calls()
-    prefix = commit_subtrees(sigma, prefix_roots(proof.counted[-1][0], sigma), proof.counted)
+    prefix = commit_prefix(sigma, proof.counted[-1][0], proof.counted)
     return _verdict(combine(proof.remainder, prefix) == c, sha256_calls() - before)
 
 

@@ -104,6 +104,21 @@ def prefix_roots(stop: int, sigma: int) -> list[int]:
     return roots
 
 
+def suffix_roots(stop: int, sigma: int) -> list[int]:
+    """Roots of the disjoint subtrees whose nodes rank after stop and are not its ancestors.
+
+    They are, at each left turn of the root-to-stop path, the right
+    sibling's subtree; with stop's ancestors they complete `prefix_roots`.
+    """
+    check_node(stop, sigma)
+    roots = []
+    while stop > 1:
+        if not stop & 1:
+            roots.append(stop + 1)
+        stop //= 2
+    return roots
+
+
 def subtree_ranges(root: int, sigma: int) -> list[range]:
     """The nodes of root's subtree as one range of indices per level, from root's down to the leaves."""
     check_node(root, sigma)

@@ -14,7 +14,18 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import libcst  # noqa: F401
 
+from qdigest_auth import commitment
 from qdigest_auth.digest import QDigest
+
+@pytest.fixture
+def cold_zero_folds():
+    """An empty zero-fold memo for the test, as in a fresh process; the memo before it comes back after."""
+    saved = dict(commitment._ZERO_FOLDS)
+    commitment._ZERO_FOLDS.clear()
+    yield
+    commitment._ZERO_FOLDS.clear()
+    commitment._ZERO_FOLDS.update(saved)
+
 
 # The worked flows in the tests reuse the small reference digests below.
 

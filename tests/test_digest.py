@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -758,6 +759,34 @@ class TestCoarsen:
 
     def test_coarse_digest_validates(self, s1):
         assert validate(coarsen(s1, 4, 8, 2)).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_dense_and_the_sorted_build_agree(self, data):
+        """`_masses` reads a map through a value-indexed array or by sorting it: the same digest or refusal either way."""
+        sigma = data.draw(st.integers(1, 300) | st.sampled_from([256, 1000, 1024]))
+        cut = data.draw(st.integers(0, level(next_power_of_two(sigma))))
+        k = data.draw(st.integers(1, 64))
+        mults = st.integers(1, 9) | st.integers(2**62, 2**66)  # a mass past 64 bits leaves the array
+        freqs = data.draw(st.dictionaries(st.integers(1, sigma), mults, max_size=sigma))
+        fault = data.draw(st.sampled_from([None, "value", "multiplicity"]))
+        if fault == "value":  # outside the domain or not an int
+            freqs[data.draw(st.sampled_from([0, -3, sigma + 1, 2.5, "x"]))] = 1
+        elif fault == "multiplicity":
+            freqs[1] = data.draw(st.sampled_from([0, 1.5, None]))
+        inputs = [freqs, list(freqs.items())] if fault is None else [freqs]  # pairs refuse before either path
+
+        def build(given, dense):
+            with patch("qdigest_auth.digest._DENSE", sigma if dense else 0):
+                try:
+                    return coarsen(given, k, sigma, cut)
+                except ValueError as exc:
+                    return str(exc)
+
+        for given in inputs:
+            dense, by_sorting = build(given, True), build(given, False)
+            assert dense == by_sorting
+            assert isinstance(dense, str) == (fault is not None)
 
 
 class TestRecompress:

@@ -1,4 +1,4 @@
-from itertools import chain, islice
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +14,7 @@ from qdigest_auth.tree import (
     subtree_ranges,
     subtree_size,
     subtree_test,
+    suffix_roots,
 )
 
 # hand enumeration of the post-order visit for sigma = 8
@@ -99,19 +100,28 @@ def test_prefix_roots_split_the_post_order_prefix_of_every_stop_into_disjoint_su
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(8)])
 def test_prefix_ranges_without_a_subtree_hold_the_post_order_walk_around_it(sigma):
-    for stop_rank, stop in enumerate(post_order_nodes(sigma), 1):
-        for root in islice(post_order_nodes(sigma), stop_rank - 1):
+    walk = list(post_order_nodes(sigma))
+    for stop_rank, stop in enumerate(walk, 1):
+        for root in walk[:stop_rank - 1]:
             # the walk that skipped root's subtree before the prefix was enumerated level by level
             skip_lo, skip_hi = subtree_rank_interval(root, sigma)
-            walk = post_order_nodes(sigma)
-            after = islice(walk, skip_hi - skip_lo + 1, stop_rank - skip_lo + 1)
-            outside = list(chain(islice(walk, skip_lo - 1), after))
+            outside = walk[:skip_lo - 1] + walk[skip_hi:stop_rank]
             nodes = flat(prefix_ranges(stop, sigma, skip=root))
             assert len(nodes) == len(set(nodes)) == len(outside), (stop, root)
             assert set(nodes) == set(outside), (stop, root)
-        for root in islice(post_order_nodes(sigma), stop_rank - 1, None):
+        for root in walk[stop_rank - 1:]:
             with pytest.raises(ValueError):
                 prefix_ranges(stop, sigma, skip=root)
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
+def test_suffix_roots_and_the_ancestors_complete_the_prefix_of_every_stop(sigma):
+    for rank, stop in enumerate(post_order_nodes(sigma), 1):
+        prefix = [node for root in prefix_roots(stop, sigma) for node in post_order_nodes(sigma, root)]
+        ancestors = [stop >> up for up in range(1, level(stop) + 1)]
+        suffix = [node for root in suffix_roots(stop, sigma) for node in post_order_nodes(sigma, root)]
+        assert sorted(prefix + ancestors + suffix) == list(range(1, 2 * sigma)), stop
+        assert all(post_order_rank(node, sigma) > rank for node in ancestors + suffix), stop
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(9)])

@@ -19,6 +19,7 @@ import random
 import signal
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -34,6 +35,7 @@ from qdigest_auth.commitment import (
     Commitment,
     combine,
     commit_digest,
+    commit_prefix,
     commit_subtrees,
     fold_ranges,
     sha256_calls,
@@ -50,12 +52,14 @@ from qdigest_auth.kvcqa import (
     qqv_fast,
 )
 from qdigest_auth.tree import (
+    level,
     post_order_nodes,
     post_order_rank,
     prefix_roots,
     subtree_ranges,
     subtree_size,
     subtree_test,
+    suffix_roots,
 )
 
 from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, needs_helper, random_frequencies
@@ -80,15 +84,25 @@ def seeded_digest(seed, sigma):
 @pytest.mark.parametrize("sigma", [1, 2, 8, 64, 128, 256, 1024])
 def test_commitments_equal_the_literal_fold_at_every_root(sigma, example2_digest):
     examples = [example2_digest] if sigma == example2_digest.sigma else []
-    for q in [seeded_digest(0, sigma), seeded_digest(1, sigma), *examples]:
+    digests = [seeded_digest(0, sigma), seeded_digest(1, sigma), *examples]
+    for q in digests:
         assert commit_digest(q) == literal(q, post_order_nodes(sigma))
-        # the literal zero fold of the post-order prefix up to each root, one node at a time
+        # the literal folds of the post-order prefix up to each root, one node at a time: at zero and at q's counts
         prefixes = accumulate((hashlib_fold([(node, 0)]) for node in post_order_nodes(sigma)), combine)
-        for root, prefix in zip(post_order_nodes(sigma), prefixes):
+        counted_prefixes = accumulate((literal(q, [node]) for node in post_order_nodes(sigma)), combine)
+        buckets = q.post_order_buckets()
+        ranks = [post_order_rank(node, sigma) for node, _ in buckets]
+        for rank, (root, prefix, counted_prefix) in enumerate(zip(post_order_nodes(sigma), prefixes, counted_prefixes), 1):
             nodes = list(post_order_nodes(sigma, root))
             assert subtree_commitment(q, root) == literal(q, nodes), root
-            assert commit_subtrees(sigma, [root], ()) == hashlib_fold([nodes], {}), root
-            assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
+            counted = buckets[:bisect_right(ranks, rank)]
+            assert commit_prefix(sigma, root, counted) == counted_prefix, root
+            if q is digests[0]:  # the zero folds, which q does not change, and a prefix from a memo that holds nothing
+                assert commit_subtrees(sigma, [root], ()) == hashlib_fold([nodes], {}), root
+                assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
+                warm_memo = commitment._ZERO_FOLDS.pop(sigma)
+                assert commit_prefix(sigma, root, counted) == counted_prefix, root
+                commitment._ZERO_FOLDS[sigma] = warm_memo
     # nodes 1, 2 and 3 and every subtree of more than 64 leaves are memoized, and no other
     assert len(commitment._ZERO_FOLDS[sigma]) == min(2 * sigma - 1, max(sigma // 64 - 1, 3))
 
@@ -142,6 +156,34 @@ def test_the_fast_verifier_folds_to_the_literal_group_element(sigma):
             if literal_stats.insert_ops:  # the checks before the fold passed
                 # qqv_fast accepts against a commitment iff its fold is that group element
                 assert qqv_fast(proof, literal_verifier_fold(proof, sigma), q.n, sigma).accepted, proof
+
+
+def assert_the_cheaper_side_is_folded(sigma, stop):
+    """`commit_prefix` makes the calls of the cheaper of the prefix's two zero folds from the memo as it
+    stands, the prefix roots' on a tie, and leaves the memo that side's folds leave."""
+    memo = dict(commitment._ZERO_FOLDS.get(sigma, {}))
+    sides = []
+    for roots, ancestors in ((prefix_roots(stop, sigma), 0), ([1, *suffix_roots(stop, sigma)], level(stop))):
+        commitment._ZERO_FOLDS[sigma] = dict(memo)
+        sides.append((calls_of(commit_subtrees, sigma, roots, ()) + ancestors, commitment._ZERO_FOLDS[sigma]))
+    commitment._ZERO_FOLDS[sigma] = dict(memo)
+    calls = calls_of(commit_prefix, sigma, stop, ())
+    assert (calls, commitment._ZERO_FOLDS[sigma]) == min(sides, key=lambda side: side[0]), stop
+
+
+@pytest.mark.parametrize("sigma", [8, 64, 128, 512])
+def test_a_prefix_folds_the_side_that_hashes_less_with_the_memo_as_it_stands(sigma, cold_zero_folds):
+    rng = random.Random(sigma)
+    for stop in rng.sample(range(1, 2 * sigma), min(200, 2 * sigma - 1)):
+        if rng.random() < 0.5:  # about half the stops from an empty memo
+            commitment._ZERO_FOLDS.pop(sigma, None)
+        assert_the_cheaper_side_is_folded(sigma, stop)
+    # every memoized root but 1 and 3: folding Z(1) also memoizes Z(3), which a stop in subtree 2 then finds
+    commit_subtrees(sigma, [1] + list(range(4, sigma // commitment._SHORT)), ())
+    warm_memo = commitment._ZERO_FOLDS.pop(sigma)
+    for stop in range(1, 2 * sigma):
+        commitment._ZERO_FOLDS[sigma] = {root: z for root, z in warm_memo.items() if root not in (1, 3)}
+        assert_the_cheaper_side_is_folded(sigma, stop)
 
 
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
@@ -228,6 +270,7 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         lambda: publish_kvc_auth(q),
         lambda: subtree_commitment(q, 2),
         lambda: commit_subtrees(sigma, [3], ()),
+        lambda: commit_prefix(sigma, 3, ()),
         lambda: aqq(q, Fraction(1, 2)),
         # a proof that passes every check before the fold
         lambda: qqv_fast(QuantileProof(Fraction(1, 7), 7, 1, ((sigma, 2),), Commitment(0)), Commitment(0), 7, sigma),
@@ -239,20 +282,35 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         assert sha256_calls() == before
 
 
-@pytest.fixture
-def cold_zero_folds():
-    saved = dict(commitment._ZERO_FOLDS)
-    commitment._ZERO_FOLDS.clear()
-    yield
-    commitment._ZERO_FOLDS.clear()
-    commitment._ZERO_FOLDS.update(saved)
-
-
 @pytest.mark.parametrize("sigma", [2**16, COMMIT_MAX_SIGMA])
 def test_a_cold_commitment_at_a_shipped_sigma_folds_only_the_buckets_and_the_root(sigma, cold_zero_folds):
     q = wide_digest(sigma)
     assert calls_of(commit_digest, q) == 2 * q.size + 1  # Z(1) = Z(2) + Z(3) + H(1, 0)
     assert commitment._ZERO_FOLDS[sigma].keys() == {1, 2, 3}
+
+
+@pytest.mark.parametrize("sigma", [2**16, COMMIT_MAX_SIGMA])
+def test_a_cold_proof_stopping_on_a_right_spine_folds_only_the_buckets_and_the_path(sigma, cold_zero_folds):
+    """A stop on the right spine of the tree or of subtree 2 has no suffix root but node 3: its prefix's
+    zero fold is Z(1) less H(a, 0) per ancestor a, from the shipped Z(2) and Z(3), not 65k-1M zero nodes."""
+    wide = wide_digest(sigma).post_order_buckets()
+    depth = level(sigma)
+    spines = [(2 << d) - 1 for d in range(depth + 1)] + [(3 << d) - 1 for d in range(depth)]
+    for stop in spines:
+        rank = post_order_rank(stop, sigma)
+        buckets = {node: cnt for node, cnt in wide if node != stop}
+        buckets[stop] = 1
+        q = QDigest(sigma, 64, buckets)
+        frac = Fraction(sum(cnt for node, cnt in buckets.items() if post_order_rank(node, sigma) <= rank), q.n)
+        c = commit_digest(q)
+        commitment._ZERO_FOLDS.clear()
+        before = sha256_calls()
+        proof = aqq(q, frac)
+        assert proof.counted[-1][0] == stop
+        assert sha256_calls() - before <= 2 * q.size + depth + 1, stop
+        commitment._ZERO_FOLDS.clear()
+        stats = qqv_fast(proof, c, q.n, sigma)
+        assert stats.accepted and stats.insert_ops <= 2 * len(proof.counted) + depth + 1, stop
 
 
 def test_the_sha256_counter_sees_every_hashlib_call(monkeypatch, cold_zero_folds):
