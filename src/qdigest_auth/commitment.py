@@ -11,15 +11,15 @@ prove that a key is unset.
 Additivity makes every commitment over part of the tree cheap, in the
 style of Bellare and Micciancio's incremental AdHash.  With H one
 insertion's contribution and Z(r) the sum of H(node, 0) over r's subtree,
-`commit_subtrees` is the one rule, for any disjoint subtrees holding
-given buckets: the whole digest, one subtree, or a zero subtree:
+`commit_subtree` is the one rule, for a subtree holding given buckets:
+the whole digest, a precommitted subtree, or a zero subtree:
 
-    commit(subtrees r) = sum of Z(r) + sum over buckets b in them of (H(b, c_b) - H(b, 0)).
+    commit(subtree r) = Z(r) + sum over buckets b in it of (H(b, c_b) - H(b, 0)).
 
 `commit_prefix` applies it to the post-order prefix up to a proof's stop,
-the `tree.prefix_roots` subtrees, whose zero fold is also Z(1) less the
-stop's ancestors and the `tree.suffix_roots` subtrees after it; it folds
-whichever side would make fewer SHA-256 calls.
+the disjoint subtrees of the prefix roots of `tree.split_at`, whose zero
+fold is also Z(1) less the stop's ancestors and the suffix roots' subtrees
+after it; it folds whichever side would make fewer SHA-256 calls.
 
 Z depends only on sigma, so `_ZERO_ROOTS` ships Z(2) and Z(3) for each
 power-of-two sigma from 2**11 to `COMMIT_MAX_SIGMA`: a process's first
@@ -35,8 +35,8 @@ warm, a commitment costs 2*|Q| calls and a post-order prefix at most
 `fold_ranges` is the loop behind every node-by-node fold, given
 sequences of node indices: a short subtree of `_zero_fold` comes as one
 range per level, a literal verifier's prefix as one range per level of
-each `tree.prefix_roots` subtree (up to 17 roots at sigma 2^16), and
-`commit_subtrees`'s corrections as the bucket nodes, folded once at
+each prefix root's subtree (up to 17 roots at sigma 2^16), and
+`commit_subtree`'s corrections as the bucket nodes, folded once at
 their counts and once at zero, and `_contribution` as one node.  Only
 `_fold_part` hashes, one SHA-256 call per node, and only `fold_ranges`
 counts, per thread; `_RECORD` is the one layout of an insertion's bytes.
@@ -61,7 +61,7 @@ This is a reference primitive, not a production one: additive hash
 combiners need large moduli to resist generalized-birthday collision
 search, and no formal security proof is claimed here.  Nor can a sound
 commitment be slotted in behind these calls: the prover's remainder uses
-`inverse`, and `commit_subtrees`, `commit_prefix` and `qqv_fast` rely on
+`inverse`, and `commit_subtree`, `commit_prefix` and `qqv_fast` rely on
 additive zero folds, the public inverse that lets a forged remainder
 verify (`kvcqa`).  A sound scheme needs its own proof format.
 """
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 from .digest import QDigest
 from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
-from .tree import check_node, level, prefix_roots, subtree_ranges, subtree_test, suffix_roots
+from .tree import check_node, level, split_at, subtree_ranges, subtree_test
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
 GROUP_PRIME = 2**256 - 2**32 - 977
@@ -389,36 +389,35 @@ def commit_digest(q: QDigest) -> Commitment:
     (index, 0) for nodes it believes are empty, and an equal commitment
     then proves they really are.
     """
-    return subtree_commitment(q, 1)
+    return commit_subtree(q.sigma, 1, q.buckets().items())
 
 
-def commit_subtrees(sigma: int, roots, buckets) -> Commitment:
-    """Z(r) per root plus H(b, c_b) - H(b, 0) per bucket: disjoint subtrees holding these buckets.
+def commit_subtree(sigma: int, root: int, buckets) -> Commitment:
+    """Z(root) plus H(b, c_b) - H(b, 0) per bucket: root's subtree holding these buckets.
 
-    The buckets must be distinct nodes of those subtrees, as every caller's are.  Refuses
+    The buckets must be distinct nodes of that subtree, as every caller's are.  Refuses
     a root outside the tree, a sigma above the limit or a count outside [0, 2**128) before
     any hashing.  The corrections are the buckets' `fold_ranges` at their counts less at zero.
     """
-    for root in roots:
-        check_node(root, sigma)
+    check_node(root, sigma)
     corrections = _corrections(sigma, buckets)
-    return Commitment((sum(_zero_fold(sigma, root) for root in roots) + corrections) % GROUP_PRIME)
+    return Commitment((_zero_fold(sigma, root) + corrections) % GROUP_PRIME)
 
 
 def commit_prefix(sigma: int, stop: int, buckets) -> Commitment:
-    """`commit_subtrees` of `tree.prefix_roots(stop)`, the post-order prefix up to stop, its zero fold from the cheaper side.
+    """The post-order prefix up to stop holding these buckets, its zero fold from the cheaper side of `tree.split_at`.
 
-    The nodes after stop are its ancestors and the `tree.suffix_roots`
-    subtrees, so the prefix's zero fold is also Z(1) less H(a, 0) per
-    ancestor a less Z per suffix root: by additivity the same group element.
-    Of the two, the one whose `_zero_fold`s would make fewer SHA-256 calls
-    with the memo as it stands is taken, the prefix roots' on a tie.  Refuses
-    what `commit_subtrees` refuses, before any hashing.
+    The prefix is the disjoint subtrees of the prefix roots; the nodes after
+    stop are its ancestors and the suffix roots' subtrees, so the prefix's
+    zero fold is also Z(1) less H(a, 0) per ancestor a less Z per suffix
+    root: by additivity the same group element.  Of the two, the one whose
+    `_zero_fold`s would make fewer SHA-256 calls with the memo as it stands
+    is taken, the prefix roots' on a tie.  Refuses what `commit_subtree`
+    refuses, before any hashing.
     """
-    roots = prefix_roots(stop, sigma)
+    roots, ancestors, suffix = split_at(stop, sigma)
     corrections = _corrections(sigma, buckets)
-    memo, suffix = _memo(sigma), suffix_roots(stop, sigma)
-    ancestors = [stop >> up for up in range(1, level(stop) + 1)]
+    memo = _memo(sigma)
     if len(ancestors) + _fold_cost(memo, sigma, [1, *suffix], set()) < _fold_cost(memo, sigma, roots, set()):
         zeros = _zero_fold(sigma, 1) - fold_ranges([ancestors], {}).acc - sum(_zero_fold(sigma, r) for r in suffix)
     else:
@@ -441,7 +440,7 @@ def _corrections(sigma: int, buckets) -> int:
 def subtree_commitment(q: QDigest, root: int) -> Commitment:
     """Fold of insertions for every node of the subtree, zeros included."""
     inside = subtree_test(root, q.sigma)
-    return commit_subtrees(q.sigma, [root], [(node, cnt) for node, cnt in q.buckets().items() if inside(node)])
+    return commit_subtree(q.sigma, root, [(node, cnt) for node, cnt in q.buckets().items() if inside(node)])
 
 
 def subtree_commitments(q: QDigest, roots) -> dict[int, Commitment]:

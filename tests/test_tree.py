@@ -9,12 +9,11 @@ from qdigest_auth.tree import (
     post_order_nodes,
     post_order_rank,
     prefix_ranges,
-    prefix_roots,
     sibling,
+    split_at,
     subtree_ranges,
     subtree_size,
     subtree_test,
-    suffix_roots,
 )
 
 # hand enumeration of the post-order visit for sigma = 8
@@ -89,13 +88,20 @@ def test_prefix_ranges_hold_the_post_order_prefix_of_every_stop(sigma):
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(9)])
-def test_prefix_roots_split_the_post_order_prefix_of_every_stop_into_disjoint_subtrees(sigma):
-    for rank, stop in enumerate(post_order_nodes(sigma), 1):
-        subtrees = [list(post_order_nodes(sigma, root)) for root in prefix_roots(stop, sigma)]
-        nodes = [node for subtree in subtrees for node in subtree]
-        assert len(nodes) == len(set(nodes)), stop
-        assert set(nodes) == set(islice(post_order_nodes(sigma), rank)), stop
-        assert set(nodes) == set(flat(prefix_ranges(stop, sigma))), stop
+def test_split_at_every_stop_parts_the_tree_into_prefix_ancestors_and_suffix(sigma):
+    walk = list(post_order_nodes(sigma))
+    for rank, stop in enumerate(walk, 1):
+        roots, ancestors, siblings = split_at(stop, sigma)
+        prefix = [node for root in roots for node in post_order_nodes(sigma, root)]
+        suffix = [node for root in siblings for node in post_order_nodes(sigma, root)]
+        assert len(prefix) == len(set(prefix)) and set(prefix) == set(walk[:rank]), stop
+        assert sorted(prefix + ancestors + suffix) == list(range(1, 2 * sigma)), stop
+        assert all(post_order_rank(node, sigma) > rank for node in ancestors + suffix), stop
+        assert ancestors == [stop >> up for up in range(1, level(stop) + 1)], stop
+        assert set(flat(prefix_ranges(stop, sigma))) == set(prefix), stop
+        # each part is listed bottom-up; only stop and its left sibling share a level
+        for part in (roots, ancestors, siblings):
+            assert all(level(a) >= level(b) for a, b in zip(part, part[1:])), stop
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(8)])
@@ -112,16 +118,6 @@ def test_prefix_ranges_without_a_subtree_hold_the_post_order_walk_around_it(sigm
         for root in walk[stop_rank - 1:]:
             with pytest.raises(ValueError):
                 prefix_ranges(stop, sigma, skip=root)
-
-
-@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
-def test_suffix_roots_and_the_ancestors_complete_the_prefix_of_every_stop(sigma):
-    for rank, stop in enumerate(post_order_nodes(sigma), 1):
-        prefix = [node for root in prefix_roots(stop, sigma) for node in post_order_nodes(sigma, root)]
-        ancestors = [stop >> up for up in range(1, level(stop) + 1)]
-        suffix = [node for root in suffix_roots(stop, sigma) for node in post_order_nodes(sigma, root)]
-        assert sorted(prefix + ancestors + suffix) == list(range(1, 2 * sigma)), stop
-        assert all(post_order_rank(node, sigma) > rank for node in ancestors + suffix), stop
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(9)])

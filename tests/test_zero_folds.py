@@ -1,6 +1,6 @@
 """The source's, the prover's and the verifier's commitments through memoized zero folds.
 
-`commit_digest`, `subtree_commitment`, `commit_subtrees` and the
+`commit_digest`, `subtree_commitment`, `commit_subtree` and the
 remainders of `aqq` and `malicious_aqq_omit_left` take Z, the public fold
 of zero-valued insertions, and add H(b, c_b) - H(b, 0) per bucket; a
 remainder also subtracts the zero fold of the post-order prefix up to its
@@ -22,6 +22,7 @@ import time
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, islice
 from unittest.mock import Mock
 
@@ -36,7 +37,7 @@ from qdigest_auth.commitment import (
     combine,
     commit_digest,
     commit_prefix,
-    commit_subtrees,
+    commit_subtree,
     fold_ranges,
     sha256_calls,
     subtree_commitment,
@@ -55,11 +56,10 @@ from qdigest_auth.tree import (
     level,
     post_order_nodes,
     post_order_rank,
-    prefix_roots,
+    split_at,
     subtree_ranges,
     subtree_size,
     subtree_test,
-    suffix_roots,
 )
 
 from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, needs_helper, random_frequencies
@@ -74,6 +74,11 @@ def literal(q, nodes):
 def literal_remainder(q, stop, hidden=()):
     after = islice(post_order_nodes(q.sigma), post_order_rank(stop, q.sigma), None)
     return literal(q, chain(after, hidden))
+
+
+def commit_zero_subtrees(sigma, roots):
+    """The zero fold of disjoint subtrees: one `commit_subtree` per root, in turn."""
+    return reduce(combine, (commit_subtree(sigma, root, ()) for root in roots), Commitment(0))
 
 
 def seeded_digest(seed, sigma):
@@ -98,8 +103,8 @@ def test_commitments_equal_the_literal_fold_at_every_root(sigma, example2_digest
             counted = buckets[:bisect_right(ranks, rank)]
             assert commit_prefix(sigma, root, counted) == counted_prefix, root
             if q is digests[0]:  # the zero folds, which q does not change, and a prefix from a memo that holds nothing
-                assert commit_subtrees(sigma, [root], ()) == hashlib_fold([nodes], {}), root
-                assert commit_subtrees(sigma, prefix_roots(root, sigma), ()) == prefix, root
+                assert commit_subtree(sigma, root, ()) == hashlib_fold([nodes], {}), root
+                assert commit_zero_subtrees(sigma, split_at(root, sigma)[0]) == prefix, root
                 warm_memo = commitment._ZERO_FOLDS.pop(sigma)
                 assert commit_prefix(sigma, root, counted) == counted_prefix, root
                 commitment._ZERO_FOLDS[sigma] = warm_memo
@@ -163,9 +168,10 @@ def assert_the_cheaper_side_is_folded(sigma, stop):
     stands, the prefix roots' on a tie, and leaves the memo that side's folds leave."""
     memo = dict(commitment._ZERO_FOLDS.get(sigma, {}))
     sides = []
-    for roots, ancestors in ((prefix_roots(stop, sigma), 0), ([1, *suffix_roots(stop, sigma)], level(stop))):
+    prefix, ancestors, suffix = split_at(stop, sigma)
+    for roots, path in ((prefix, 0), ([1, *suffix], len(ancestors))):
         commitment._ZERO_FOLDS[sigma] = dict(memo)
-        sides.append((calls_of(commit_subtrees, sigma, roots, ()) + ancestors, commitment._ZERO_FOLDS[sigma]))
+        sides.append((calls_of(commit_zero_subtrees, sigma, roots) + path, commitment._ZERO_FOLDS[sigma]))
     commitment._ZERO_FOLDS[sigma] = dict(memo)
     calls = calls_of(commit_prefix, sigma, stop, ())
     assert (calls, commitment._ZERO_FOLDS[sigma]) == min(sides, key=lambda side: side[0]), stop
@@ -179,7 +185,7 @@ def test_a_prefix_folds_the_side_that_hashes_less_with_the_memo_as_it_stands(sig
             commitment._ZERO_FOLDS.pop(sigma, None)
         assert_the_cheaper_side_is_folded(sigma, stop)
     # every memoized root but 1 and 3: folding Z(1) also memoizes Z(3), which a stop in subtree 2 then finds
-    commit_subtrees(sigma, [1] + list(range(4, sigma // commitment._SHORT)), ())
+    commit_zero_subtrees(sigma, [1] + list(range(4, sigma // commitment._SHORT)))
     warm_memo = commitment._ZERO_FOLDS.pop(sigma)
     for stop in range(1, 2 * sigma):
         commitment._ZERO_FOLDS[sigma] = {root: z for root, z in warm_memo.items() if root not in (1, 3)}
@@ -189,7 +195,7 @@ def test_a_prefix_folds_the_side_that_hashes_less_with_the_memo_as_it_stands(sig
 @pytest.mark.parametrize("root", [0, -1, 2048, 2**70])
 def test_a_root_outside_the_tree_is_refused(root):
     q = seeded_digest(0, 1024)
-    for call in (lambda: subtree_commitment(q, root), lambda: commit_subtrees(1024, [root], ())):
+    for call in (lambda: subtree_commitment(q, root), lambda: commit_subtree(1024, root, ())):
         with pytest.raises(ValueError, match=r"out of range \[1, 2047\]"):
             call()
 
@@ -207,7 +213,7 @@ SUFFIX_CALLS = 4 * commitment._SHORT
 def warm(sigma):
     """Fold every zero subtree `_zero_fold` memoizes at sigma: each root with more than `_SHORT` leaves."""
     for root in range(1, sigma // commitment._SHORT):
-        commit_subtrees(sigma, [root], ())
+        commit_subtree(sigma, root, ())
 
 
 def wide_digest(sigma):
@@ -269,7 +275,7 @@ def test_a_sigma_above_the_commitment_limit_is_refused_before_any_hashing(sigma)
         lambda: commit_digest(q),
         lambda: publish_kvc_auth(q),
         lambda: subtree_commitment(q, 2),
-        lambda: commit_subtrees(sigma, [3], ()),
+        lambda: commit_subtree(sigma, 3, ()),
         lambda: commit_prefix(sigma, 3, ()),
         lambda: aqq(q, Fraction(1, 2)),
         # a proof that passes every check before the fold
