@@ -30,12 +30,42 @@ from qdigest_auth.tree import post_order_nodes, prefix_ranges, subtree_ranges
 
 from helpers import CAN_SPLIT, SPLIT, hashlib_fold, helper_pid, random_digest
 
+records_strategy = st.lists(
+    st.tuples(st.integers(1, 10**6), st.integers(0, 10**9)), max_size=60
+)
+
+
 def test_initialize_is_identity():
     c = initialize()
     assert combine(c, c) == c
     other = insert(initialize(), 1, 5)
     assert combine(c, other) == other
     assert other != c
+
+
+@given(records_strategy, st.randoms(use_true_random=False))
+def test_permutation_invariance(records, rng):
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    assert commit_records(records) == commit_records(shuffled)
+
+
+@given(records_strategy, records_strategy)
+def test_combine_is_multiset_union(a, b):
+    assert combine(commit_records(a), commit_records(b)) == commit_records(a + b)
+
+
+@given(st.integers(1, 10**6), st.integers(0, 10**9))
+def test_multiplicity_sensitivity(key, value):
+    once = insert(initialize(), key, value)
+    twice = insert(once, key, value)
+    assert once != twice
+
+
+@given(st.integers(1, 10**6))
+def test_zero_value_insertions_are_not_identity(key):
+    c = insert(initialize(), 42, 7)
+    assert insert(c, key, 0) != c
 
 
 def test_inverse_cancels():
@@ -142,6 +172,14 @@ def test_a_bucket_count_outside_the_encoding_is_refused_before_any_hashing(bad):
     with pytest.raises(ValueError, match=f"^value {re.escape(repr(bad))} does not fit the fixed-width encoding$"):
         commit_subtree(8, 1, [(8, 1), (9, 2), (10, bad)])
     assert sha256_calls() == before
+
+
+def test_permutation_invariance_at_ten_thousand_insertions():
+    rng = random.Random(71)
+    records = [(rng.randint(1, 2**40), rng.randint(0, 2**40)) for _ in range(10_000)]
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    assert commit_records(records) == commit_records(shuffled)
 
 
 def test_collision_smoke_over_many_distinct_digests():

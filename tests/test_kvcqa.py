@@ -276,6 +276,21 @@ class TestAccelerated:
         stats = qqv_accelerated(bad, c, pre, n, 8)
         assert not stats.accepted
 
+    def test_agreement_and_cost_on_random_instances(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            q = random_digest(rng, sigma=rng.choice([16, 32, 64]), k=rng.randint(1, 6))
+            if q.n == 0:
+                continue
+            c = commit_digest(q)
+            pre = {2: subtree_commitment(q, 2)}
+            frac = Fraction(rng.randint(0, 10), 10)
+            proof = aqq(q, frac)
+            plain = qqv(proof, c, q.n, q.sigma)
+            accel = qqv_accelerated(proof, c, pre, q.n, q.sigma)
+            assert accel.accepted == plain.accepted
+            assert accel.insert_ops <= plain.insert_ops
+
 
 class TestProofFiles:
     def test_text_round_trip(self, e2):

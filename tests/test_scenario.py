@@ -279,6 +279,25 @@ class TestCumulative:
         with pytest.raises(ValueError, match="incompatible digest"):
             cumulative_update(state, build_from_frequencies(s1, 5, 8))
 
+    def test_distribution_shift_depth_degrades_without_window(self):
+        # lower-half-heavy stream followed by an upper-half-heavy stream:
+        # the ever-growing cumulative digest ends with shallow buckets while
+        # the sliding window keeps resolution near the leaves
+        rng = random.Random(9)
+        sigma, k, w = 64, 4, 5
+        full = CumulativeState()
+        windowed = CumulativeState(width=w)
+        for i in range(50):
+            if i < 25:
+                values = range(1, sigma // 2 + 1)
+            else:
+                values = range(sigma // 2 + 1, sigma + 1)
+            freqs = {v: rng.randint(1, 8) for v in rng.sample(list(values), 16)}
+            q = build_from_frequencies(freqs, k, sigma)
+            full = cumulative_update(full, q)
+            windowed = cumulative_update(windowed, q)
+        assert mean_bucket_depth(full.current) < mean_bucket_depth(windowed.current)
+
 
 class TestPrivacyProfile:
     def test_k_one_level_collapses_to_root(self, s1):

@@ -88,17 +88,23 @@ def test_prefix_ranges_hold_the_post_order_prefix_of_every_stop(sigma):
 
 
 @pytest.mark.parametrize("sigma", [2**e for e in range(9)])
-def test_split_at_every_stop_parts_the_tree_into_prefix_ancestors_and_suffix(sigma):
+def test_split_at_every_stop_holds_its_post_order_prefix_in_disjoint_subtrees(sigma):
     walk = list(post_order_nodes(sigma))
     for rank, stop in enumerate(walk, 1):
+        prefix = [node for root in split_at(stop, sigma)[0] for node in post_order_nodes(sigma, root)]
+        assert len(prefix) == len(set(prefix)) and set(prefix) == set(walk[:rank]), stop
+        assert set(flat(prefix_ranges(stop, sigma))) == set(prefix), stop
+
+
+@pytest.mark.parametrize("sigma", [2**e for e in range(9)])
+def test_split_at_every_stop_parts_the_tree_into_prefix_ancestors_and_suffix(sigma):
+    for rank, stop in enumerate(post_order_nodes(sigma), 1):
         roots, ancestors, siblings = split_at(stop, sigma)
         prefix = [node for root in roots for node in post_order_nodes(sigma, root)]
         suffix = [node for root in siblings for node in post_order_nodes(sigma, root)]
-        assert len(prefix) == len(set(prefix)) and set(prefix) == set(walk[:rank]), stop
         assert sorted(prefix + ancestors + suffix) == list(range(1, 2 * sigma)), stop
         assert all(post_order_rank(node, sigma) > rank for node in ancestors + suffix), stop
         assert ancestors == [stop >> up for up in range(1, level(stop) + 1)], stop
-        assert set(flat(prefix_ranges(stop, sigma))) == set(prefix), stop
         # each part is listed bottom-up; only stop and its left sibling share a level
         for part in (roots, ancestors, siblings):
             assert all(level(a) >= level(b) for a, b in zip(part, part[1:])), stop

@@ -45,6 +45,30 @@ def test_verify_hashes_a_decoded_digest_once(monkeypatch):
     assert calls == [(digest_to_bytes(q),)]
 
 
+def test_single_count_change_rejected(example2_digest):
+    auth = wda_authinfo(example2_digest)
+    counts = example2_digest.buckets()
+    counts[10] += 1
+    verdict = wda_verify(QDigest(8, 5, counts), auth)
+    assert not verdict.accepted and verdict.reason == "hash-mismatch"
+
+
+def test_parameter_mismatch_rejected(example2_digest):
+    auth = wda_authinfo(example2_digest)
+    other = QDigest(8, 6, example2_digest.buckets())
+    verdict = wda_verify(other, auth)
+    assert not verdict.accepted and verdict.reason == "parameter-mismatch"
+
+
+def test_structurally_invalid_digest_rejected_even_with_matching_hash():
+    # forged auth info for an invalid structure: the hash matches, but the
+    # structural check is independent of it and still refuses
+    bogus = QDigest(8, 4, {2: 50, 4: 1, 5: 1, 3: 50})
+    forged_auth = WdaAuthInfo(hash_digest_bytes(digest_to_bytes(bogus)), 8, 4)
+    verdict = wda_verify(bogus, forged_auth)
+    assert not verdict.accepted and verdict.reason == "invalid-structure"
+
+
 def test_every_outcome_is_the_shared_verdict_record_with_no_insert_ops(example2_digest):
     auth = wda_authinfo(example2_digest)
     raised = example2_digest.buckets()
