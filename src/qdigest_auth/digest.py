@@ -50,7 +50,7 @@ _DENSE = 2
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"compression parameter k must be a positive integer, got {k!r}")
 
 
@@ -60,6 +60,10 @@ class QDigest:
     `leaf_width` is 1 for ordinary digests; coarse-grained digests built
     over a reduced tree carry the width of the original value range each
     leaf aggregates, and query answers are scaled back by it.
+
+    Every field is a plain int: sigma, k, leaf width, and each node and
+    count, so a bool is refused.  The counts are checked in input order and
+    the first bad entry is named.
     """
 
     __slots__ = ("sigma", "k", "leaf_width", "_counts", "_n", "_index", "_bytes")
@@ -73,21 +77,14 @@ class QDigest:
         self.k = k
         self.leaf_width = leaf_width
         top = 2 * sigma - 1
-        items: dict[int, int] = {}
-        if counts:
-            try:
-                keys = sorted(counts)
-            except TypeError:  # keys that do not compare, so not all are integers: the first such is refused below
-                keys = [next(i for i in counts if not isinstance(i, int))]
-            for i in keys:
-                c = counts[i]
-                if not isinstance(i, int) or not 1 <= i <= top:
-                    raise ValueError(f"node index {i!r} out of range [1, {top}]")
-                if not isinstance(c, int) or c < 1:
-                    raise ValueError(f"count for node {i} must be a positive integer, got {c!r}")
-                items[i] = c
-        self._counts = items
-        self._n = sum(items.values())
+        counts = counts or {}
+        for i, c in counts.items():
+            if type(i) is not int or not 1 <= i <= top:
+                raise ValueError(f"node index {i!r} out of range [1, {top}]")
+            if type(c) is not int or c < 1:
+                raise ValueError(f"count for node {i} must be a positive integer, got {c!r}")
+        self._counts = {i: counts[i] for i in sorted(counts)}  # every key is a checked int, so they sort
+        self._n = sum(self._counts.values())
         self._index = None  # see _post_order_index
         self._bytes = None  # the canonical encoding, set whole by serialize.digest_to_bytes
 

@@ -64,7 +64,7 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import check_auth_parameters, header_fields, index_counts, require_canonical
+from .serialize import check_auth_parameters, header_fields, index_count, require_canonical
 from .tree import is_power_of_two, post_order_rank, prefix_ranges, subtree_size, subtree_test
 from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
 
@@ -243,7 +243,7 @@ def proof_from_text(text: str) -> QuantileProof:
         q=Fraction(int(num), int(den)),
         n=int(n),
         answer=int(answer),
-        counted=tuple(index_counts(body[:-1])),
+        counted=tuple(map(index_count, body[:-1])),
         remainder=Commitment.parse(body[-1].removeprefix("remainder=")),
     )
     require_canonical(text, proof_to_text(proof), "proof file")

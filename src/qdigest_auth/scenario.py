@@ -3,10 +3,12 @@
 A session follows the authenticated-data-structure model: a trusted
 source builds a digest and its authentication information, an untrusted
 responder answers quantile queries, and the user verifies each answer
-under the chosen scheme.  The source publishes only what that scheme
-reads: a `wda` session hashes and verifies the one digest it ships, a KVC
-session commits the digest and verifies each proof.  The trusted store is
-an in-process value here; distributing it is assumed to happen out of band.
+under the chosen scheme.  A `wda` session hashes and verifies the one
+digest it ships.  A KVC session publishes the KVC auth info, the digest's
+commitment and subtree 2's, and verifies each proof: a `kvc_qa` user reads
+only the commitment, a `kvc_qa_accelerated` user also reads subtree 2.  The
+trusted store is an in-process value here; distributing it is assumed to
+happen out of band.
 
 Also implemented are the deployment patterns built on merging: cumulative
 digests over a stream (full or sliding-window), and privacy profiles that
@@ -210,7 +212,7 @@ def build_privacy_profile(freqs, sigma: int, levels) -> dict[str, QDigest]:
     leaves, a hard floor on precision).  Each digest carries its level's k,
     and its leaf width is 2**cut.
     """
-    levels = tuple((str(name), int(k), int(cut)) for name, k, cut in levels)
+    levels = tuple((str(name), k, cut) for name, k, cut in levels)
     if not levels:
         raise ValueError("need at least one privilege level")
     names, ks, cuts = zip(*levels)

@@ -15,9 +15,9 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
-`index:count` lines and `dump_frequencies`'s shape are read in bulk, and a
-digest file in the writer's shape is kept as its digest's bytes unencoded;
-any other text is read line by line, to the same value or refusal message.
+`dump_frequencies`'s shape is read in bulk, and a digest file in the
+writer's shape is kept as its digest's bytes unencoded; any other text is
+read line by line, to the same value or refusal message.
 
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray
@@ -30,8 +30,6 @@ on that I/O.  Text is encoded first, so refused text leaves the old file.
 import os
 import re
 from contextlib import suppress
-from itertools import repeat
-from operator import itemgetter
 
 from .digest import QDigest
 from .tree import is_power_of_two
@@ -75,15 +73,6 @@ def index_count(line: str) -> tuple[int, int]:
         raise ValueError(f"expected an index:count line, got {line!r}") from None
 
 
-def index_counts(lines: list[str]) -> list[tuple[int, int]]:
-    """`index_count` of each line, in bulk; on a bad line, line by line, so it is named as `index_count` names it."""
-    parts = list(map(str.partition, lines, repeat(":")))
-    try:
-        return list(zip(map(int, map(itemgetter(0), parts)), map(int, map(itemgetter(2), parts))))
-    except ValueError:
-        return [index_count(line) for line in lines]
-
-
 def require_canonical(text: str | bytes, written: str | bytes, what: str) -> None:
     """Refuse `text` (str or bytes) unless it is exactly `written`, the writer's output for its value."""
     if text == written:
@@ -116,7 +105,7 @@ def digest_from_bytes(data: bytes) -> QDigest:
     # latin-1 decodes any byte, so every input reaches the canonical check
     header, newline, body = data.decode("latin-1").partition("\n")
     sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
-    buckets = index_counts(body.splitlines())
+    buckets = list(map(index_count, body.splitlines()))
     q = QDigest(sigma, k, dict(buckets), leaf_width)
     # Canonical integers in ascending index order under q's header are q's bytes, so they need no encoding.
     if _CANONICAL_BODY.fullmatch(body) and list(q._counts.items()) == buckets and newline and header == _header(q):

@@ -9,11 +9,11 @@ single domain value v.
 
 
 def is_power_of_two(x: int) -> bool:
-    return isinstance(x, int) and x >= 1 and x & (x - 1) == 0
+    return type(x) is int and x >= 1 and x & (x - 1) == 0
 
 
 def next_power_of_two(x: int) -> int:
-    if not isinstance(x, int) or x < 1:
+    if type(x) is not int or x < 1:
         raise ValueError(f"domain size must be a positive integer, got {x!r}")
     return 1 << (x - 1).bit_length() if x > 1 else 1
 

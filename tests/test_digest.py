@@ -28,7 +28,7 @@ from qdigest_auth.digest import (
     recursive_compress,
     validate,
 )
-from qdigest_auth.serialize import digest_to_bytes
+from qdigest_auth.serialize import MAX_SIGMA, VALUE_LIMIT, digest_from_bytes, digest_to_bytes
 from qdigest_auth.tree import level, next_power_of_two
 
 from helpers import (
@@ -94,6 +94,48 @@ class TestConstruction:
         with pytest.raises(ValueError) as exc:
             QDigest(8, 4, counts)
         assert str(exc.value) == f"node index {bad} out of range [1, 15]"
+
+    def test_the_first_bad_key_in_input_order_is_named(self):
+        with pytest.raises(ValueError) as exc:
+            QDigest(8, 4, {99: 1, 0: 1})
+        assert str(exc.value) == "node index 99 out of range [1, 15]"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, 4), "domain size must be a positive power of two, got True"),
+            ((8, True, {1: 2}), "compression parameter k must be a positive integer, got True"),
+            ((8, 4, {1: 2}, True), "leaf width must be a positive power of two, got True"),
+            ((8, 4, {True: 4}), "node index True out of range [1, 15]"),
+            ((8, 4, {1: True}), "count for node 1 must be a positive integer, got True"),
+        ],
+    )
+    def test_a_bool_field_is_refused_with_the_fields_message(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            QDigest(*args)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_digest_round_trips_or_is_refused_at_the_encoding_limits(self, data):
+        def or_bool(ints):  # a bool one time in eight, so that most digests are still accepted
+            return st.integers(0, 7).flatmap(lambda i: st.booleans() if i == 0 else ints)
+
+        sigma = data.draw(or_bool(st.sampled_from([1, 2, 8, MAX_SIGMA, 2 * MAX_SIGMA])))
+        k = data.draw(or_bool(st.integers(1, 64)))
+        leaf_width = data.draw(or_bool(st.sampled_from([1, 2, 8])))
+        nodes = or_bool(st.integers(1, max(1, 2 * sigma - 1)))
+        counts = or_bool(st.one_of(st.integers(1, 10), st.integers(VALUE_LIMIT - 2, VALUE_LIMIT + 2)))
+        buckets = data.draw(st.dictionaries(nodes, counts, max_size=6))
+        try:
+            q = QDigest(sigma, k, buckets, leaf_width)
+        except ValueError:
+            return
+        if q.sigma > MAX_SIGMA or max(buckets.values(), default=0) >= VALUE_LIMIT:
+            with pytest.raises(ValueError, match="limit"):
+                digest_to_bytes(q)
+        else:
+            assert digest_from_bytes(digest_to_bytes(q)) == q
 
     def test_construction_invariant_and_tight_bound(self, s1):
         q1 = build_from_frequencies(s1, 4, 8)
@@ -952,6 +994,7 @@ class TestBuildPath:
             ({"sigma": 0}, "domain size must be a positive integer, got 0"),
             ({"k": 0}, "compression parameter k must be a positive integer, got 0"),
             ({"k": -1}, "compression parameter k must be a positive integer, got -1"),
+            ({"sigma": True}, "domain size must be a positive integer, got True"),
         ],
     )
     def test_single_faults_keep_their_messages(self, fault, message):

@@ -339,6 +339,18 @@ class TestPrivacyProfile:
         with pytest.raises(ValueError, match="repeated: p1"):
             build_privacy_profile(s1, 8, [("p1", 8, 0), ("p1", 4, 0)])
 
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            (("p1", 4.9, 0), "compression parameter k must be a positive integer, got 4.9"),
+            (("p1", 4, 0.5), "levels to cut must be a nonnegative integer, got 0.5"),
+        ],
+    )
+    def test_a_fractional_k_or_cut_is_refused_not_truncated(self, s1, level, message):
+        with pytest.raises(ValueError) as exc:
+            build_privacy_profile(s1, 8, [level])
+        assert str(exc.value) == message
+
     def test_coarse_levels_floor_precision(self, s1):
         profile = build_privacy_profile(s1, 8, [("p1", 8, 0), ("p2", 4, 1)])
         assert profile["p2"].leaf_width == 2

@@ -2,16 +2,16 @@ import ast
 import graphlib
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdigest_auth
-from qdigest_auth import kvcqa
+from qdigest_auth.commitment import Commitment
 from qdigest_auth.digest import QDigest, build_from_frequencies
-from qdigest_auth.kvcqa import proof_from_text, proof_to_text
+from qdigest_auth.kvcqa import QuantileProof, proof_from_text, proof_to_text
 from qdigest_auth.serialize import (
     _write_bytes,
     digest_from_bytes,
@@ -161,10 +161,20 @@ def digest_line_by_line(data: bytes) -> QDigest:
     return q
 
 
-def proof_line_by_line(text: str):
+def proof_line_by_line(text: str) -> QuantileProof:
     """`proof_from_text` reading one `index:count` line at a time."""
-    with mock.patch.object(kvcqa, "index_counts", lambda lines: [index_count(line) for line in lines]):
-        return proof_from_text(text)
+    header, *body = text.splitlines() or [""]
+    q, n, answer = header_fields(header, "aqqproof v1", ("q", "n", "answer"))
+    num, _, den = q.partition("/")
+    if int(den) == 0:
+        raise ValueError(f"quantile fraction has a zero denominator: {q!r}")
+    if not body:
+        raise ValueError("proof file must end with the remainder commitment")
+    counted = tuple(index_count(line) for line in body[:-1])
+    remainder = Commitment.parse(body[-1].removeprefix("remainder="))
+    proof = QuantileProof(Fraction(int(num), int(den)), int(n), int(answer), counted, remainder)
+    require_canonical(text, proof_to_text(proof), "proof file")
+    return proof
 
 
 # few values, so that lines repeat them
