@@ -77,7 +77,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .digest import QDigest
-from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, require_canonical
+from .serialize import KEY_LIMIT, VALUE_BYTES, VALUE_LIMIT, field, require_canonical
 from .tree import check_node, level, split_at, subtree_ranges, subtree_test
 
 # secp256k1 field prime: the largest prime below 2**256 - 2**32.
@@ -143,7 +143,7 @@ class Commitment:
     acc: int
 
     def __post_init__(self):
-        if not isinstance(self.acc, int) or not 0 <= self.acc < GROUP_PRIME:
+        if type(self.acc) is not int or not 0 <= self.acc < GROUP_PRIME:
             raise ValueError("commitment value out of group range")
 
     def to_bytes(self) -> bytes:
@@ -154,7 +154,7 @@ class Commitment:
 
     @classmethod
     def parse(cls, text: str) -> "Commitment":
-        c = cls(int(text.removeprefix(_PREFIX), 16))
+        c = cls(field("commitment", text.removeprefix(_PREFIX), lambda digits: int(digits, 16)))
         require_canonical(text, c.encode(), "commitment")
         return c
 
@@ -186,9 +186,9 @@ def sha256_calls() -> int:
 
 
 def _contribution(key: int, value: int) -> int:
-    if not isinstance(key, int) or key < 0 or key >= KEY_LIMIT:
+    if type(key) is not int or key < 0 or key >= KEY_LIMIT:
         raise ValueError(f"key {key!r} does not fit the fixed-width encoding")
-    if not isinstance(value, int) or value < 0 or value >= VALUE_LIMIT:
+    if type(value) is not int or value < 0 or value >= VALUE_LIMIT:
         raise ValueError(f"value {value!r} does not fit the fixed-width encoding")
     return fold_ranges([(key,)], {key: value}).acc
 
@@ -431,7 +431,7 @@ def _corrections(sigma: int, buckets) -> int:
         raise ValueError(f"sigma {sigma} exceeds the commitment limit {COMMIT_MAX_SIGMA}")
     counted = dict(buckets)
     for cnt in counted.values():
-        if not isinstance(cnt, int) or not 0 <= cnt < VALUE_LIMIT:
+        if type(cnt) is not int or not 0 <= cnt < VALUE_LIMIT:
             raise ValueError(f"value {cnt!r} does not fit the fixed-width encoding")
     nodes = [list(counted)]
     return fold_ranges(nodes, counted).acc - fold_ranges(nodes, {}).acc

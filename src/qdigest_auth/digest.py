@@ -390,7 +390,7 @@ def coarsen(
     A map is checked in bulk, pairs one by one, and a refusal names the
     first bad pair in input order; `_masses` reads the values, never mapping them to leaves.
     """
-    if not isinstance(levels_cut, int) or levels_cut < 0:
+    if type(levels_cut) is not int or levels_cut < 0:
         raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
     tree_sigma = next_power_of_two(sigma)
     if not isinstance(freqs, Mapping):
@@ -456,7 +456,7 @@ def recompress(q: QDigest, k_new: int) -> QDigest:
     property 2 is restored by compression.  Raising k is refused: there
     is no procedure that restores property 1.
     """
-    if not isinstance(k_new, int) or k_new < 1:
+    if type(k_new) is not int or k_new < 1:
         raise ValueError(f"new compression parameter must be a positive integer, got {k_new!r}")
     if k_new >= q.k:
         raise ValueError(f"can only recompress to a strictly smaller k ({k_new} >= {q.k})")
@@ -479,8 +479,10 @@ def quantile_query(q: QDigest, fraction) -> int:
 def quantile_fraction(value) -> Fraction:
     """`value`, anything `Fraction` reads, as an exact rational: the q reader of queries, the prover and scenarios.
 
-    Refuses a zero denominator or a value outside [0, 1] with ValueError.
+    Refuses a zero denominator, an exponent or a value outside [0, 1] with ValueError.
     """
+    if isinstance(value, str) and "e" in value.lower():  # Fraction("1e9999999") spells out ten million digits
+        raise ValueError(f"quantile fraction {value!r} has an exponent: write it as a decimal or a ratio")
     try:
         frac = Fraction(value)
     except ZeroDivisionError:
@@ -515,7 +517,7 @@ def range_top(i: int, sigma: int, leaf_width: int) -> int:
 
 def rank_query(q: QDigest, x: int) -> int:
     """Lower-bound estimate of the rank of x: mass of buckets ending below x."""
-    if not isinstance(x, int) or not 1 <= x <= q.domain_size:
+    if type(x) is not int or not 1 <= x <= q.domain_size:
         raise ValueError(f"value {x!r} out of domain [1, {q.domain_size}]")
     if q.n == 0:
         raise ValueError("cannot query an empty digest")
@@ -530,7 +532,7 @@ def _rank_below(q: QDigest, x: int) -> int:
 def range_query(q: QDigest, lo: int, hi: int) -> int:
     """Estimated number of stored values falling in [lo, hi]."""
     dom = q.domain_size
-    if not (isinstance(lo, int) and isinstance(hi, int)) or not 1 <= lo <= hi <= dom:
+    if type(lo) is not int or type(hi) is not int or not 1 <= lo <= hi <= dom:
         raise ValueError(f"invalid range [{lo!r}, {hi!r}] for domain [1, {dom}]")
     if q.n == 0:
         raise ValueError("cannot query an empty digest")

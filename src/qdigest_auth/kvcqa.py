@@ -64,11 +64,13 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import check_auth_parameters, header_fields, index_count, require_canonical
+from .serialize import check_auth_parameters, field, header_fields, index_count, require_canonical
 from .tree import is_power_of_two, post_order_rank, prefix_ranges, subtree_size, subtree_test
 from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
 
 REASON_COMMITMENT_MISMATCH = "commitment-mismatch"
+# The proof header's readers: q as its two integers, never `Fraction(text)`, which expands an exponent's digits.
+PROOF_FIELDS = {"q": lambda text: Fraction(*map(int, text.split("/", 1))), "n": int, "answer": int}
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def qqv_accelerated(
     stop_rank = post_order_rank(proof.counted[-1][0], sigma)
     best_size, best, inside = 0, None, []
     for root, pc in precomputed.items():
-        if not isinstance(root, int) or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
+        if type(root) is not int or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
             return VerificationStats(False, REASON_MALFORMED, 0)
         if post_order_rank(root, sigma) >= stop_rank:
             continue
@@ -222,10 +224,7 @@ def qqv_accelerated(
 
 
 def proof_to_text(proof: QuantileProof) -> str:
-    lines = [
-        f"aqqproof v1 q={proof.q.numerator}/{proof.q.denominator} "
-        f"n={proof.n} answer={proof.answer}"
-    ]
+    lines = [f"aqqproof v1 q={proof.q.numerator}/{proof.q.denominator} n={proof.n} answer={proof.answer}"]
     lines.extend(f"{node}:{cnt}" for node, cnt in proof.counted)
     lines.append(f"remainder={proof.remainder.encode()}")
     return "\n".join(lines) + "\n"
@@ -233,19 +232,10 @@ def proof_to_text(proof: QuantileProof) -> str:
 
 def proof_from_text(text: str) -> QuantileProof:
     header, *body = text.splitlines() or [""]
-    q, n, answer = header_fields(header, "aqqproof v1", ("q", "n", "answer"))
-    num, _, den = q.partition("/")
-    if int(den) == 0:
-        raise ValueError(f"quantile fraction has a zero denominator: {q!r}")
-    if not body:
-        raise ValueError("proof file must end with the remainder commitment")
-    proof = QuantileProof(
-        q=Fraction(int(num), int(den)),
-        n=int(n),
-        answer=int(answer),
-        counted=tuple(map(index_count, body[:-1])),
-        remainder=Commitment.parse(body[-1].removeprefix("remainder=")),
-    )
+    q, n, answer = header_fields(header, "aqqproof v1", PROOF_FIELDS)
+    counted = tuple(map(index_count, body[:-1]))
+    remainder = field("remainder", body[-1].removeprefix("remainder=") if body else "", Commitment.parse)
+    proof = QuantileProof(q, n, answer, counted, remainder)
     require_canonical(text, proof_to_text(proof), "proof file")
     return proof
 
@@ -276,22 +266,20 @@ class KvcAuthInfo:
         power of two, a negative n and a subtree root outside the tree.
         """
         header, *body = text.splitlines() or [""]
-        sigma, k, leaf_width, n = map(int, header_fields(header, "kvcauth v1", ("sigma", "k", "leafwidth", "n")))
+        sigma, k, leaf_width, n = header_fields(header, "kvcauth v1", dict.fromkeys(("sigma", "k", "leafwidth", "n"), int))
         check_auth_parameters("KVC", sigma, k, COMMIT_MAX_SIGMA)
         if not is_power_of_two(leaf_width):
             raise ValueError(f"KVC auth field leafwidth={leaf_width} is not a positive power of two")
         if n < 0:
             raise ValueError(f"KVC auth field n={n} is negative")
-        if not body:
-            raise ValueError("KVC auth file must carry the whole-digest commitment")
-        commitment = Commitment.parse(body[0].removeprefix("commitment="))
+        commitment = field("commitment", body[0].removeprefix("commitment=") if body else "", Commitment.parse)
         subtrees = {}
         for line in body[1:]:
             root_text, _, ctext = line.removeprefix("subtree=").partition(":")
-            root = int(root_text)
+            root = field("subtree", root_text)
             if not 1 <= root <= 2 * sigma - 1:
                 raise ValueError(f"KVC auth field subtree={root} is outside the tree [1, {2 * sigma - 1}]")
-            subtrees[root] = Commitment.parse(ctext)
+            subtrees[root] = field("subtree", ctext, Commitment.parse)
         auth = cls(sigma, k, leaf_width, n, commitment, subtrees)
         require_canonical(text, auth.encode(), "KVC auth file")
         return auth

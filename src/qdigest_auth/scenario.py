@@ -31,7 +31,7 @@ from .digest import (
     validate,
 )
 from .kvcqa import aqq, malicious_aqq_omit_left, proof_to_text, publish_kvc_auth, qqv, qqv_accelerated
-from .serialize import digest_to_bytes
+from .serialize import digest_to_bytes, field
 from .tree import level
 from .wda import wda_authinfo, wda_verify
 
@@ -88,9 +88,9 @@ class Scenario:
         if self.behavior.kind == "omit_left" and self.scheme == "wda":
             raise ValueError("omit_left is only meaningful under commitment-based schemes")
         object.__setattr__(self, "queries", tuple(map(quantile_fraction, self.queries)))
-        if self.window < 0:
+        if type(self.window) is not int or self.window < 0:
             raise ValueError(f"window must be 0 or more, got {self.window}")
-        if self.updates < 1:
+        if type(self.updates) is not int or self.updates < 1:
             raise ValueError(f"updates must be 1 or more, got {self.updates}")
         if self.levels and (self.window or self.updates > 1):
             raise ValueError("levels cannot be combined with window or updates")
@@ -259,13 +259,13 @@ def parse_scenario(text: str) -> Scenario:
     if behavior_text == "honest":
         behavior = ResponderBehavior.honest()
     elif behavior_text.startswith("omit_left:"):
-        nodes = [int(x) for x in behavior_text[len("omit_left:"):].split(",") if x]
+        nodes = [field("omit_left", x) for x in behavior_text[len("omit_left:"):].split(",") if x]
         behavior = ResponderBehavior.omit_left(nodes)
     elif behavior_text.startswith("tamper_count:"):
         parts = behavior_text.split(":")
         if len(parts) != 3:
             raise ValueError(f"malformed tamper_count behavior: {behavior_text!r}")
-        behavior = ResponderBehavior.tamper_count(int(parts[1]), int(parts[2]))
+        behavior = ResponderBehavior.tamper_count(field("tamper_count", parts[1]), field("tamper_count", parts[2]))
     else:
         raise ValueError(f"unknown behavior {behavior_text!r}")
 
@@ -273,8 +273,8 @@ def parse_scenario(text: str) -> Scenario:
         scheme=fields["scheme"],
         behavior=behavior,
         queries=tuple(part for part in fields["queries"].split(",") if part),
-        window=int(fields.get("window", 0)),
-        updates=int(fields.get("updates", 1)),
+        window=field("window", fields.get("window", "0")),
+        updates=field("updates", fields.get("updates", "1")),
         levels=parse_levels(fields["levels"]) if "levels" in fields else (),
     )
 

@@ -1,13 +1,13 @@
 """Canonical text formats, the one rule every wire-format parser keeps, and file I/O.
 
-A parser reads its fields leniently, builds the value, and then refuses
-the input unless the writer's output for that value is identical
-(`require_canonical`).  So each parser accepts exactly the texts its
-writer produces: digest, proof, KVC auth, WDA auth and commitment text
-alike.  The fixed-width encoding limits are defined here, for both schemes:
-the digest writer refuses a digest outside them, so such a digest file is
-neither written nor parsed, and the key-value commitment inserts no key or
-value outside them.
+A parser reads each field leniently through `field`, which names a field
+it cannot read, builds the value, and then refuses the input unless the
+writer's output for that value is identical (`require_canonical`).  So
+each parser accepts exactly the texts its writer produces: digest, proof,
+KVC auth, WDA auth and commitment text alike.  The fixed-width encoding
+limits are defined here, for both schemes: the digest writer refuses a
+digest outside them, so such a digest file is neither written nor parsed,
+and the key-value commitment inserts no key or value outside them.
 
 The digest format is the hashing preimage for whole-digest
 authentication, so it must be byte-exact across platforms: a fixed header
@@ -48,12 +48,20 @@ _CANONICAL_BODY = re.compile(r"(?:[1-9][0-9]*:[1-9][0-9]*\n)*")
 _FREQUENCY_LINES = re.compile(r"(?:-?[0-9]+\t[1-9][0-9]*\n)*")
 
 
-def header_fields(line: str, magic: str, keys: tuple[str, ...]) -> list[str]:
-    """The values of the `key=value` words after `magic`, in `keys` order, spelled as given."""
+def field(key: str, text: str, read=int):
+    """The file field `key`, read from its `text` by `read`; a value `read` refuses is refused naming the field."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"field {key}={text!r} does not parse") from None
+
+
+def header_fields(line: str, magic: str, readers: dict) -> list:
+    """The `key=value` words after `magic`, each read by its `field` reader in `readers`, in `readers` order."""
     fields = dict(word.partition("=")[::2] for word in line.removeprefix(magic + " ").split(" "))
-    if not line.startswith(magic + " ") or set(fields) != set(keys):
-        raise ValueError(f"expected a {magic!r} header with {', '.join(keys)}, got {line!r}")
-    return [fields[key] for key in keys]
+    if not line.startswith(magic + " ") or set(fields) != set(readers):
+        raise ValueError(f"expected a {magic!r} header with {', '.join(readers)}, got {line!r}")
+    return [field(key, fields[key], read) for key, read in readers.items()]
 
 
 def check_auth_parameters(name: str, sigma: int, k: int, max_sigma: int) -> None:
@@ -104,7 +112,7 @@ def digest_to_bytes(q: QDigest) -> bytes:
 def digest_from_bytes(data: bytes) -> QDigest:
     # latin-1 decodes any byte, so every input reaches the canonical check
     header, newline, body = data.decode("latin-1").partition("\n")
-    sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
+    sigma, k, leaf_width = header_fields(header, "qdigest v1", dict.fromkeys(("sigma", "k", "leafwidth"), int))
     buckets = list(map(index_count, body.splitlines()))
     q = QDigest(sigma, k, dict(buckets), leaf_width)
     # Canonical integers in ascending index order under q's header are q's bytes, so they need no encoding.

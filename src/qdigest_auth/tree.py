@@ -25,7 +25,7 @@ def check_sigma(sigma: int) -> None:
 
 def check_node(i: int, sigma: int) -> None:
     check_sigma(sigma)
-    if not isinstance(i, int) or not 1 <= i <= 2 * sigma - 1:
+    if type(i) is not int or not 1 <= i <= 2 * sigma - 1:
         raise ValueError(f"node index {i!r} out of range [1, {2 * sigma - 1}]")
 
 

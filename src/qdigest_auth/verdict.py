@@ -35,16 +35,16 @@ def _shape_error(proof, n: int, sigma: int, leaf_width: int):
     """Structural checks of a proof's q, n, counted prefix and answer; returns a reason or None."""
     if not isinstance(proof.q, Fraction) or not 0 <= proof.q <= 1:
         return "quantile out of range"
-    if proof.n != n:
+    if type(proof.n) is not int or proof.n != n:
         return "claimed n disagrees with trusted n"
     counted = proof.counted
     if not isinstance(counted, tuple) or not counted or any(not isinstance(e, tuple) or len(e) != 2 for e in counted):
         return "counted prefix is not a non-empty tuple of (index, count) pairs"
     last_rank = 0
     for node, cnt in counted:
-        if not isinstance(node, int) or not 1 <= node <= 2 * sigma - 1:
+        if type(node) is not int or not 1 <= node <= 2 * sigma - 1:
             return f"unknown node index {node!r}"
-        if not isinstance(cnt, int) or not 1 <= cnt < VALUE_LIMIT:
+        if type(cnt) is not int or not 1 <= cnt < VALUE_LIMIT:
             return f"count for node {node} outside [1, 2**128)"
         rank = post_order_rank(node, sigma)
         if rank <= last_rank:
@@ -53,7 +53,7 @@ def _shape_error(proof, n: int, sigma: int, leaf_width: int):
     if sum(cnt for _, cnt in counted) > n:
         return f"counted prefix sums to more than the trusted n={n}"
     stop = proof.counted[-1][0]
-    if proof.answer != range_top(stop, sigma, leaf_width):
+    if type(proof.answer) is not int or proof.answer != range_top(stop, sigma, leaf_width):
         return "answer does not match the stop bucket's range"
     return None
 

@@ -14,7 +14,7 @@ import hmac
 from dataclasses import dataclass
 
 from .digest import QDigest, validate
-from .serialize import MAX_SIGMA, check_auth_parameters, digest_to_bytes, header_fields, require_canonical
+from .serialize import MAX_SIGMA, check_auth_parameters, digest_to_bytes, field, header_fields, require_canonical
 from .verdict import REASON_OK, VerificationStats
 
 
@@ -40,9 +40,9 @@ class WdaAuthInfo:
             raise ValueError("WDA auth file must end with a newline")
         line = text[:-1]
         tag = line.partition(" ")[0]
-        sigma, k = map(int, header_fields(line, tag, ("sigma", "k")))
+        sigma, k = header_fields(line, tag, {"sigma": int, "k": int})
         check_auth_parameters("WDA", sigma, k, MAX_SIGMA)
-        digest_hash = bytes.fromhex(tag.removeprefix("wda1:"))
+        digest_hash = field("hash", tag.removeprefix("wda1:"), bytes.fromhex)
         if len(digest_hash) != 32:
             raise ValueError("WDA hash must be 32 bytes")
         auth = cls(digest_hash=digest_hash, sigma=sigma, k=k)

@@ -250,6 +250,17 @@ def test_a_proof_file_cut_short_is_a_malformed_response(tmp_path, extra, capsys)
     assert sha256_calls() == before
 
 
+def test_a_proof_header_word_without_its_value_is_a_malformed_response_naming_it(tmp_path, s1_file, capsys):
+    digest, kvc_f, proof = tmp_path / "q.qd", tmp_path / "q.kvc", tmp_path / "q.proof"
+    main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
+    main(["auth", str(digest), "--wda-out", str(tmp_path / "q.wda"), "--kvc-out", str(kvc_f)])
+    main(["prove", str(digest), "--q", "1/2", "--output", str(proof)])
+    proof.write_text(re.sub(r" answer=[0-9]+", " answer", proof.read_text()))
+    capsys.readouterr()
+    assert main(["verify", "--proof", str(proof), "--auth", str(kvc_f)]) == 1
+    assert capsys.readouterr().out == "accepted=0 reason=malformed insert_ops=0 detail=field answer='' does not parse\n"
+
+
 def test_a_digest_file_with_a_leading_zero_count_is_a_malformed_response(tmp_path, s1_file, capsys):
     digest, wda_f = tmp_path / "q.qd", tmp_path / "q.wda"
     main(["build", s1_file, "--sigma", "8", "--k", "4", "--output", str(digest)])
@@ -316,7 +327,10 @@ def test_decimal_bench_quantiles_give_the_fraction_rows(capsys):
     assert [row[2] for row in rows[0][1:]] == ["1/4", "1/2"]
 
 
-@pytest.mark.parametrize("q, reason", [("3/2", "quantile fraction 3/2 out of [0, 1]"), ("1/0", "zero denominator")])
+@pytest.mark.parametrize(
+    "q, reason",
+    [("3/2", "quantile fraction 3/2 out of [0, 1]"), ("1/0", "zero denominator"), ("1e9999999", "has an exponent")],
+)
 def test_a_quantile_the_library_refuses_exits_2_with_its_reason(q, reason, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["query", "q.qd", "--q", q])
@@ -400,6 +414,7 @@ def test_simulate_window_comes_from_the_scenario_file(tmp_path, s1_file, capsys)
         ("scheme=kvc_qa\nbehavior=honest\nlevels=a:8,b:4\nwindow=2", "levels"),
         ("scheme=kvc_qa\nbehavior=omit_left:4\nlevels=a:8,b:4:1", "omit_left"),
         ("scheme=kvc_qa\nbehavior=honest\nqueries=1/0", "zero denominator"),
+        ("scheme=kvc_qa\nbehavior=honest\nqueries=1/2,1E-9999999", "has an exponent"),
     ],
 )
 def test_simulate_refuses_a_scenario_that_cannot_run(tmp_path, s1_file, capsys, settings, message):

@@ -166,7 +166,7 @@ def test_commit_subtree_accepts_sigma_at_the_limit():
         commit_subtree(1 << 21, 2, ())
 
 
-@pytest.mark.parametrize("bad", [2**128, -1, 1.5])
+@pytest.mark.parametrize("bad", [2**128, -1, 1.5, True])
 def test_a_bucket_count_outside_the_encoding_is_refused_before_any_hashing(bad):
     before = sha256_calls()
     with pytest.raises(ValueError, match=f"^value {re.escape(repr(bad))} does not fit the fixed-width encoding$"):

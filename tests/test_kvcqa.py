@@ -453,6 +453,29 @@ def test_counted_entries_that_break_the_shape_are_malformed(make):
 
 
 @pytest.mark.parametrize(
+    "counts, fields",
+    [
+        ({1: 4}, {"counted": ((True, 4),)}),
+        ({1: 1}, {"counted": ((1, True),)}),
+        ({8: 1}, {"n": True}),
+        ({8: 1}, {"answer": True}),
+    ],
+    ids=["bool-node", "bool-count", "bool-n", "bool-answer"],
+)
+def test_a_bool_for_an_int_is_malformed(counts, fields):
+    """True == 1, so each bool stands where the honest proof has a 1; no proof file can carry a bool."""
+    q = QDigest(8, 4, counts)
+    auth = publish_kvc_auth(q)
+    bad = replace(aqq(q, Fraction(1)), **fields)
+    for stats in (
+        qqv(bad, auth.commitment, q.n, 8),
+        qqv_accelerated(bad, auth.commitment, auth.subtrees, q.n, 8),
+        qqv_fast(bad, auth.commitment, q.n, 8),
+    ):
+        assert (stats.accepted, stats.reason, stats.insert_ops) == (False, "malformed", 0)
+
+
+@pytest.mark.parametrize(
     "make_pre",
     [lambda pre: {0: pre[2]}, lambda pre: {99: pre[2]}, lambda pre: {2: 7}],
     ids=["root-0", "root-99", "value-int"],

@@ -121,6 +121,7 @@ class TestScripts:
         "settings, message",
         [
             ({"window": -3}, "window"),
+            ({"window": True}, "window"),
             ({"updates": 0}, "updates"),
             ({"updates": -2}, "updates"),
             ({"levels": (("a", 8, 0),), "window": 2}, "levels"),

@@ -2,7 +2,7 @@ import ast
 import graphlib
 import os
 import random
-from fractions import Fraction
+import re
 from pathlib import Path
 
 import pytest
@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 import qdigest_auth
 from qdigest_auth.commitment import Commitment
 from qdigest_auth.digest import QDigest, build_from_frequencies
-from qdigest_auth.kvcqa import QuantileProof, proof_from_text, proof_to_text
+from qdigest_auth.kvcqa import PROOF_FIELDS, QuantileProof, proof_from_text, proof_to_text
 from qdigest_auth.serialize import (
     _write_bytes,
     digest_from_bytes,
     digest_to_bytes,
     dump_digest,
+    field,
     header_fields,
     index_count,
     load_digest,
@@ -27,7 +28,7 @@ from qdigest_auth.serialize import (
 )
 
 from helpers import random_digest
-from test_wire_formats import digests, proofs, single_edits
+from test_wire_formats import FORMATS, digests, proofs, single_edits
 
 
 def test_canonical_bytes_layout(example2_digest):
@@ -155,7 +156,7 @@ def frequencies_line_by_line(text: str) -> dict[int, int]:
 def digest_line_by_line(data: bytes) -> QDigest:
     """`digest_from_bytes` reading one `index:count` line at a time and always encoding the digest to compare."""
     header, _, body = data.decode("latin-1").partition("\n")
-    sigma, k, leaf_width = map(int, header_fields(header, "qdigest v1", ("sigma", "k", "leafwidth")))
+    sigma, k, leaf_width = header_fields(header, "qdigest v1", dict.fromkeys(("sigma", "k", "leafwidth"), int))
     q = QDigest(sigma, k, dict(index_count(line) for line in body.splitlines()), leaf_width)
     require_canonical(data, digest_to_bytes(q), "digest file")
     return q
@@ -164,15 +165,10 @@ def digest_line_by_line(data: bytes) -> QDigest:
 def proof_line_by_line(text: str) -> QuantileProof:
     """`proof_from_text` reading one `index:count` line at a time."""
     header, *body = text.splitlines() or [""]
-    q, n, answer = header_fields(header, "aqqproof v1", ("q", "n", "answer"))
-    num, _, den = q.partition("/")
-    if int(den) == 0:
-        raise ValueError(f"quantile fraction has a zero denominator: {q!r}")
-    if not body:
-        raise ValueError("proof file must end with the remainder commitment")
+    q, n, answer = header_fields(header, "aqqproof v1", PROOF_FIELDS)
     counted = tuple(index_count(line) for line in body[:-1])
-    remainder = Commitment.parse(body[-1].removeprefix("remainder="))
-    proof = QuantileProof(Fraction(int(num), int(den)), int(n), int(answer), counted, remainder)
+    remainder = field("remainder", body[-1].removeprefix("remainder=") if body else "", Commitment.parse)
+    proof = QuantileProof(q, n, answer, counted, remainder)
     require_canonical(text, proof_to_text(proof), "proof file")
     return proof
 
@@ -221,6 +217,41 @@ def test_proof_reading_matches_the_line_loop_on_single_edits(proof, data):
     written = proof_to_text(proof)
     for text in [written, *(data.draw(single_edits(written)) for _ in range(10))]:
         assert outcome(proof_from_text, text) == outcome(proof_line_by_line, text)
+
+
+# the file kinds whose parsers read header fields, and the keys of each header
+HEADER_KEYS = {
+    "digest": ("sigma", "k", "leafwidth"),
+    "proof": ("q", "n", "answer"),
+    "kvc-auth": ("sigma", "k", "leafwidth", "n"),
+    "wda-auth": ("sigma", "k"),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_KEYS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_refused_edit_is_refused_in_the_parsers_own_words(name, data):
+    """No refusal passes on what `int()` or `bytes.fromhex` says of a field it cannot read."""
+    values, write, parse = FORMATS[name]
+    written = write(data.draw(values))
+    for _ in range(10):
+        try:
+            parse(data.draw(single_edits(written)))
+        except ValueError as exc:
+            assert "invalid literal" not in str(exc) and "non-hexadecimal" not in str(exc)
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in HEADER_KEYS.items() for key in keys])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_header_word_without_its_value_is_refused_naming_it(name, key, data):
+    values, write, parse = FORMATS[name]
+    written = write(data.draw(values))
+    text = written.decode("latin-1") if isinstance(written, bytes) else written
+    bare = re.sub(rf" {key}=[^ \n]*", f" {key}", text, count=1)
+    with pytest.raises(ValueError, match=f"^field {key}='' does not parse$"):
+        parse(bare.encode("latin-1") if isinstance(written, bytes) else bare)
 
 
 def test_largest_encodable_sigma_and_count_load():
@@ -291,6 +322,28 @@ def test_only_serialize_opens_files():
         if lines:
             calls[path.name] = lines
     assert calls == {}
+
+
+def test_only_coarsen_frequency_checks_take_a_bool_for_an_int():
+    """A bool passes `isinstance(x, int)`, so every other integer check is `type(x) is int`.
+
+    `coarsen` counts a bool value or multiplicity as the integer it is; nothing else may.
+    """
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = set()
+    for path in sorted(Path(qdigest_auth.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                found |= {
+                    (path.name, func.name)
+                    for call in ast.walk(func)
+                    if isinstance(call, ast.Call)
+                    and "isinstance" in names(call.func) | {getattr(arg, "id", None) for arg in call.args}
+                    and "int" in names(call)
+                }
+    assert found == {("digest.py", "coarsen"), ("digest.py", "_checked_sum")}
 
 
 def test_package_imports_are_module_level_and_acyclic():

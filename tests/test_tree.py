@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdigest_auth.tree import (
+    check_node,
     level,
     node_range,
     post_order_nodes,
@@ -40,6 +41,8 @@ def test_node_range_rejects_out_of_range():
         node_range(16, 8)
     with pytest.raises(ValueError):
         node_range(0, 8)
+    with pytest.raises(ValueError):
+        check_node(True, 8)  # True == 1, but a bool is no node
 
 
 def test_post_order_examples():
