@@ -121,11 +121,11 @@ class TestScripts:
         "settings, message",
         [
             ({"window": -3}, "window"),
-            ({"window": True}, "window"),
             ({"updates": 0}, "updates"),
             ({"updates": -2}, "updates"),
             ({"levels": (("a", 8, 0),), "window": 2}, "levels"),
             ({"levels": (("a", 8, 0),), "updates": 3}, "levels"),
+            ({"window": True}, "window"),
         ],
     )
     def test_settings_that_cannot_run_are_refused(self, settings, message):
