@@ -39,59 +39,34 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for name, options in _COMMANDS[command][2]:
+        parser.add_argument(name, **options)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `qdigest` parser, built once and shared: `parse_args` makes a
-    fresh namespace on each call, and no command mutates a default."""
+    """The eight-command `qdigest` parser.  `main` parses a command with that
+    command's own parser, built once per process, and builds this one, also
+    once, only for help, no arguments, an unknown command, and the message of
+    a stray argument.  `parse_args` makes a fresh namespace on each call, and
+    no command mutates a default."""
     parser = argparse.ArgumentParser(
         prog="qdigest",
         description="Build, merge, query, and authenticate q-digest quantile summaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
+    return parser
 
-    p = sub.add_parser("build", help="build a digest from a frequency file")
-    p.add_argument("freq_file")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--coarse", type=int, default=0, help="tree levels to cut (coarse-grained digest)")
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("merge", help="merge two digest files")
-    p.add_argument("digest_a")
-    p.add_argument("digest_b")
-    p.add_argument("--output", required=True)
-
-    p = sub.add_parser("query", help="run a plain quantile query on a digest file")
-    p.add_argument("digest_file")
-    p.add_argument("--q", type=_quantile, required=True)
-
-    p = sub.add_parser("auth", help="emit WDA and KVC authentication info (subtree 2 precommitted)")
-    p.add_argument("digest_file")
-    p.add_argument("--wda-out", required=True)
-    p.add_argument("--kvc-out", required=True)
-
-    p = sub.add_parser("prove", help="produce an authenticated quantile query proof")
-    p.add_argument("digest_file")
-    p.add_argument("--q", type=_quantile, required=True)
-    p.add_argument("--output", required=True)
-
-    p = sub.add_parser("verify", help="verify a proof (KVC) or a digest (WDA) against auth info")
-    p.add_argument("--auth", required=True)
-    p.add_argument("--proof", help="proof file for commitment verification")
-    p.add_argument("--digest", help="digest file for whole-digest verification")
-    p.add_argument("--accelerated", action="store_true", help="use precommitted subtrees")
-
-    p = sub.add_parser("simulate", help="run a scenario file against a frequency file")
-    p.add_argument("scenario_file")
-    p.add_argument("freq_file")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("bench", help="sweep (sigma, k, q) and print a cost table")
-    p.add_argument("--sigmas", type=_int_list, default=[64, 256, 1024])
-    p.add_argument("--ks", type=_int_list, default=[4, 16])
-    p.add_argument("--qs", default="0,1/2,1", type=lambda text: [_quantile(part) for part in text.split(",") if part])
-    p.add_argument("--seed", type=int, default=0)
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """One command's parser, as `build_parser` makes it, built once per process on first use."""
+    parser = _add_arguments(argparse.ArgumentParser(prog=f"qdigest {command}"), command)
+    parser.set_defaults(command=command)
     return parser
 
 
@@ -178,22 +153,44 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_QUANTILE = {"type": _quantile, "required": True}
+# each command: what runs it, its help line, and its arguments as (name, add_argument keywords)
 _COMMANDS = {
-    "build": cmd_build,
-    "merge": cmd_merge,
-    "query": cmd_query,
-    "auth": cmd_auth,
-    "prove": cmd_prove,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "bench": cmd_bench,
+    "build": (cmd_build, "build a digest from a frequency file", [
+        ("freq_file", {}), ("--sigma", _REQUIRED_INT), ("--k", _REQUIRED_INT),
+        ("--coarse", {"type": int, "default": 0, "help": "tree levels to cut (coarse-grained digest)"}),
+        ("--output", _REQUIRED)]),
+    "merge": (cmd_merge, "merge two digest files", [("digest_a", {}), ("digest_b", {}), ("--output", _REQUIRED)]),
+    "query": (cmd_query, "run a plain quantile query on a digest file", [("digest_file", {}), ("--q", _QUANTILE)]),
+    "auth": (cmd_auth, "emit WDA and KVC authentication info (subtree 2 precommitted)", [
+        ("digest_file", {}), ("--wda-out", _REQUIRED), ("--kvc-out", _REQUIRED)]),
+    "prove": (cmd_prove, "produce an authenticated quantile query proof", [
+        ("digest_file", {}), ("--q", _QUANTILE), ("--output", _REQUIRED)]),
+    "verify": (cmd_verify, "verify a proof (KVC) or a digest (WDA) against auth info", [
+        ("--auth", _REQUIRED),
+        ("--proof", {"help": "proof file for commitment verification"}),
+        ("--digest", {"help": "digest file for whole-digest verification"}),
+        ("--accelerated", {"action": "store_true", "help": "use precommitted subtrees"})]),
+    "simulate": (cmd_simulate, "run a scenario file against a frequency file", [
+        ("scenario_file", {}), ("freq_file", {}), ("--sigma", _REQUIRED_INT), ("--k", _REQUIRED_INT)]),
+    "bench": (cmd_bench, "sweep (sigma, k, q) and print a cost table", [
+        ("--sigmas", {"type": _int_list, "default": [64, 256, 1024]}),
+        ("--ks", {"type": _int_list, "default": [4, 16]}),
+        ("--qs", {"default": "0,1/2,1", "type": lambda text: [_quantile(part) for part in text.split(",") if part]}),
+        ("--seed", {"type": int, "default": 0})]),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = bool(argv) and argv[0] in _COMMANDS
+    args, extra = _command_parser(argv[0]).parse_known_args(argv[1:]) if named else (None, [])
+    if not named or extra:  # help, no or an unknown command, a stray argument: the eight-command parser's message
+        args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

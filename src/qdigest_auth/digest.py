@@ -40,7 +40,6 @@ from .tree import (
     next_power_of_two,
     node_range,
     sibling,
-    unchecked_rank,
     unchecked_top,
 )
 
@@ -123,8 +122,10 @@ class QDigest:
         """Post-order buckets, each one's largest original value, and sums[j], the mass of the first j buckets."""
         if self._index is None:  # built on first use, assigned whole: a reader sees all of it or none
             sigma, width = self.sigma, self.leaf_width  # the keys were checked against sigma
-            buckets = sorted(self._counts.items(), key=lambda bucket: unchecked_rank(bucket[0], sigma))
-            tops = [unchecked_top(i, sigma) * width for i, _ in buckets]
+            # post-order is ascending range top, and of the nodes that end together the deeper comes first
+            keyed = sorted((unchecked_top(i, sigma) * width, -i, i, c) for i, c in self._counts.items())
+            buckets = [(i, c) for _, _, i, c in keyed]  # the map's own keys: the index holds no copied ints
+            tops = [top for top, _, _, _ in keyed]
             self._index = (buckets, tops, list(accumulate((c for _, c in buckets), initial=0)))
         return self._index
 
@@ -175,17 +176,18 @@ def validate(q: QDigest) -> ValidityReport:
     property 2 of every non-root bucket including leaves.  Reports, never
     raises.
     """
-    thr = q.threshold
+    thr, sigma, counts = q.threshold, q.sigma, q._counts
+    get = counts.get
     prop1 = []
     prop2 = []
     has_bucket_child = False
-    for b, cnt in q._counts.items():
-        if b < q.sigma:
+    for b, cnt in counts.items():  # reads the map as `count` and `nabla` do, without a call per bucket
+        if b < sigma:
             if cnt > thr:
                 prop1.append(b)
-            if q.count(2 * b) or q.count(2 * b + 1):
+            if 2 * b in counts or 2 * b + 1 in counts:
                 has_bucket_child = True
-        if b != 1 and nabla(q, b) <= thr:
+        if b != 1 and cnt + get(b >> 1, 0) + get(b ^ 1, 0) <= thr:
             prop2.append(b)
     return ValidityReport(
         prop1_violations=tuple(prop1),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qdigest_auth import commitment
+from qdigest_auth import cli, commitment
 from qdigest_auth.cli import build_parser, main
 from qdigest_auth.commitment import _SHORT, sha256_calls
 from qdigest_auth.digest import QDigest, build_from_frequencies, merge, quantile_query
@@ -150,6 +150,125 @@ def test_plain_verify_reports_the_sha256_calls_of_the_zero_fold_verifier(tmp_pat
 
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_each_command_parser_is_built_once():
+    assert all(cli._command_parser(command) is cli._command_parser(command) for command in cli._COMMANDS)
+
+
+# per command: every option, the defaults, help, and one missing, one extra and one badly typed argument
+DIFFERENTIAL_ARGV = {
+    "build": [
+        ["f.tsv", "--sigma", "8", "--k", "4", "--coarse", "1", "--output", "o.qd"],
+        ["f.tsv", "--sigma", "8", "--k", "4", "--output=o.qd"],
+        ["--output", "o.qd", "--k", "4", "--sig", "8", "f.tsv"],
+        ["-h"],
+        ["f.tsv", "--sigma", "8", "--k", "4"],
+        ["f.tsv", "--sigma", "8", "--k", "4", "--output", "o.qd", "g.tsv"],
+        ["f.tsv", "--sigma", "x", "--k", "4", "--output", "o.qd"],
+    ],
+    "merge": [
+        ["a.qd", "b.qd", "--output", "m.qd"],
+        ["--help"],
+        ["a.qd", "--output", "m.qd"],
+        ["a.qd", "b.qd", "c.qd", "--output", "m.qd"],
+        ["a.qd", "b.qd", "--output", "m.qd", "--k", "4"],
+    ],
+    "query": [
+        ["d.qd", "--q", "1/2"],
+        ["d.qd", "--q", "0.5"],
+        ["-h"],
+        ["d.qd"],
+        ["d.qd", "--q", "1/2", "--q"],
+        ["d.qd", "--q", "1/0"],
+    ],
+    "auth": [
+        ["d.qd", "--wda-out", "a.wda", "--kvc-out", "a.kvc"],
+        ["-h"],
+        ["d.qd", "--wda-out", "a.wda"],
+        ["d.qd", "e.qd", "--wda-out", "a.wda", "--kvc-out", "a.kvc"],
+        ["d.qd", "--wda", "a.wda", "--kvc-out", "a.kvc"],
+    ],
+    "prove": [
+        ["d.qd", "--q", "1", "--output", "p.proof"],
+        ["-h"],
+        ["d.qd", "--output", "p.proof"],
+        ["d.qd", "--q", "1", "--output", "p.proof", "extra"],
+        ["d.qd", "--q", "x", "--output", "p.proof"],
+    ],
+    "verify": [
+        ["--auth", "a.kvc", "--proof", "p.proof", "--accelerated"],
+        ["--auth", "a.wda", "--digest", "d.qd"],
+        ["--auth", "a.kvc"],
+        ["--acc", "--auth", "a.kvc", "--proof", "p.proof"],
+        ["-h"],
+        [],
+        ["--auth", "a.kvc", "p.proof"],
+        ["--auth", "a.kvc", "--accelerated=1"],
+    ],
+    "simulate": [
+        ["s.scn", "f.tsv", "--sigma", "8", "--k", "4"],
+        ["-h"],
+        ["s.scn", "--sigma", "8", "--k", "4"],
+        ["s.scn", "f.tsv", "g.tsv", "--sigma", "8", "--k", "4"],
+        ["s.scn", "f.tsv", "--sigma", "8", "--k", "four"],
+    ],
+    "bench": [
+        ["--sigmas", "64,128", "--ks", "4", "--qs", "0,0.25,1", "--seed", "3"],
+        [],
+        ["-h"],
+        ["--seed"],
+        ["64"],
+        ["--sigmas", "4,x"],
+    ],
+}
+TOP_LEVEL_ARGV = [[], ["-h"], ["--help"], ["frobnicate"], ["-x"], ["bild", "f.tsv"], ["-h", "build"]]
+
+
+def parse_outcome(parse, argv, capsys):
+    """What `parse(argv)` returns, or its exit code, with what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, *rest] for command, table in DIFFERENTIAL_ARGV.items() for rest in table] + TOP_LEVEL_ARGV,
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_parses_as_the_eight_command_parser(argv, capsys, monkeypatch):
+    """`main` parses a command's arguments with that command's own parser, and the eight-command parser
+    takes the rest: either way it reads the namespace or prints the text and exit code of `build_parser`."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, (_, *table) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda args: args, *table))  # main returns what it parsed
+    assert parse_outcome(main, argv, capsys) == parse_outcome(build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"]], ids=["no-arguments", "unknown-command"])
+def test_no_command_prints_the_eight_command_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage == "usage: qdigest [-h] {build,merge,query,auth,prove,verify,simulate,bench} ..."
+    assert error.startswith("qdigest: error: ") and (not argv or "'frobnicate'" in error)
+
+
+def test_help_lists_every_command_with_its_help_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("usage: qdigest [-h] {build,merge,query,auth,prove,verify,simulate,bench} ...\n")
+    assert "Build, merge, query, and authenticate q-digest quantile summaries." in printed
+    for command, (_, help_line, _) in cli._COMMANDS.items():
+        assert re.search(rf"^    {command} +{re.escape(help_line)}$", printed, re.MULTILINE), command
 
 
 def test_a_plain_verify_after_an_accelerated_one_runs_the_zero_fold_verifier(tmp_path, s1, capsys):
@@ -578,6 +697,26 @@ def fresh_python(args, cwd=None):
 def fresh_cli(argv, cwd=None):
     """`python -m qdigest_auth.cli` with these arguments in a new process."""
     return fresh_python(["-m", "qdigest_auth.cli", *argv], cwd)
+
+
+def test_a_command_in_a_fresh_process_builds_only_its_own_parser(tmp_path):
+    """`qdigest build` makes one `ArgumentParser`, its own; the eight-command parser would make nine."""
+    (tmp_path / "s1.tsv").write_text("1\t1\n2\t2\n")
+    script = (
+        "import argparse, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from qdigest_auth.cli import main\n"
+        "code = main(['build', 's1.tsv', '--sigma', '8', '--k', '4', '--output', 'q1.qd'])\n"
+        "print(code, made)\n"
+    )
+    run = fresh_python(["-c", script], cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == "0 ['qdigest build']"
 
 
 def test_importing_the_cli_leaves_pickle_unloaded():

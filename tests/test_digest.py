@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdigest_auth.digest import (
     QDigest,
+    ValidityReport,
     _compress_until_stable,
     _one_pass,
     build_from_frequencies,
@@ -29,7 +30,7 @@ from qdigest_auth.digest import (
     validate,
 )
 from qdigest_auth.serialize import MAX_SIGMA, VALUE_LIMIT, digest_from_bytes, digest_to_bytes
-from qdigest_auth.tree import level, next_power_of_two
+from qdigest_auth.tree import level, next_power_of_two, post_order_nodes
 
 from helpers import (
     exact_quantile,
@@ -699,6 +700,15 @@ class TestQueryIndex:
         ranks = [rank_query(q, x) for x in range(1, q.domain_size + 1)]
         return [quantile_query(q, frac) for frac in grid(11)], ranks
 
+    @pytest.mark.parametrize("sigma", [2**e for e in range(13)])
+    def test_every_node_of_the_tree_is_indexed_in_post_order(self, sigma):
+        width = 2
+        q = QDigest(sigma, 1, dict.fromkeys(range(1, 2 * sigma), 1), width)
+        buckets, tops, sums = q._post_order_index()
+        assert [node for node, _ in buckets] == list(post_order_nodes(sigma))
+        assert tops == [range_top(node, sigma, width) for node, _ in buckets]
+        assert sums == list(range(2 * sigma))
+
     def test_mutating_the_post_order_list_changes_no_later_answer(self):
         for q in self.digests():
             listed = q.post_order_buckets()  # the first call builds the index
@@ -856,7 +866,30 @@ class TestRecompress:
             recompress(build_from_frequencies(s1, 4, 8), 0)
 
 
+def validate_by_nabla(q: QDigest) -> ValidityReport:
+    """`validate` as the properties state it, bucket by bucket through `count` and `nabla`."""
+    thr, buckets = q.threshold, q.buckets()
+    inner = [b for b in buckets if b < q.sigma]
+    return ValidityReport(
+        prop1_violations=tuple(b for b in inner if q.count(b) > thr),
+        prop2_violations=tuple(b for b in buckets if b != 1 and nabla(q, b) <= thr),
+        size=len(buckets),
+        size_bound_ok=len(buckets) <= 4 * q.k + 1,
+        construction_invariant_holds=not any(q.count(2 * b) or q.count(2 * b + 1) for b in inner),
+    )
+
+
 class TestValidate:
+    @given(st.data())
+    def test_every_field_matches_a_reference_written_from_nabla_and_count(self, data):
+        sigma = data.draw(st.sampled_from([1, 2, 8, 64]), label="sigma")
+        nodes = st.integers(1, 2 * sigma - 1)
+        counts = data.draw(st.dictionaries(nodes, st.integers(1, 20), max_size=2 * sigma), label="counts")
+        q = QDigest(sigma, data.draw(st.integers(1, 4), label="k"), counts)
+        if data.draw(st.booleans(), label="compressed"):  # so that valid digests are drawn as well as invalid ones
+            q = iterative_compress(q)
+        assert validate(q) == validate_by_nabla(q)
+
     def test_reports_never_raise(self):
         # wildly invalid structure: heavy inner bucket with bucket children
         q = QDigest(8, 4, {2: 100, 4: 1, 5: 1})
