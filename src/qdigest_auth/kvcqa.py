@@ -64,8 +64,8 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import check_auth_parameters, field, header_fields, index_count, require_canonical
-from .tree import is_power_of_two, post_order_rank, prefix_ranges, subtree_size, subtree_test
+from .serialize import check_auth_parameters, field, header_fields, index_counts, require_canonical
+from .tree import is_power_of_two, prefix_ranges, subtree_size, subtree_test, unchecked_rank
 from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
 
 REASON_COMMITMENT_MISMATCH = "commitment-mismatch"
@@ -203,12 +203,12 @@ def qqv_accelerated(
     if rejected is not None:
         return rejected
 
-    stop_rank = post_order_rank(proof.counted[-1][0], sigma)
+    stop_rank = unchecked_rank(proof.counted[-1][0], sigma)  # `_precheck` checked sigma and every counted node
     best_size, best, inside = 0, None, []
     for root, pc in precomputed.items():
         if type(root) is not int or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
             return VerificationStats(False, REASON_MALFORMED, 0)
-        if post_order_rank(root, sigma) >= stop_rank:
+        if unchecked_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
         holds = subtree_test(root, sigma)
@@ -233,7 +233,7 @@ def proof_to_text(proof: QuantileProof) -> str:
 def proof_from_text(text: str) -> QuantileProof:
     header, *body = text.splitlines() or [""]
     q, n, answer = header_fields(header, "aqqproof v1", PROOF_FIELDS)
-    counted = tuple(map(index_count, body[:-1]))
+    counted, _ = index_counts("\n".join(body[:-1] + [""]))  # the counted lines, each ending in "\n"
     remainder = field("remainder", body[-1].removeprefix("remainder=") if body else "", Commitment.parse)
     proof = QuantileProof(q, n, answer, counted, remainder)
     require_canonical(text, proof_to_text(proof), "proof file")

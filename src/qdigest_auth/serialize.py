@@ -15,9 +15,11 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
-`dump_frequencies`'s shape is read in bulk, and a digest file in the
-writer's shape is kept as its digest's bytes unencoded; any other text is
-read line by line, to the same value or refusal message.
+A `dump_frequencies` file is read in bulk by one JSON scan, and a canonical
+`index:count` body (a digest's or a proof's) by one `map(int, ...)` over
+its split; a digest file in the writer's shape is also kept as its digest's
+bytes unencoded.  Any other text is read line by line, to the same value or
+refusal message.  `json` is imported on the first bulk frequency read only.
 
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray
@@ -81,6 +83,15 @@ def index_count(line: str) -> tuple[int, int]:
         raise ValueError(f"expected an index:count line, got {line!r}") from None
 
 
+def index_counts(body: str) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """`index:count` lines as pairs, and whether they are canonical: then read in one pass, else line by line."""
+    if _CANONICAL_BODY.fullmatch(body):
+        with suppress(ValueError):  # a number with more digits than int() reads: the loop names its line
+            numbers = map(int, body.replace(":", "\n").split())
+            return tuple(zip(numbers, numbers)), True
+    return tuple(map(index_count, body.splitlines())), False
+
+
 def require_canonical(text: str | bytes, written: str | bytes, what: str) -> None:
     """Refuse `text` (str or bytes) unless it is exactly `written`, the writer's output for its value."""
     if text == written:
@@ -113,10 +124,10 @@ def digest_from_bytes(data: bytes) -> QDigest:
     # latin-1 decodes any byte, so every input reaches the canonical check
     header, newline, body = data.decode("latin-1").partition("\n")
     sigma, k, leaf_width = header_fields(header, "qdigest v1", dict.fromkeys(("sigma", "k", "leafwidth"), int))
-    buckets = list(map(index_count, body.splitlines()))
+    buckets, canonical = index_counts(body)
     q = QDigest(sigma, k, dict(buckets), leaf_width)
     # Canonical integers in ascending index order under q's header are q's bytes, so they need no encoding.
-    if _CANONICAL_BODY.fullmatch(body) and list(q._counts.items()) == buckets and newline and header == _header(q):
+    if canonical and tuple(q._counts.items()) == buckets and newline and header == _header(q):
         q._bytes = bytes(data)
     require_canonical(data, digest_to_bytes(q), "digest file")
     return q
@@ -147,9 +158,12 @@ def parse_frequency_text(text: str) -> dict[int, int]:
     values is read in bulk, any other text line by line, to the same result.
     """
     if _FREQUENCY_LINES.fullmatch(text):
-        with suppress(ValueError):  # a number with more digits than int() reads: the loop names its line
-            numbers = list(map(int, text.split()))
-            freqs = dict(zip(numbers[::2], numbers[1::2]))
+        import json  # here only: a process that reads no dumped frequency file does not load it
+
+        with suppress(ValueError):  # a leading zero, or more digits than int() reads: the loop reads or names its line
+            numbers = json.loads("[" + text[:-1].replace("\t", ",").replace("\n", ",") + "]")
+            pairs = iter(numbers)
+            freqs = dict(zip(pairs, pairs))
             if 2 * len(freqs) == len(numbers):  # a repeated value accumulates in the loop
                 return freqs
     freqs = {}

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .digest import counted_prefix, range_top
 from .serialize import VALUE_LIMIT
-from .tree import post_order_rank
+from .tree import check_sigma, unchecked_rank
 
 REASON_OK = "ok"
 REASON_MALFORMED = "malformed"
@@ -40,13 +40,14 @@ def _shape_error(proof, n: int, sigma: int, leaf_width: int):
     counted = proof.counted
     if not isinstance(counted, tuple) or not counted or any(not isinstance(e, tuple) or len(e) != 2 for e in counted):
         return "counted prefix is not a non-empty tuple of (index, count) pairs"
+    check_sigma(sigma)  # a trusted sigma that is not a power of two raises, so each checked node is ranked unchecked
     last_rank = 0
     for node, cnt in counted:
         if type(node) is not int or not 1 <= node <= 2 * sigma - 1:
             return f"unknown node index {node!r}"
         if type(cnt) is not int or not 1 <= cnt < VALUE_LIMIT:
             return f"count for node {node} outside [1, 2**128)"
-        rank = post_order_rank(node, sigma)
+        rank = unchecked_rank(node, sigma)
         if rank <= last_rank:
             return "counted prefix is not strictly increasing in post-order"
         last_rank = rank

@@ -699,6 +699,13 @@ def fresh_cli(argv, cwd=None):
     return fresh_python(["-m", "qdigest_auth.cli", *argv], cwd)
 
 
+def test_importing_the_cli_loads_no_module_the_package_imports_on_first_use():
+    """`json` (the bulk frequency reader), `pickle` (the fold helper) and `array` (dense maps) load only when used."""
+    script = "import sys, qdigest_auth.cli; print(sorted({'json', 'pickle', 'array'} & set(sys.modules)))"
+    run = fresh_python(["-c", script])
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
+
+
 def test_a_command_in_a_fresh_process_builds_only_its_own_parser(tmp_path):
     """`qdigest build` makes one `ArgumentParser`, its own; the eight-command parser would make nine."""
     (tmp_path / "s1.tsv").write_text("1\t1\n2\t2\n")

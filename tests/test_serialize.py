@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qdigest_auth
 from qdigest_auth.commitment import Commitment
@@ -199,6 +199,12 @@ def frequency_texts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(frequency_texts())
+@example("1" * 4301 + "\t1\n")  # past int()'s digit limit, which the JSON scanner shares
+@example("-0\t3\n0\t2\n")  # -0 is 0, so the value repeats
+@example("-0\t3\n")
+@example("01\t3\n2\t4\n")  # a leading zero, which JSON refuses
+@example("")
+@example("1\t3\n2\t4")  # the last line without its newline
 def test_bulk_frequency_reading_matches_the_line_loop(text):
     assert outcome(parse_frequency_text, text) == outcome(frequencies_line_by_line, text)
 

@@ -1,5 +1,6 @@
 """`verdict.precheck`, the answer checks both schemes share, on claims that carry no commitment."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -42,3 +43,11 @@ def test_the_bracket_of_q_n_gives_its_own_reasons():
     short.q, long.q = Fraction(4, 5), Fraction(1, 2)
     assert check(short) == VerificationStats(False, "count-too-low", 0)
     assert check(long) == VerificationStats(False, "prefix-overshoot", 0)
+
+
+# A trusted sigma is the caller's to check; the honest claim's first counted node is in range at
+# each of these, so the refusal cannot come from the node check instead.
+@pytest.mark.parametrize("sigma", [6, 12, 8.0])
+def test_a_trusted_sigma_that_is_not_a_power_of_two_raises(sigma):
+    with pytest.raises(ValueError, match=re.escape(f"domain size must be a positive power of two, got {sigma!r}")):
+        precheck(claim(Fraction(1, 2)), EXAMPLE.n, sigma, EXAMPLE.leaf_width)
