@@ -40,11 +40,13 @@ so remainder = C - fold(claimed prefix) makes any prefix that passes the
 bracket checks verify (README, "Security caveat").  Soundness needs a
 key-value commitment without a public inverse.
 
-The checks that need no commitment (shape, post-order, the bracket of
-q*n) and the verdict record live in `verdict`; this module adds the
-remainder check and `commitment-mismatch`.  The text formats of proofs
-and of the source's KVC auth files (`KvcAuthInfo`) live here too, with
-`publish_kvc_auth`, the source side of the scheme.
+Every verifier first runs `precheck`, the checks that need no
+commitment work: the remainder's type, the proof's shape, the post-order
+of its counted prefix and the bracket of q*n.  The verdict record and the
+shared reason codes live in `verdict`; `commitment-mismatch` lives here.
+The text formats of proofs and of the source's KVC auth files
+(`KvcAuthInfo`) live here too, with `publish_kvc_auth`, the source side
+of the scheme.
 """
 
 from dataclasses import dataclass, replace
@@ -64,11 +66,12 @@ from .commitment import (
     subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
-from .serialize import check_auth_parameters, field, header_fields, index_counts, require_canonical
-from .tree import is_power_of_two, prefix_ranges, subtree_size, subtree_test, unchecked_rank
-from .verdict import REASON_MALFORMED, REASON_OK, VerificationStats, precheck
+from .serialize import VALUE_LIMIT, check_auth_parameters, field, header_fields, index_count, require_canonical
+from .tree import check_sigma, is_power_of_two, prefix_ranges, subtree_size, subtree_test, unchecked_rank
+from .verdict import REASON_COUNT_TOO_LOW, REASON_MALFORMED, REASON_OK, REASON_PREFIX_OVERSHOOT, VerificationStats
 
 REASON_COMMITMENT_MISMATCH = "commitment-mismatch"
+_MALFORMED = VerificationStats(False, REASON_MALFORMED, 0)
 # The proof header's readers: q as its two integers, never `Fraction(text)`, which expands an exponent's digits.
 PROOF_FIELDS = {"q": lambda text: Fraction(*map(int, text.split("/", 1))), "n": int, "answer": int}
 
@@ -124,11 +127,50 @@ def _respond(q: QDigest, frac: Fraction, buckets) -> QuantileProof:
     return QuantileProof(q=frac, n=q.n, answer=answer, counted=tuple(counted), remainder=remainder)
 
 
-def _precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> VerificationStats | None:
-    """`verdict.precheck`, once the remainder is a commitment: the checks before any commitment work."""
+def precheck(proof: QuantileProof, n: int, sigma: int, leaf_width: int) -> VerificationStats | None:
+    """The checks before any commitment work; returns the reject, or None when the commitment must decide.
+
+    A proof is malformed unless, in this order: its remainder is a
+    commitment; q is a Fraction in [0, 1] and n the trusted n; the counted
+    prefix is a non-empty tuple of (node, count) pairs, each node in the
+    tree and each count in [1, 2**128), strictly increasing in post-order
+    and summing to at most n; and the answer is the stop bucket's range
+    top.  Then the bracket of q*n, in exact rational arithmetic so prover
+    and verifier never disagree on a boundary, gives its own reasons.
+    """
     if not isinstance(proof.remainder, Commitment):
-        return VerificationStats(False, REASON_MALFORMED, 0)
-    return precheck(proof, n, sigma, leaf_width)
+        return _MALFORMED
+    if not isinstance(proof.q, Fraction) or not 0 <= proof.q <= 1:
+        return _MALFORMED
+    if type(proof.n) is not int or proof.n != n:
+        return _MALFORMED
+    counted = proof.counted
+    if not isinstance(counted, tuple) or not counted or any(not isinstance(e, tuple) or len(e) != 2 for e in counted):
+        return _MALFORMED
+    check_sigma(sigma)  # a trusted sigma that is not a power of two raises, so each checked node is ranked unchecked
+    last_rank = 0
+    for node, cnt in counted:
+        if type(node) is not int or not 1 <= node <= 2 * sigma - 1:
+            return _MALFORMED
+        if type(cnt) is not int or not 1 <= cnt < VALUE_LIMIT:
+            return _MALFORMED
+        rank = unchecked_rank(node, sigma)
+        if rank <= last_rank:
+            return _MALFORMED
+        last_rank = rank
+    total = sum(cnt for _, cnt in counted)
+    if total > n:
+        return _MALFORMED
+    if type(proof.answer) is not int or proof.answer != range_top(counted[-1][0], sigma, leaf_width):
+        return _MALFORMED
+    # The counts are at least 1, so the prover's stop rule, `counted_prefix`, trims
+    # the prefix iff it overshoots, and returns it whole when it never reaches q*n.
+    target = proof.q * n
+    if len(counted_prefix(counted, target)) < len(counted):
+        return VerificationStats(False, REASON_PREFIX_OVERSHOOT, 0)
+    if total < target:
+        return VerificationStats(False, REASON_COUNT_TOO_LOW, 0)
+    return None
 
 
 def _verdict(matches: bool, ops: int) -> VerificationStats:
@@ -154,7 +196,7 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
     folding one insertion per tree node up to the stop bucket into the
     remainder reproduces the trusted commitment exactly.
     """
-    rejected = _precheck(proof, n, sigma, leaf_width)
+    rejected = precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
         return rejected
     before = sha256_calls()
@@ -164,14 +206,14 @@ def qqv(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int
 def qqv_fast(proof: QuantileProof, c: Commitment, n: int, sigma: int, leaf_width: int = 1) -> VerificationStats:
     """`qqv` through the zero fold: the same checks, verdict and reason in O(|Q|) SHA-256 calls.
 
-    Once `_precheck` passes, the counted buckets are distinct and rank at
+    Once `precheck` passes, the counted buckets are distinct and rank at
     or before the stop, so remainder + Z(1..stop) + sum of H(b, c_b) -
     H(b, 0) over them is the group element `qqv` folds node by node.
     insert_ops is the SHA-256 calls the fold made, from `sha256_calls`.
     At a sigma above the commitment limit the fold raises ValueError
     before any hashing.
     """
-    rejected = _precheck(proof, n, sigma, leaf_width)
+    rejected = precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
         return rejected
     before = sha256_calls()
@@ -192,22 +234,22 @@ def qqv_accelerated(
     When some precomputed subtree lies wholly before the stop bucket in
     post-order, its commitment is combined into the fold instead of
     inserting its nodes one by one.  Cheapest check first: after
-    `_precheck`, the counted buckets claimed inside the skipped subtree
+    `precheck`, the counted buckets claimed inside the skipped subtree
     must rebuild its precommitment through `commit_subtree`, or the proof
     is a `commitment-mismatch` before the O(sigma) fold to the stop.  A
     precommitment outside the tree or not a `Commitment` is malformed.
     insert_ops is the SHA-256 calls it made, from `sha256_calls`: after a
     cross-check reject only the check's, with its zero fold if not memoized.
     """
-    rejected = _precheck(proof, n, sigma, leaf_width)
+    rejected = precheck(proof, n, sigma, leaf_width)
     if rejected is not None:
         return rejected
 
-    stop_rank = unchecked_rank(proof.counted[-1][0], sigma)  # `_precheck` checked sigma and every counted node
+    stop_rank = unchecked_rank(proof.counted[-1][0], sigma)  # `precheck` checked sigma and every counted node
     best_size, best, inside = 0, None, []
     for root, pc in precomputed.items():
         if type(root) is not int or not 1 <= root <= 2 * sigma - 1 or not isinstance(pc, Commitment):
-            return VerificationStats(False, REASON_MALFORMED, 0)
+            return _MALFORMED
         if unchecked_rank(root, sigma) >= stop_rank:
             continue
         size = subtree_size(root, sigma)
@@ -233,7 +275,7 @@ def proof_to_text(proof: QuantileProof) -> str:
 def proof_from_text(text: str) -> QuantileProof:
     header, *body = text.splitlines() or [""]
     q, n, answer = header_fields(header, "aqqproof v1", PROOF_FIELDS)
-    counted, _ = index_counts("\n".join(body[:-1] + [""]))  # the counted lines, each ending in "\n"
+    counted = tuple(map(index_count, body[:-1]))
     remainder = field("remainder", body[-1].removeprefix("remainder=") if body else "", Commitment.parse)
     proof = QuantileProof(q, n, answer, counted, remainder)
     require_canonical(text, proof_to_text(proof), "proof file")

@@ -33,6 +33,7 @@ from .digest import (
 from .kvcqa import aqq, malicious_aqq_omit_left, proof_to_text, publish_kvc_auth, qqv, qqv_accelerated
 from .serialize import digest_to_bytes, field
 from .tree import level
+from .verdict import REASON_MALFORMED
 from .wda import wda_authinfo, wda_verify
 
 SCHEMES = ("wda", "kvc_qa", "kvc_qa_accelerated")
@@ -138,8 +139,12 @@ def run_session(scenario: Scenario, source_digest: QDigest) -> list[QueryRecord]
 
     if scenario.scheme == "wda":
         # the whole digest ships once and is verified once; every answer is read off it
-        size = len(digest_to_bytes(responder_digest))
-        verdict = wda_verify(responder_digest, wda_authinfo(source_digest))
+        auth = wda_authinfo(source_digest)  # a source digest outside the encoding limits raises
+        try:
+            size = len(digest_to_bytes(responder_digest))
+        except ValueError:  # a tampered count past the encoding limits: no digest can be sent
+            return [QueryRecord(q, 0, False, 0, 0, REASON_MALFORMED) for q in scenario.queries]
+        verdict = wda_verify(responder_digest, auth)
         return [
             QueryRecord(q, quantile_query(responder_digest, q), verdict.accepted, verdict.insert_ops, size, verdict.reason)
             for q in scenario.queries

@@ -15,11 +15,12 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
-A `dump_frequencies` file is read in bulk by one JSON scan, and a canonical
-`index:count` body (a digest's or a proof's) by one `map(int, ...)` over
-its split; a digest file in the writer's shape is also kept as its digest's
-bytes unencoded.  Any other text is read line by line, to the same value or
-refusal message.  `json` is imported on the first bulk frequency read only.
+A `dump_frequencies` file is read in bulk by one JSON scan, and a digest
+file's canonical `index:count` body by one `map(int, ...)` over its split;
+a digest file in the writer's shape is also kept as its digest's bytes
+unencoded.  Any other text, and every proof's counted lines, is read line
+by line, to the same value or refusal message.  `json` is imported on the
+first bulk frequency read only.
 
 Every file the package reads or writes is opened here.  Text files are
 ASCII with no newline translation (`read_text`, `write_text`), so a stray

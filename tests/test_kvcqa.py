@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -323,6 +324,12 @@ class TestProofFiles:
     )
     def test_malformed_files_rejected(self, text):
         with pytest.raises(ValueError):
+            proof_from_text(text)
+
+    def test_a_count_past_the_int_digit_limit_is_refused_naming_its_line(self):
+        line = "10:" + "1" * 4301  # int() reads at most 4,300 digits
+        text = f"aqqproof v1 q=1/2 n=15 answer=4\n{line}\nremainder=kvc1:" + "0" * 64 + "\n"
+        with pytest.raises(ValueError, match=re.escape(f"expected an index:count line, got {line!r}")):
             proof_from_text(text)
 
 

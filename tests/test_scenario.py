@@ -221,6 +221,15 @@ class TestSessions:
         (record,) = run_session(script, example2_digest)
         assert (record.accepted, record.reason) == (False, reason)
 
+    @pytest.mark.parametrize("scheme", ["wda", "kvc_qa", "kvc_qa_accelerated"])
+    def test_a_tamper_past_the_count_limit_is_a_malformed_reject(self, s1, scheme):
+        # the root's count reaches 2**128, so the tampered digest has no bytes to ship
+        script = Scenario(scheme, ResponderBehavior.tamper_count(1, 2**128), (Fraction(1, 2),))
+        (record,) = run_session(script, build_from_frequencies(s1, 4, 8))
+        assert (record.accepted, record.insert_ops, record.reason) == (False, 0, "malformed")
+        if scheme == "wda":
+            assert (record.answer, record.bytes_moved) == (0, 0)
+
     def test_transcript_line_format(self, s1):
         script = Scenario("kvc_qa", ResponderBehavior.honest(), (Fraction(1, 2),))
         line = run_session(script, build_from_frequencies(s1, 4, 8))[0].transcript_line()

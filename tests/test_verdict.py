@@ -1,4 +1,4 @@
-"""`verdict.precheck`, the answer checks both schemes share, on claims that carry no commitment."""
+"""`kvcqa.precheck`, the checks before any commitment work, on claims whose remainder is a placeholder."""
 
 import re
 from fractions import Fraction
@@ -6,17 +6,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from qdigest_auth.commitment import Commitment
 from qdigest_auth.digest import QDigest, counted_prefix, range_top
-from qdigest_auth.verdict import VerificationStats, precheck
+from qdigest_auth.kvcqa import precheck
+from qdigest_auth.verdict import VerificationStats
 
 # the worked example, n = 15 at sigma 8
 EXAMPLE = QDigest(8, 5, {1: 1, 6: 2, 7: 2, 10: 4, 11: 6})
 
 
 def claim(q):
-    """The honest answer at q with its counted prefix, as a record of no scheme: no remainder."""
+    """The honest answer at q with its counted prefix; no check before the commitment reads the remainder's value."""
     counted = tuple(counted_prefix(EXAMPLE.post_order_buckets(), q * EXAMPLE.n))
-    return SimpleNamespace(q=q, n=EXAMPLE.n, answer=range_top(counted[-1][0], 8, 1), counted=counted)
+    answer = range_top(counted[-1][0], 8, 1)
+    return SimpleNamespace(q=q, n=EXAMPLE.n, answer=answer, counted=counted, remainder=Commitment(0))
 
 
 def check(record):
