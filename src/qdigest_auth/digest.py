@@ -15,10 +15,10 @@ keeps that pass available as `compress_one_pass` and provides two
 repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
 
-Every digest built from values, plain or coarse, comes from `coarsen`:
-it checks the input in bulk, takes the prefix sums of the multiplicities
-in ascending value order once (through a value-indexed array, with no
-sort, when the values cover at least half the domain), and `_descend`
+Every digest built from values, plain or coarse, comes from `coarsen_sorted`:
+given the prefix sums of the multiplicities in ascending value order, from
+`coarsen`'s bulk check (through a value-indexed array, with no sort, when the
+values cover at least half the domain) or a dumped file's columns, `_descend`
 goes from the root into the nodes whose subtree holds more than
 floor(n / k) values, reading masses from those sums.
 `merge` sums its digests in one map, re-sweeping after each sum's full pass
@@ -391,27 +391,39 @@ def coarsen(
 
     A map is checked in bulk, pairs one by one, and a refusal names the
     first bad pair in input order; `_masses` reads the values, never mapping them to leaves.
+    `qdigest build` sends here only the files `serialize.frequency_columns` refuses or finds out of range.
     """
-    if type(levels_cut) is not int or levels_cut < 0:
-        raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
-    tree_sigma = next_power_of_two(sigma)
+    _tree_sigma(sigma, levels_cut)  # refused before any value is read
     if not isinstance(freqs, Mapping):
         freqs = _checked_sum(freqs, sigma)
     typed = all(map(isinstance, freqs, repeat(int))) and all(map(isinstance, freqs.values(), repeat(int)))
     masses = _masses(freqs, sigma) if typed and min(freqs.values(), default=1) >= 1 else None
     if masses is None:
         _checked_sum(freqs.items(), sigma)  # raises at the first bad pair
+    return coarsen_sorted(*masses, k, sigma, levels_cut)
+
+
+def coarsen_sorted(values: Sequence[int], sums: Sequence[int], k: int, sigma: int, levels_cut: int) -> QDigest:
+    """`coarsen` of strictly ascending values in [1, sigma] whose first j hold sums[j], as the caller has checked;
+    the one descent behind every build, refusing levels_cut, sigma and k as `coarsen` does, in its order."""
+    tree_sigma = _tree_sigma(sigma, levels_cut)
     leaves = tree_sigma >> levels_cut
     if not leaves:
         raise ValueError(f"cannot cut {levels_cut} levels from a domain of size {tree_sigma}")
     _check_k(k)
-    values, sums = masses
     kept: dict[int, int] = {}
     # What reaches the root stays.  One descent settles a leaf-only map: a family that does
     # not merge keeps an empty parent, so a second `_one_pass` would repeat its failed check.
     threshold, base = sums[-1] // k, tree_sigma - 1
     kept[1] = _descend(1, level(tree_sigma), 0, len(values), values, sums, threshold, kept, levels_cut, base)
     return QDigest(leaves, k, {i: c for i, c in kept.items() if c}, tree_sigma // leaves)
+
+
+def _tree_sigma(sigma: int, levels_cut: int) -> int:
+    """sigma padded to a power of two, once levels_cut is a nonnegative int and sigma a positive one."""
+    if type(levels_cut) is not int or levels_cut < 0:
+        raise ValueError(f"levels to cut must be a nonnegative integer, got {levels_cut!r}")
+    return next_power_of_two(sigma)
 
 
 def _masses(freqs: Mapping[int, int], sigma: int):

@@ -63,7 +63,6 @@ from .commitment import (
     fold_ranges,
     inverse,
     sha256_calls,
-    subtree_commitments,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import VALUE_LIMIT, check_auth_parameters, field, header_fields, index_count, require_canonical
@@ -328,6 +327,12 @@ class KvcAuthInfo:
 
 
 def publish_kvc_auth(q: QDigest) -> KvcAuthInfo:
-    """The source's KVC auth info: the whole-digest commitment and subtree 2 precommitted."""
-    subtrees = [2] if q.sigma > 1 else []
-    return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, commit_digest(q), subtree_commitments(q, subtrees))
+    """The source's KVC auth info: the whole-digest commitment and subtree 2 precommitted, each bucket hashed
+    once.  Subtree 2 and the rest of the tree are committed apart: by additivity the whole is their sum less Z(2)."""
+    if q.sigma == 1:
+        return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, commit_digest(q), {})
+    in_2 = subtree_test(2, q.sigma)
+    left = commit_subtree(q.sigma, 2, [(i, c) for i, c in q.buckets().items() if in_2(i)])
+    rest = commit_subtree(q.sigma, 1, [(i, c) for i, c in q.buckets().items() if not in_2(i)])
+    whole = combine(rest, combine(left, inverse(commit_subtree(q.sigma, 2, ()))))
+    return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, whole, {2: left})

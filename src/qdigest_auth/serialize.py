@@ -15,10 +15,10 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
-A `dump_frequencies` file is read in bulk by one JSON scan, and a digest
-file's canonical `index:count` body by one `map(int, ...)` over its split;
-a digest file in the writer's shape is also kept as its digest's bytes
-unencoded.  Any other text, and every proof's counted lines, is read line
+A `dump_frequencies` text with ascending values is read as two columns by one
+JSON scan, and a digest file's canonical `index:count` body by one `map(int, ...)`
+over its split; a digest file in the writer's shape is also kept as its digest's
+bytes unencoded.  Any other text, and every proof's counted lines, is read line
 by line, to the same value or refusal message.  `json` is imported on the
 first bulk frequency read only.
 
@@ -30,6 +30,7 @@ ext4 flushes a file cut to zero when it is closed, and the next write waits
 on that I/O.  Text is encoded first, so refused text leaves the old file.
 """
 
+import operator
 import os
 import re
 from contextlib import suppress
@@ -45,10 +46,10 @@ KEY_LIMIT = 1 << (8 * KEY_BYTES)
 VALUE_LIMIT = 1 << (8 * VALUE_BYTES)
 MAX_SIGMA = KEY_LIMIT // 2
 
-# The writers' line shapes: a digest's `index:count` lines, positive integers
-# in canonical spelling, and `dump_frequencies`'s, multiplicities at least 1.
+# A digest's `index:count` lines as its writer spells them: positive integers in canonical spelling.
 _CANONICAL_BODY = re.compile(r"(?:[1-9][0-9]*:[1-9][0-9]*\n)*")
-_FREQUENCY_LINES = re.compile(r"(?:-?[0-9]+\t[1-9][0-9]*\n)*")
+# What `str.translate` leaves of `dump_frequencies`'s lines: their tab and newline.
+_DROP_NUMBERS = str.maketrans("", "", "0123456789-")
 
 
 def field(key: str, text: str, read=int):
@@ -152,21 +153,31 @@ def load_digest(path) -> QDigest:
         return digest_from_bytes(fh.read())
 
 
+def frequency_columns(text: str) -> tuple[list[int], list[int]] | None:
+    """A `dump_frequencies` text's values, strictly ascending, and their multiplicities, each at least 1.
+
+    One C-level check of the lines' shape, then one JSON scan; None for any other text, which is left to
+    `parse_frequency_text`'s line loop to read or to refuse naming its line."""
+    if text.translate(_DROP_NUMBERS) == "\t\n" * text.count("\n"):
+        import json  # here only: a process that reads no dumped frequency file does not load it
+
+        with suppress(ValueError):  # a leading zero, a lone sign, or more digits than int() reads
+            numbers = json.loads("[" + text[:-1].replace("\t", ",").replace("\n", ",") + "]")
+            values, mults = numbers[::2], numbers[1::2]
+            if min(mults, default=1) >= 1 and all(map(operator.lt, values, values[1:])):
+                return values, mults
+    return None
+
+
 def parse_frequency_text(text: str) -> dict[int, int]:
     """Parse `value<TAB>multiplicity` lines; `#` comments and blank lines ignored.
 
-    Repeated values accumulate.  `dump_frequencies`'s shape with distinct
-    values is read in bulk, any other text line by line, to the same result.
+    Repeated values accumulate.  A text `frequency_columns` reads is taken
+    from its columns, any other text line by line, to the same result.
     """
-    if _FREQUENCY_LINES.fullmatch(text):
-        import json  # here only: a process that reads no dumped frequency file does not load it
-
-        with suppress(ValueError):  # a leading zero, or more digits than int() reads: the loop reads or names its line
-            numbers = json.loads("[" + text[:-1].replace("\t", ",").replace("\n", ",") + "]")
-            pairs = iter(numbers)
-            freqs = dict(zip(pairs, pairs))
-            if 2 * len(freqs) == len(numbers):  # a repeated value accumulates in the loop
-                return freqs
+    columns = frequency_columns(text)
+    if columns is not None:
+        return dict(zip(*columns))
     freqs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

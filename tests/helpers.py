@@ -47,6 +47,26 @@ def random_frequencies(rng: random.Random, sigma: int, max_distinct: int = 200, 
     return {v: rng.randint(1, max_mult) for v in values}
 
 
+def frequencies_line_by_line(text: str) -> dict[int, int]:
+    """The frequency reader's line loop alone: the oracle of its bulk path."""
+    freqs: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected value<TAB>multiplicity, got {raw!r}")
+        try:
+            value, mult = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+        if mult < 1:
+            raise ValueError(f"line {lineno}: multiplicity must be positive, got {mult}")
+        freqs[value] = freqs.get(value, 0) + mult
+    return freqs
+
+
 def log_uniform(rng: random.Random, sigma: int, count: int) -> dict[int, int]:
     """`count` values in [1, sigma] with a uniform logarithm, as in perfbench's `wda_stream` batches."""
     freqs: dict[int, int] = {}

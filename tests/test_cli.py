@@ -3,10 +3,15 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdigest_auth import cli, commitment
 from qdigest_auth.cli import build_parser, main
@@ -16,7 +21,7 @@ from qdigest_auth.kvcqa import proof_from_text
 from qdigest_auth.serialize import dump_digest, dump_frequencies, load_digest, read_text
 from qdigest_auth.tree import subtree_test
 
-from helpers import random_frequencies
+from helpers import frequencies_line_by_line, random_frequencies
 
 
 def write_freqs(path, freqs):
@@ -503,6 +508,64 @@ def test_coarse_build(tmp_path, s1_file, capsys):
     ) == 0
     q = load_digest(out)
     assert q.sigma == 4 and q.leaf_width == 2
+
+
+# single edits of a dumped frequency file's lines, each (lines, one of its values, sigma) -> lines: texts
+# `serialize.frequency_columns` refuses, and values just outside [1, sigma], which its columns hold
+LINE_EDITS = {
+    "none": lambda lines, v, sigma: lines,
+    "reordered": lambda lines, v, sigma: lines[1:] + lines[:1],
+    "repeated value": lambda lines, v, sigma: sorted(lines + [f"{v}\t2\n"], key=lambda line: int(line.split("\t")[0])),
+    "leading zero": lambda lines, v, sigma: [f"0{v}\t1\n"] + lines,
+    "-0": lambda lines, v, sigma: ["-0\t1\n"] + lines,
+    "zero multiplicity": lambda lines, v, sigma: lines + [f"{sigma + 1}\t0\n"],
+    "negative multiplicity": lambda lines, v, sigma: lines + [f"{sigma + 1}\t-{v}\n"],
+    "value 0": lambda lines, v, sigma: ["0\t1\n"] + lines,
+    "value above sigma": lambda lines, v, sigma: lines + [f"{sigma + 1}\t1\n"],
+    "CR": lambda lines, v, sigma: [line.replace("\n", "\r\n") for line in lines],
+    "comment": lambda lines, v, sigma: ["# a comment\n"] + lines,
+    "blank line": lambda lines, v, sigma: lines + ["\n"],
+    "no final newline": lambda lines, v, sigma: lines[:-1] + [line.rstrip("\n") for line in lines[-1:]],
+    "4,301 digits": lambda lines, v, sigma: lines + ["1" * 4301 + "\t1\n"],
+}
+
+
+@st.composite
+def build_inputs(draw):
+    """A `dump_frequencies` text of a sparse or dense map, one of LINE_EDITS applied, and build options."""
+    sigma = draw(st.sampled_from([1, 2, 3, 5, 8, 12, 16, 100, 128]))
+    dense = draw(st.booleans())  # at least sigma / 2 values, so that `coarsen` reads the map into an array
+    size = st.integers((sigma + 1) // 2, sigma) if dense else st.integers(0, min(sigma, 6))
+    values = draw(st.lists(st.integers(1, sigma), min_size=draw(size), max_size=sigma, unique=True))
+    lines = [f"{v}\t{draw(st.integers(1, 10**30))}\n" for v in sorted(values)]
+    edit = draw(st.one_of(st.just("none"), st.sampled_from(sorted(LINE_EDITS))))  # half of them unedited
+    v = draw(st.sampled_from(values or [1]))
+    k, coarse = draw(st.integers(0, 9)), draw(st.integers(0, 2))
+    return "".join(LINE_EDITS[edit](lines, v, sigma)), sigma, k, coarse
+
+
+def build_outcome(text, sigma, k, coarse):
+    """`main`'s exit code, stdout and stderr for `qdigest build` of text, and the bytes it wrote, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        freq, out = os.path.join(tmp, "f.tsv"), os.path.join(tmp, "f.qd")
+        with open(freq, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        stdout, stderr = StringIO(), StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["build", freq, "--sigma", str(sigma), "--k", str(k), "--coarse", str(coarse), "--output", out])
+        written = Path(out).read_bytes() if os.path.exists(out) else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@settings(max_examples=300, deadline=None)
+@given(build_inputs())
+def test_a_build_from_the_columns_matches_coarsen_of_the_line_loop(case):
+    """Every text, edited or not, builds what `coarsen` of the line loop's map builds: the same exit
+    code, stdout, stderr and file bytes, whether or not `qdigest build` takes the file's columns."""
+    with mock.patch.object(cli, "frequency_columns", lambda text: None), \
+            mock.patch.object(cli, "parse_frequency_text", frequencies_line_by_line):
+        expected = build_outcome(*case)
+    assert build_outcome(*case) == expected
 
 
 def test_simulate(tmp_path, s1_file, capsys):

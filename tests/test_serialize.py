@@ -3,6 +3,7 @@ import graphlib
 import os
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from qdigest_auth.serialize import (
     write_text,
 )
 
-from helpers import random_digest
+from helpers import frequencies_line_by_line, random_digest
 from test_wire_formats import FORMATS, digests, proofs, single_edits
 
 
@@ -133,26 +134,6 @@ def outcome(parse, text):
     return list(value.items()) if isinstance(value, dict) else value
 
 
-def frequencies_line_by_line(text: str) -> dict[int, int]:
-    """The frequency reader's line loop alone: the oracle of its bulk path."""
-    freqs: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected value<TAB>multiplicity, got {raw!r}")
-        try:
-            value, mult = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
-        if mult < 1:
-            raise ValueError(f"line {lineno}: multiplicity must be positive, got {mult}")
-        freqs[value] = freqs.get(value, 0) + mult
-    return freqs
-
-
 def digest_line_by_line(data: bytes) -> QDigest:
     """`digest_from_bytes` reading one `index:count` line at a time and always encoding the digest to compare."""
     header, _, body = data.decode("latin-1").partition("\n")
@@ -162,8 +143,29 @@ def digest_line_by_line(data: bytes) -> QDigest:
     return q
 
 
-def proof_line_by_line(text: str) -> QuantileProof:
-    """`proof_from_text` reading one `index:count` line at a time."""
+# A proof in its writer's layout: q's two integers, n, the answer, the counted lines and the remainder's hex digits.
+WRITTEN_PROOF = re.compile(
+    r"aqqproof v1 q=(-?[0-9]+)/(-?[0-9]+) n=(-?[0-9]+) answer=(-?[0-9]+)\n"
+    r"((?:-?[0-9]+:-?[0-9]+\n)*)remainder=kvc1:([0-9a-f]{64})\n"
+)
+
+
+def proof_by_pattern(text: str) -> QuantileProof:
+    """`proof_from_text` by a second reader: a text in the writer's layout is read from one `re.fullmatch`;
+    any other, or one with a zero denominator or a number `int()` refuses, one line at a time, whose
+    refusals are the reader's own words."""
+    match = WRITTEN_PROOF.fullmatch(text)
+    if match:
+        num, den, n, answer, body, remainder = match.groups()
+        try:
+            header = Fraction(int(num), int(den)), int(n), int(answer)
+            counted = tuple(tuple(map(int, line.split(":"))) for line in body.splitlines())
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            proof = QuantileProof(*header, counted, Commitment(int(remainder, 16)))
+            require_canonical(text, proof_to_text(proof), "proof file")
+            return proof
     header, *body = text.splitlines() or [""]
     q, n, answer = header_fields(header, "aqqproof v1", PROOF_FIELDS)
     counted = tuple(index_count(line) for line in body[:-1])
@@ -189,8 +191,11 @@ other_frequency_lines = st.one_of(
 
 @st.composite
 def frequency_texts(draw):
-    """`dump_frequencies`-shaped lines with up to two others among them, the last newline sometimes cut."""
+    """`dump_frequencies`-shaped lines, half the time in ascending value order, with up to two others among
+    them, the last newline sometimes cut."""
     lines = draw(st.lists(dumped_lines, max_size=10))
+    if draw(st.booleans()):  # as `dump_frequencies` writes them: distinct values are read as columns
+        lines.sort(key=lambda line: int(line.split("\t")[0]))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(other_frequency_lines))
     text = "".join(lines)
@@ -220,9 +225,10 @@ def test_digest_reading_matches_the_line_loop_on_single_edits(q, data):
 @settings(max_examples=100, deadline=None)
 @given(proofs, st.data())
 def test_proof_reading_matches_the_line_loop_on_single_edits(proof, data):
+    """`proof_from_text` against `proof_by_pattern`: a second reader for texts in the writer's layout, the line loop for the rest."""
     written = proof_to_text(proof)
     for text in [written, *(data.draw(single_edits(written)) for _ in range(10))]:
-        assert outcome(proof_from_text, text) == outcome(proof_line_by_line, text)
+        assert outcome(proof_from_text, text) == outcome(proof_by_pattern, text)
 
 
 # the file kinds whose parsers read header fields, and the keys of each header

@@ -229,6 +229,7 @@ def test_warm_costs_depend_on_the_buckets_not_on_sigma(sigma):
     assert calls_of(commit_digest, q) == 2 * q.size
     left = sum(1 for node in q.buckets() if subtree_test(2, sigma)(node))
     assert calls_of(subtree_commitment, q, 2) == 2 * left
+    assert calls_of(publish_kvc_auth, q) == 2 * q.size  # subtree 2's buckets are hashed once, not twice
     c = commit_digest(q)
     for i in range(65):
         assert calls_of(aqq, q, Fraction(i, 64)) <= 2 * q.size + SUFFIX_CALLS
