@@ -10,13 +10,12 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from itertools import accumulate
 
 from .bench import format_bench_table, run_bench
-from .digest import coarsen, coarsen_sorted, merge, quantile_fraction, quantile_query, validate
+from .digest import coarsen, coarsen_columns, merge, quantile_fraction, quantile_query, validate
 from .kvcqa import KvcAuthInfo, aqq, proof_from_text, proof_to_text, publish_kvc_auth, qqv_accelerated, qqv_fast
 from .scenario import parse_scenario, run_scenario
-from .serialize import dump_digest, frequency_columns, load_digest, load_frequencies, parse_frequency_text, read_text, write_text
+from .serialize import dump_digest, frequency_columns, load_digest, load_frequencies, parse_frequency_lines, read_text, write_text
 from .verdict import REASON_MALFORMED, VerificationStats
 from .wda import WdaAuthInfo, wda_authinfo, wda_verify
 
@@ -72,13 +71,13 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
 
 
 def cmd_build(args) -> int:
-    """Build from a `dump_frequencies` file's columns if its values lie in [1, sigma], else as `coarsen` builds or refuses."""
+    """Build from a `dump_frequencies`-shaped file's columns through `coarsen_columns`, else from its lines."""
     text = read_text(args.freq_file)
-    values, mults = frequency_columns(text) or ((), ())
-    if values and 1 <= values[0] and values[-1] <= args.sigma:  # ascending, so every value is in range
-        digest = coarsen_sorted(values, list(accumulate(mults, initial=0)), args.k, args.sigma, args.coarse)
+    columns = frequency_columns(text)
+    if columns is not None:
+        digest = coarsen_columns(*columns, args.k, args.sigma, args.coarse)
     else:
-        digest = coarsen(parse_frequency_text(text), args.k, args.sigma, args.coarse)
+        digest = coarsen(parse_frequency_lines(text), args.k, args.sigma, args.coarse)
     dump_digest(digest, args.output)
     report = validate(digest)
     print(f"n={digest.n} size={digest.size} bound={4 * digest.k + 1} "

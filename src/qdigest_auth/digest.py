@@ -15,10 +15,11 @@ keeps that pass available as `compress_one_pass` and provides two
 repaired algorithms, `recursive_compress` and `iterative_compress`, that
 always restore property 2.
 
-Every digest built from values, plain or coarse, comes from `coarsen_sorted`:
+Every digest built from values, plain or coarse, comes from `_coarsen_sums`:
 given the prefix sums of the multiplicities in ascending value order, from
 `coarsen`'s bulk check (through a value-indexed array, with no sort, when the
-values cover at least half the domain) or a dumped file's columns, `_descend`
+values cover at least half the domain) or from `coarsen_columns` when a dumped
+file's values already ascend, `_descend`
 goes from the root into the nodes whose subtree holds more than
 floor(n / k) values, reading masses from those sums.
 `merge` sums its digests in one map, re-sweeping after each sum's full pass
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, starmap
 from math import ceil
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from .tree import (
@@ -391,7 +393,7 @@ def coarsen(
 
     A map is checked in bulk, pairs one by one, and a refusal names the
     first bad pair in input order; `_masses` reads the values, never mapping them to leaves.
-    `qdigest build` sends here only the files `serialize.frequency_columns` refuses or finds out of range.
+    `coarsen_columns` reads a dumped frequency file's columns and sends here only unsorted or out-of-range ones.
     """
     _tree_sigma(sigma, levels_cut)  # refused before any value is read
     if not isinstance(freqs, Mapping):
@@ -400,10 +402,20 @@ def coarsen(
     masses = _masses(freqs, sigma) if typed and min(freqs.values(), default=1) >= 1 else None
     if masses is None:
         _checked_sum(freqs.items(), sigma)  # raises at the first bad pair
-    return coarsen_sorted(*masses, k, sigma, levels_cut)
+    return _coarsen_sums(*masses, k, sigma, levels_cut)
 
 
-def coarsen_sorted(values: Sequence[int], sums: Sequence[int], k: int, sigma: int, levels_cut: int) -> QDigest:
+def coarsen_columns(values: Sequence[int], mults: Sequence[int], k: int, sigma: int, levels_cut: int) -> QDigest:
+    """`coarsen` of the pairs zip(values, mults), every multiplicity an int of at least 1, as
+    `serialize.frequency_columns` returns them: strictly ascending values in [1, sigma] are summed
+    straight into the descent, any others are built, or refused, by `coarsen`."""
+    if values and 1 <= values[0] and values[-1] <= sigma and all(map(lt, values, values[1:])):
+        return _coarsen_sums(values, list(accumulate(mults, initial=0)), k, sigma, levels_cut)
+    freqs = dict(zip(values, mults))
+    return coarsen(freqs if len(freqs) == len(values) else zip(values, mults), k, sigma, levels_cut)
+
+
+def _coarsen_sums(values: Sequence[int], sums: Sequence[int], k: int, sigma: int, levels_cut: int) -> QDigest:
     """`coarsen` of strictly ascending values in [1, sigma] whose first j hold sums[j], as the caller has checked;
     the one descent behind every build, refusing levels_cut, sigma and k as `coarsen` does, in its order."""
     tree_sigma = _tree_sigma(sigma, levels_cut)

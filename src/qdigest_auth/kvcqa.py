@@ -63,6 +63,7 @@ from .commitment import (
     fold_ranges,
     inverse,
     sha256_calls,
+    subtree_commitment,
 )
 from .digest import QDigest, counted_prefix, query_fraction, range_top
 from .serialize import VALUE_LIMIT, check_auth_parameters, field, header_fields, index_count, require_canonical
@@ -331,8 +332,7 @@ def publish_kvc_auth(q: QDigest) -> KvcAuthInfo:
     once.  Subtree 2 and the rest of the tree are committed apart: by additivity the whole is their sum less Z(2)."""
     if q.sigma == 1:
         return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, commit_digest(q), {})
-    in_2 = subtree_test(2, q.sigma)
-    left = commit_subtree(q.sigma, 2, [(i, c) for i, c in q.buckets().items() if in_2(i)])
+    left, in_2 = subtree_commitment(q, 2), subtree_test(2, q.sigma)
     rest = commit_subtree(q.sigma, 1, [(i, c) for i, c in q.buckets().items() if not in_2(i)])
     whole = combine(rest, combine(left, inverse(commit_subtree(q.sigma, 2, ()))))
     return KvcAuthInfo(q.sigma, q.k, q.leaf_width, q.n, whole, {2: left})

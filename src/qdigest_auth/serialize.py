@@ -15,8 +15,8 @@ line, then one `index:count` pair per line in strictly ascending index
 order, "\n" line endings, no trailing whitespace.  It is made once and kept
 on the immutable `QDigest`, for the bytes sent, the WDA hash and the parser's check.
 
-A `dump_frequencies` text with ascending values is read as two columns by one
-JSON scan, and a digest file's canonical `index:count` body by one `map(int, ...)`
+A text in `dump_frequencies`'s line shape is read as two columns by one JSON
+scan, and a digest file's canonical `index:count` body by one `map(int, ...)`
 over its split; a digest file in the writer's shape is also kept as its digest's
 bytes unencoded.  Any other text, and every proof's counted lines, is read line
 by line, to the same value or refusal message.  `json` is imported on the
@@ -30,7 +30,6 @@ ext4 flushes a file cut to zero when it is closed, and the next write waits
 on that I/O.  Text is encoded first, so refused text leaves the old file.
 """
 
-import operator
 import os
 import re
 from contextlib import suppress
@@ -154,17 +153,17 @@ def load_digest(path) -> QDigest:
 
 
 def frequency_columns(text: str) -> tuple[list[int], list[int]] | None:
-    """A `dump_frequencies` text's values, strictly ascending, and their multiplicities, each at least 1.
+    """A `dump_frequencies`-shaped text's values and multiplicities, in file order, every multiplicity at least 1.
 
     One C-level check of the lines' shape, then one JSON scan; None for any other text, which is left to
-    `parse_frequency_text`'s line loop to read or to refuse naming its line."""
-    if text.translate(_DROP_NUMBERS) == "\t\n" * text.count("\n"):
+    `parse_frequency_lines` to read or to refuse naming its line.  The values may repeat or be unsorted."""
+    if text.endswith("\n") and text.translate(_DROP_NUMBERS) == "\t\n" * text.count("\n"):
         import json  # here only: a process that reads no dumped frequency file does not load it
 
         with suppress(ValueError):  # a leading zero, a lone sign, or more digits than int() reads
             numbers = json.loads("[" + text[:-1].replace("\t", ",").replace("\n", ",") + "]")
             values, mults = numbers[::2], numbers[1::2]
-            if min(mults, default=1) >= 1 and all(map(operator.lt, values, values[1:])):
+            if min(mults, default=1) >= 1:
                 return values, mults
     return None
 
@@ -172,12 +171,19 @@ def frequency_columns(text: str) -> tuple[list[int], list[int]] | None:
 def parse_frequency_text(text: str) -> dict[int, int]:
     """Parse `value<TAB>multiplicity` lines; `#` comments and blank lines ignored.
 
-    Repeated values accumulate.  A text `frequency_columns` reads is taken
-    from its columns, any other text line by line, to the same result.
+    Repeated values accumulate.  A text `frequency_columns` reads with distinct
+    values is taken from its columns, any other text line by line, to the same result.
     """
     columns = frequency_columns(text)
     if columns is not None:
-        return dict(zip(*columns))
+        freqs = dict(zip(*columns))
+        if len(freqs) == len(columns[0]):  # a repeated value accumulates in the loop
+            return freqs
+    return parse_frequency_lines(text)
+
+
+def parse_frequency_lines(text: str) -> dict[int, int]:
+    """`parse_frequency_text` one line at a time: the reader of any text and the source of every refusal."""
     freqs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

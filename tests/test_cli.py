@@ -511,7 +511,7 @@ def test_coarse_build(tmp_path, s1_file, capsys):
 
 
 # single edits of a dumped frequency file's lines, each (lines, one of its values, sigma) -> lines: texts
-# `serialize.frequency_columns` refuses, and values just outside [1, sigma], which its columns hold
+# `serialize.frequency_columns` refuses, and unsorted, repeated or out-of-range values, which its columns hold
 LINE_EDITS = {
     "none": lambda lines, v, sigma: lines,
     "reordered": lambda lines, v, sigma: lines[1:] + lines[:1],
@@ -526,6 +526,7 @@ LINE_EDITS = {
     "comment": lambda lines, v, sigma: ["# a comment\n"] + lines,
     "blank line": lambda lines, v, sigma: lines + ["\n"],
     "no final newline": lambda lines, v, sigma: lines[:-1] + [line.rstrip("\n") for line in lines[-1:]],
+    "truncated last line": lambda lines, v, sigma: lines[:-1] + [line.split("\t")[0] for line in lines[-1:]],
     "4,301 digits": lambda lines, v, sigma: lines + ["1" * 4301 + "\t1\n"],
 }
 
@@ -563,7 +564,7 @@ def test_a_build_from_the_columns_matches_coarsen_of_the_line_loop(case):
     """Every text, edited or not, builds what `coarsen` of the line loop's map builds: the same exit
     code, stdout, stderr and file bytes, whether or not `qdigest build` takes the file's columns."""
     with mock.patch.object(cli, "frequency_columns", lambda text: None), \
-            mock.patch.object(cli, "parse_frequency_text", frequencies_line_by_line):
+            mock.patch.object(cli, "parse_frequency_lines", frequencies_line_by_line):
         expected = build_outcome(*case)
     assert build_outcome(*case) == expected
 

@@ -191,15 +191,14 @@ other_frequency_lines = st.one_of(
 
 @st.composite
 def frequency_texts(draw):
-    """`dump_frequencies`-shaped lines, half the time in ascending value order, with up to two others among
-    them, the last newline sometimes cut."""
+    """`dump_frequencies`-shaped lines with up to two others among them, the last newline sometimes cut,
+    and sometimes the last line cut at its tab, leaving a bare value."""
     lines = draw(st.lists(dumped_lines, max_size=10))
-    if draw(st.booleans()):  # as `dump_frequencies` writes them: distinct values are read as columns
-        lines.sort(key=lambda line: int(line.split("\t")[0]))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(other_frequency_lines))
     text = "".join(lines)
-    return text[:-1] if draw(st.integers(0, 3)) == 0 else text
+    cut = draw(st.integers(0, 5))
+    return text[:-1] if cut == 0 else text.rpartition("\t")[0] if cut == 1 else text
 
 
 @settings(max_examples=400, deadline=None)
@@ -210,6 +209,9 @@ def frequency_texts(draw):
 @example("01\t3\n2\t4\n")  # a leading zero, which JSON refuses
 @example("")
 @example("1\t3\n2\t4")  # the last line without its newline
+@example("1\t2\n34")  # the last line a bare value: its digits, not a newline, would be cut
+@example("10")
+@example("-")
 def test_bulk_frequency_reading_matches_the_line_loop(text):
     assert outcome(parse_frequency_text, text) == outcome(frequencies_line_by_line, text)
 
